@@ -16,7 +16,9 @@ class DimacsError(ValueError):
     pass
 
 
-def parse_dimacs(text: str | bytes | Iterable[str]) -> Graph:
+def parse_dimacs(text: str | bytes | Iterable[str], max_n: int | None = None) -> Graph:
+    """Parse DIMACS text; with `max_n`, refuse a problem line naming more
+    vertices before the graph is allocated."""
     if isinstance(text, bytes):
         text = text.decode("ascii")
     lines = text.splitlines() if isinstance(text, str) else text
@@ -39,6 +41,10 @@ def parse_dimacs(text: str | bytes | Iterable[str]) -> Graph:
                 raise DimacsError(f"line {lineno}: malformed problem line {line!r}") from None
             if n < 1:
                 raise DimacsError(f"line {lineno}: vertex count must be positive")
+            if max_n is not None and n > max_n:
+                raise DimacsError(
+                    f"line {lineno}: n={n} exceeds the matrix-memory cap {max_n} "
+                    f"(two n x n matrices; raise with --max-n if you have the RAM)")
             g = Graph(n)
         elif fields[0] == "a":
             if g is None:

@@ -1,4 +1,4 @@
-"""Distance and precedence matrices indexed by 1-based vertex id.
+"""Distance and precedence matrices by 1-based vertex id, and their files.
 
 Both are allocated once at full (n+1) x (n+1) (row/col 0 unused) and filled
 in place as the pipeline progresses; which cells are meaningful at a given
@@ -6,11 +6,18 @@ stage is tracked by the caller's present set.
 
 Distances live in float64: every value is an integer (or inf), and with
 weights <= 2^32 - 1 and realistic path lengths all sums stay far below
-2^53, so equality checks are exact.
+2^53, so equality checks, and files read back as float64, are exact.
+
+A matrix file (README "Matrix files") has '#' header lines, then one line
+per row of space-separated cells: decimal digits, or INF for the missing
+value (an infinite distance or an UNSET predecessor).  Both directions run
+numpy over blocks of rows, never Python per cell.
 """
 
 from __future__ import annotations
 
+import contextlib
+import re
 from typing import IO
 
 import numpy as np
@@ -53,24 +60,37 @@ class PrecedenceMatrix:
     def set(self, i: int, j: int, value: int) -> None:
         self.cells[i, j] = value
 
-    def is_set(self, i: int, j: int) -> bool:
-        return self.cells[i, j] != UNSET
-
 
 # -- text serialization --------------------------------------------------
-# Row-major, one row per line, space-separated integers, "INF" sentinel,
-# '#' header lines carrying the order and the vertex-id order.
+
+_BLOCK_CELLS = 1 << 16  # cells in the block of rows held at a time
+_POW10 = 10 ** np.arange(1, 19, dtype=np.int64)  # digits = 1 + powers reached
+_ROW_CHARS = str.maketrans(dict.fromkeys("0123456789INF \t"))  # translate drops these
+_ROW = re.compile(r"(?:INF|[0-9]+)(?:[ \t]+(?:INF|[0-9]+))*")
+_LINE = re.compile(r"^.*$", re.MULTILINE)
+_ORDER = re.compile(r"#\s*n\s+([0-9]+)")
 
 
 def _write_cells(cells: np.ndarray, order: int, kind: str, out: IO[str],
-                 sentinel_value) -> None:
-    out.write(f"# graphshrink {kind} matrix\n")
-    out.write(f"# n {order}\n")
-    out.write("# ids " + " ".join(str(i) for i in range(1, order + 1)) + "\n")
-    for i in range(1, order + 1):
-        row = cells[i, 1:]
-        parts = ["INF" if v == sentinel_value else str(int(v)) for v in row]
-        out.write(" ".join(parts) + "\n")
+                 missing) -> None:
+    ids = " ".join(map(str, range(1, order + 1)))
+    out.write(f"# graphshrink {kind} matrix\n# n {order}\n# ids {ids}\n")
+    step = _BLOCK_CELLS // (order + 1) + 1
+    for lo in range(1, order + 1, step):
+        unset = cells[lo:lo + step, 1:] == missing
+        values = np.where(unset, 0, cells[lo:lo + step, 1:]).astype(np.int64)
+        digits = np.where(unset, 3, np.searchsorted(_POW10, values, side="right") + 1)
+        # right-align each cell in `width` bytes plus a separator, then keep
+        # only the cell's own digits and its separator
+        width = max(int(digits.max()), 3)
+        chars = np.empty(values.shape + (width + 1,), np.uint8)
+        for col in range(width - 1, -1, -1):
+            values, chars[..., col] = np.divmod(values, 10)
+        chars += ord("0")
+        chars[unset, width - 3:width] = np.frombuffer(b"INF", np.uint8)
+        chars[..., width], chars[:, -1, width] = ord(" "), ord("\n")
+        keep = np.arange(width + 1) >= width - digits[..., None]
+        out.write(chars[keep].tobytes().decode("ascii"))
 
 
 def write_distance_matrix(m: DistanceMatrix, out: IO[str]) -> None:
@@ -81,37 +101,49 @@ def write_precedence_matrix(p: PrecedenceMatrix, out: IO[str]) -> None:
     _write_cells(p.cells, p.order, "precedence", out, UNSET)
 
 
-def _read_rows(text: str) -> tuple[int, list[list[str]]]:
-    order = None
-    rows: list[list[str]] = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            fields = line[1:].split()
-            if len(fields) == 2 and fields[0] == "n":
-                order = int(fields[1])
-            continue
-        rows.append(line.split())
-    if order is None:
-        raise ValueError("missing '# n <order>' header line")
-    if len(rows) != order or any(len(r) != order for r in rows):
-        raise ValueError(f"expected {order} rows of {order} cells")
-    return order, rows
+def _store_rows(dest: np.ndarray, rows: list[tuple[int, str]], missing) -> None:
+    """Parse (line number, line) `rows` into the cells `dest`."""
+    lines, block = [line for _, line in rows], None
+    if not "".join(lines).translate(_ROW_CHARS):
+        with contextlib.suppress(ValueError):
+            block = np.loadtxt(lines, dtype=np.float64, ndmin=2)
+    if block is None or block.shape != dest.shape:
+        lineno = next((k for k, line in rows if not _ROW.fullmatch(line)
+                       or len(line.split()) != dest.shape[1]), rows[-1][0])
+        raise ValueError(f"line {lineno}: expected {dest.shape[1]} cells, each digits or INF")
+    block[np.isinf(block)] = missing
+    with np.errstate(invalid="ignore"):
+        dest[...] = block
+    if not np.array_equal(dest, block):
+        raise ValueError(f"line {rows[(dest != block).any(axis=1).argmax()][0]}: cell out of range")
 
 
-def read_distance_matrix(text: str) -> DistanceMatrix:
-    order, rows = _read_rows(text)
-    m = DistanceMatrix(order)
-    for i, row in enumerate(rows, start=1):
-        m.cells[i, 1:] = [np.inf if c == "INF" else int(c) for c in row]
+def _read_cells(text: str, make, missing):
+    m, rows, lineno = None, [], 0
+    for lineno, match in enumerate(_LINE.finditer(text), 1):
+        line = match.group().strip()
+        header = _ORDER.fullmatch(line)
+        if header and m is None:
+            # a file of order n holds at least 2 n**2 characters: refuse a
+            # header the text cannot fill before allocating for it
+            if 2 * int(header[1]) ** 2 > len(text):
+                raise ValueError(f"line {lineno}: the file is too short for order {header[1]}")
+            m, done = make(int(header[1])), 0
+        elif line and not line.startswith("#"):
+            if m is None or done + len(rows) == m.order:
+                raise ValueError(f"line {lineno}: row outside the '# n <order>' header's count")
+            rows.append((lineno, line))
+            if len(rows) * m.order >= _BLOCK_CELLS or done + len(rows) == m.order:
+                _store_rows(m.cells[done + 1:done + 1 + len(rows), 1:], rows, missing)
+                done, rows = done + len(rows), []
+    if m is None or done != m.order:
+        raise ValueError(f"line {lineno}: missing the '# n <order>' header or some of its rows")
     return m
 
 
+def read_distance_matrix(text: str) -> DistanceMatrix:
+    return _read_cells(text, DistanceMatrix, np.inf)
+
+
 def read_precedence_matrix(text: str) -> PrecedenceMatrix:
-    order, rows = _read_rows(text)
-    p = PrecedenceMatrix(order)
-    for i, row in enumerate(rows, start=1):
-        p.cells[i, 1:] = [UNSET if c == "INF" else int(c) for c in row]
-    return p
+    return _read_cells(text, PrecedenceMatrix, UNSET)

@@ -33,6 +33,12 @@ def test_solve_writes_matrices(tmp_path, triangle_file, capsys):
     assert p.get(1, 3) == 2
     summary = capsys.readouterr().out
     assert "n=3" in summary and "removals=" in summary
+    assert float(summary.split("write_seconds=")[1]) >= 0
+
+
+def test_solve_without_outputs_reports_zero_write_time(triangle_file, capsys):
+    assert main(["solve", "--input", str(triangle_file)]) == 0
+    assert capsys.readouterr().out.rstrip().endswith("write_seconds=0.000")
 
 
 def test_solve_disconnected_names_vertices(tmp_path, capsys):
@@ -56,6 +62,18 @@ def test_solve_refuses_above_cap(tmp_path, capsys):
     path.write_text(write_dimacs(random_connected_graph(30, 1)))
     assert main(["solve", "--input", str(path), "--max-n", "10"]) == 1
     assert "cap" in capsys.readouterr().err
+
+
+def test_solve_refuses_above_cap_before_building_the_graph(tmp_path, monkeypatch, capsys):
+    def no_graph(n):
+        raise AssertionError(f"Graph({n}) built for an input above the cap")
+
+    monkeypatch.setattr("graphshrink.dimacs.Graph", no_graph)
+    path = tmp_path / "huge.gr"
+    path.write_text("c header only\np sp 20000 0\n")
+    assert main(["solve", "--input", str(path), "--max-n", "15000"]) == 1
+    err = capsys.readouterr().err
+    assert "line 2" in err and "cap" in err and "--max-n" in err
 
 
 def test_solve_deterministic_outputs(tmp_path, random_file):

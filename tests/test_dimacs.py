@@ -24,6 +24,19 @@ def test_parse_duplicate_arcs_keep_minimum():
     assert g.m == 2
 
 
+def test_parse_refuses_n_above_max_n_before_allocating(monkeypatch):
+    def no_graph(n):
+        raise AssertionError(f"Graph({n}) built for an input above max_n")
+
+    monkeypatch.setattr("graphshrink.dimacs.Graph", no_graph)
+    with pytest.raises(DimacsError, match="line 1: .*cap 15000"):
+        parse_dimacs("p sp 20000 0\n", max_n=15000)
+
+
+def test_parse_accepts_n_at_max_n():
+    assert parse_dimacs("p sp 3 0", max_n=3).n_original == 3
+
+
 def test_parse_single_vertex_no_edges():
     g = parse_dimacs("p sp 1 0")
     assert g.n_original == 1
