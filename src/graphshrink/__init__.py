@@ -11,7 +11,6 @@ from .disassembly import (
     disassemble,
     edge_delta,
     remove_and_preserve,
-    shortcut_weight,
 )
 from .dimacs import DimacsError, parse_dimacs, write_dimacs
 from .graph import INF, Graph, GraphError, GraphStats, extract_connected_subgraph
@@ -48,7 +47,6 @@ __all__ = [
     "reconstruct_path",
     "remove_and_preserve",
     "restore_vertex",
-    "shortcut_weight",
     "solve",
     "solve_residual",
     "write_dimacs",

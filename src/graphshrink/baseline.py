@@ -8,7 +8,6 @@ validate itself against the other.
 from __future__ import annotations
 
 import heapq
-from concurrent.futures import ThreadPoolExecutor
 
 from .graph import Graph, GraphError
 from .matrices import UNSET, DistanceMatrix, PrecedenceMatrix
@@ -37,7 +36,7 @@ def _sssp(adj: dict[int, dict[int, int]], source: int, n: int):
     return dist, pred
 
 
-def apsp_dijkstra(g: Graph, workers: int = 1) -> tuple[DistanceMatrix, PrecedenceMatrix]:
+def apsp_dijkstra(g: Graph) -> tuple[DistanceMatrix, PrecedenceMatrix]:
     """Binary-heap Dijkstra from every present vertex (the classic comparator).
 
     P rows use the shared convention: an entry is UNSET iff the predecessor
@@ -48,20 +47,11 @@ def apsp_dijkstra(g: Graph, workers: int = 1) -> tuple[DistanceMatrix, Precedenc
     n = g.n_original
     m = DistanceMatrix(n)
     p = PrecedenceMatrix(n)
-    sources = sorted(g.adj)
-
-    def run(src: int) -> None:
+    for src in sorted(g.adj):
         dist, pred = _sssp(g.adj, src, n)
         # translate "predecessor == source" into the UNSET convention
         m.cells[src, :] = dist
         p.cells[src, :] = [UNSET if q == src else q for q in pred]
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, sources))
-    else:
-        for src in sources:
-            run(src)
     return m, p
 
 

@@ -24,6 +24,9 @@ from .paths import path_weight, reconstruct_path
 from .solver import solve
 
 DEFAULT_MAX_N = 15000
+#: Order cap of `stats` and `subgraph`, which build the graph but no n x n
+#: matrix; it admits the full USA road graph (23,947,347 vertices).
+GRAPH_MAX_N = 30_000_000
 
 REPORT_COLUMNS = [
     "instance", "n", "m", "pa_seconds", "db_seconds", "speedup",
@@ -41,19 +44,11 @@ def _int_or_inf(text: str) -> float:
     return int(text)
 
 
-def _bool_flag(text: str) -> bool:
-    if text.lower() in ("1", "true", "yes", "on"):
-        return True
-    if text.lower() in ("0", "false", "no", "off"):
-        return False
-    raise argparse.ArgumentTypeError(f"expected a boolean, got {text!r}")
-
-
-def _load_graph(args, require_connected: bool = True, check_cap: bool = True) -> Graph:
+def _load_graph(args, require_connected: bool = True) -> Graph:
     path = Path(args.input)
     if not path.exists():
         raise CliError(f"input file not found: {path}")
-    g = parse_dimacs(path.read_text(), args.max_n if check_cap else None)
+    g = parse_dimacs(path.read_text(), args.max_n)
     if require_connected:
         witness = g.unreachable_pair()
         if witness is not None:
@@ -148,7 +143,6 @@ def cmd_verify(args) -> int:
 def cmd_bench(args) -> int:
     g = _load_graph(args)
     params = _params(args)
-    workers = 1 if args.db_single_thread else 4
 
     pa_times, db_times = [], []
     result = None
@@ -158,7 +152,7 @@ def cmd_bench(args) -> int:
         pa_times.append(time.perf_counter() - t0)
     for _ in range(args.repeats):
         t0 = time.perf_counter()
-        m_db, _ = apsp_dijkstra(g, workers=workers)
+        m_db, _ = apsp_dijkstra(g)
         db_times.append(time.perf_counter() - t0)
 
     equal = _first_mismatch(result.distances.cells, m_db.cells) is None
@@ -192,7 +186,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_subgraph(args) -> int:
-    g = _load_graph(args, check_cap=False)
+    g = _load_graph(args)
     sub, _ = extract_connected_subgraph(g, args.size, args.seed)
     text = write_dimacs(sub)
     if args.out:
@@ -203,7 +197,7 @@ def cmd_subgraph(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    g = _load_graph(args, require_connected=False, check_cap=False)
+    g = _load_graph(args, require_connected=False)
     st = g.stats()
     print(f"{Path(args.input).stem},{st.n},{st.m},{float(st.avg_degree):.4f},{st.max_degree}")
     return 0
@@ -212,7 +206,7 @@ def cmd_stats(args) -> int:
 # -- argument wiring --------------------------------------------------------
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_common(sub: argparse.ArgumentParser, max_n: int = DEFAULT_MAX_N) -> None:
     sub.add_argument("--input", required=True, help="DIMACS 'p sp' graph file")
     sub.add_argument("--dmax", type=_int_or_inf, default=UNBOUNDED,
                      help="max degree of removable vertices (default inf)")
@@ -221,8 +215,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--nmin", type=int, default=1,
                      help="target residual order (default 1)")
     sub.add_argument("--seed", type=int, default=1)
-    sub.add_argument("--max-n", type=int, default=DEFAULT_MAX_N,
-                     help=f"refuse graphs larger than this (default {DEFAULT_MAX_N})")
+    sub.add_argument("--max-n", type=int, default=max_n,
+                     help=f"refuse graphs larger than this (default {max_n})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -249,18 +243,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.add_argument("--repeats", type=int, default=3, help="best-of runs (default 3)")
     sp.add_argument("--report", help="CSV report path (appended)")
-    sp.add_argument("--db-single-thread", type=_bool_flag, default=True,
-                    help="run the Dijkstra baseline single-threaded (default true)")
     sp.set_defaults(func=cmd_bench)
 
     sp = subs.add_parser("subgraph", help="extract a connected BFS-ball subgraph")
-    _add_common(sp)
+    _add_common(sp, GRAPH_MAX_N)
     sp.add_argument("--size", type=int, required=True)
     sp.add_argument("--out", help="DIMACS output path (default stdout)")
     sp.set_defaults(func=cmd_subgraph)
 
     sp = subs.add_parser("stats", help="print instance,n,m,avg_degree,max_degree")
-    _add_common(sp)
+    _add_common(sp, GRAPH_MAX_N)
     sp.set_defaults(func=cmd_stats)
 
     return parser

@@ -43,8 +43,8 @@ def parse_dimacs(text: str | bytes | Iterable[str], max_n: int | None = None) ->
                 raise DimacsError(f"line {lineno}: vertex count must be positive")
             if max_n is not None and n > max_n:
                 raise DimacsError(
-                    f"line {lineno}: n={n} exceeds the matrix-memory cap {max_n} "
-                    f"(two n x n matrices; raise with --max-n if you have the RAM)")
+                    f"line {lineno}: n={n} exceeds the cap {max_n} "
+                    f"(raise it with --max-n if you have the RAM)")
             g = Graph(n)
         elif fields[0] == "a":
             if g is None:

@@ -54,17 +54,6 @@ class ShrinkSequence:
         return max((len(r.incident_edges) for r in self.records), default=0)
 
 
-def shortcut_weight(g: Graph, via: int, a: int, b: int):
-    """Two-hop weight a-via-b; INF when either hop is missing."""
-    wa = g.adj[via].get(a)
-    if wa is None:
-        return INF
-    wb = g.adj[via].get(b)
-    if wb is None:
-        return INF
-    return wa + wb
-
-
 def best_alternative_two_hop(g: Graph, a: int, b: int, excluded: int):
     """Cheapest two-hop a-h-b over common neighbors h != excluded, or INF."""
     na, nb = g.adj[a], g.adj[b]

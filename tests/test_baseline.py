@@ -62,14 +62,6 @@ def test_cross_oracle_agreement(seed):
     assert np.array_equal(m_dj.cells, m_fw.cells)
 
 
-def test_apsp_dijkstra_threaded_matches_single():
-    g = random_connected_graph(80, 5)
-    m1, p1 = apsp_dijkstra(g, workers=1)
-    m4, p4 = apsp_dijkstra(g, workers=4)
-    assert np.array_equal(m1.cells, m4.cells)
-    assert np.array_equal(p1.cells, p4.cells)
-
-
 @pytest.mark.parametrize("seed", range(6))
 def test_metric_axioms(seed):
     rng = random.Random(seed)

@@ -3,7 +3,7 @@ import pytest
 from conftest import grid_graph, random_connected_graph, triangle_graph
 
 from graphshrink import parse_dimacs, solve, write_dimacs
-from graphshrink.cli import main
+from graphshrink.cli import build_parser, main
 from graphshrink.matrices import read_distance_matrix, read_precedence_matrix, write_distance_matrix
 
 
@@ -74,6 +74,27 @@ def test_solve_refuses_above_cap_before_building_the_graph(tmp_path, monkeypatch
     assert main(["solve", "--input", str(path), "--max-n", "15000"]) == 1
     err = capsys.readouterr().err
     assert "line 2" in err and "cap" in err and "--max-n" in err
+
+
+@pytest.mark.parametrize("command", [["stats"], ["subgraph", "--size", "2"]])
+def test_graph_only_commands_refuse_a_huge_order_before_building_the_graph(
+        tmp_path, monkeypatch, capsys, command):
+    def no_graph(n):
+        raise AssertionError(f"Graph({n}) built for an input above the cap")
+
+    monkeypatch.setattr("graphshrink.dimacs.Graph", no_graph)
+    path = tmp_path / "huge.gr"
+    path.write_text("p sp 1000000000 0\n")
+    assert main([command[0], "--input", str(path), *command[1:]]) == 1
+    err = capsys.readouterr().err
+    assert "line 1" in err and "cap 30000000" in err and "--max-n" in err
+
+
+def test_graph_only_commands_admit_the_usa_road_graph():
+    for command in (["stats"], ["subgraph", "--size", "2"]):
+        args = build_parser().parse_args([command[0], "--input", "usa.gr", *command[1:]])
+        assert args.max_n >= 23_947_347
+    assert build_parser().parse_args(["solve", "--input", "usa.gr"]).max_n == 15000
 
 
 def test_solve_deterministic_outputs(tmp_path, random_file):

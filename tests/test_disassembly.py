@@ -15,7 +15,6 @@ from graphshrink import (
     dijkstra,
     edge_delta,
     remove_and_preserve,
-    shortcut_weight,
 )
 
 
@@ -24,23 +23,6 @@ def star_graph(leaves=3, w=1):
     for leaf in range(2, leaves + 2):
         g.set_edge(1, leaf, w)
     return g
-
-
-# -- shortcut_weight -------------------------------------------------------
-
-def test_shortcut_weight_unit_edges():
-    g = path_graph([1, 1])
-    assert shortcut_weight(g, 2, 1, 3) == 2
-
-
-def test_shortcut_weight_missing_hop_is_inf():
-    g = path_graph([1, 1, 1])
-    assert shortcut_weight(g, 2, 1, 4) == INF
-
-
-def test_shortcut_weight_sums_weights():
-    g = path_graph([3, 4])
-    assert shortcut_weight(g, 2, 1, 3) == 7
 
 
 # -- best_alternative_two_hop ---------------------------------------------

@@ -1,8 +1,11 @@
-from conftest import path_graph, random_connected_graph, triangle_graph
+import heapq
 
+import numpy as np
 import pytest
+from conftest import grid_graph, path_graph, random_connected_graph, triangle_graph
 
 from graphshrink import (
+    INF,
     DistanceMatrix,
     Graph,
     GraphError,
@@ -15,6 +18,48 @@ from graphshrink import (
     remove_and_preserve,
     solve_residual,
 )
+from graphshrink import microsolve
+
+
+# -- frozen reference: the dict Dijkstra and per-cell merge it replaced -----
+
+def seed_dijkstra(g, source):
+    dist = {v: INF for v in g.adj}
+    pred = {v: None for v in g.adj}
+    dist[source] = 0
+    heap = [(0, source)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d > dist[u]:
+            continue
+        for v, w in g.adj[u].items():
+            nd = d + w
+            if nd < dist[v]:
+                dist[v] = nd
+                pred[v] = u
+                heapq.heappush(heap, (nd, v))
+    return dist, pred
+
+
+def seed_solve_residual(g_r, m, p, scale=1, hop_cells=None):
+    present = sorted(g_r.adj)
+    if len(present) <= 1:
+        return
+    for i in present:
+        dist, pred = seed_dijkstra(g_r, i)
+        m.cells[i, present] = [dist[j] // scale for j in present]
+        if hop_cells is not None:
+            hop_cells[i, present] = [dist[j] % scale for j in present]
+        for j in present:
+            if j == i:
+                continue
+            if p.get(i, j) != UNSET and g_r.adj[i].get(j, INF) <= dist[j]:
+                continue
+            q = pred[j]
+            if q is None or q == i:
+                continue
+            pqj = p.get(q, j)
+            p.set(i, j, pqj if pqj != UNSET else q)
 
 
 def test_dijkstra_path():
@@ -109,3 +154,102 @@ def test_solve_residual_distances_match_original(seed):
     for i in seq.residual.present():
         for j in seq.residual.present():
             assert m.get(i, j) == fw.get(i, j)
+
+
+# -- differential check against the frozen reference ------------------------
+
+def contracted(g, params, encode):
+    """(residual, P after contraction, scale) as solver.solve builds them,
+    or with raw weights (scale 1) when `encode` is false."""
+    scale = g.n_original + 1 if encode else 1
+    work = g.copy()
+    for nbrs in work.adj.values():
+        for v in nbrs:
+            nbrs[v] = nbrs[v] * scale + (1 if encode else 0)
+    p = PrecedenceMatrix(g.n_original)
+    return disassemble(work, params, p).residual, p, scale
+
+
+def assert_matches_seed(g_r, p, scale):
+    runs = []
+    for solve in (seed_solve_residual, solve_residual):
+        m = DistanceMatrix(g_r.n_original)
+        p_run = PrecedenceMatrix(g_r.n_original)
+        p_run.cells[...] = p.cells
+        hops = np.zeros_like(m.cells, dtype=np.int64) if scale > 1 else None
+        solve(g_r, m, p_run, scale=scale, hop_cells=hops)
+        runs.append((m, p_run, hops))
+    (m0, p0, h0), (m1, p1, h1) = runs
+    # the reference stored INF // scale, which Python evaluates to NaN, for
+    # unreachable pairs; the replacement keeps them at INF
+    m0.cells[np.isnan(m0.cells)] = np.inf
+    assert np.array_equal(m0.cells, m1.cells)
+    assert np.array_equal(p0.cells, p1.cells)
+    assert (h0 is None) == (h1 is None)
+    if h0 is not None:
+        assert np.array_equal(h0, h1)
+    return m1, p1
+
+
+@pytest.mark.parametrize("params", [SolveParams(d_max=3, i_max=0),
+                                    SolveParams(d_max=2, n_min=24 * 24 // 2)])
+def test_solve_residual_matches_seed_on_hop_encoded_grid(params):
+    g_r, p, scale = contracted(grid_graph(24), params, encode=True)
+    assert g_r.n_present > 100
+    assert_matches_seed(g_r, p, scale)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3, 5])  # seeds 2 and 4 draw trees
+@pytest.mark.parametrize("params", [SolveParams(d_max=3, i_max=0), SolveParams(n_min=60),
+                                    SolveParams(n_min=150)])
+def test_solve_residual_matches_seed_on_raw_tied_weights(seed, params):
+    # weights 0..3: zero-weight edges and many equal-length paths
+    g_r, p, scale = contracted(random_connected_graph(150, seed, wmax=3), params, encode=False)
+    assert scale == 1 and g_r.n_present > 1
+    assert_matches_seed(g_r, p, scale)
+
+
+def test_solve_residual_disconnected_leaves_inf_and_p_untouched():
+    g = Graph(60)
+    for offset, seed in ((0, 1), (30, 2)):
+        for u, v, w in random_connected_graph(30, seed, wmax=3).edges():
+            g.set_edge(u + offset, v + offset, w)
+    p = PrecedenceMatrix(60)
+    p.cells[1:31, 31:] = 7  # stored entries across the cut must survive
+    m, p_out = assert_matches_seed(g, p, 1)
+    assert np.isinf(m.cells[1:31, 31:]).all() and np.isinf(m.cells[31:, 1:31]).all()
+    assert (p_out.cells[1:31, 31:] == 7).all() and (p_out.cells[31:, 1:31] == UNSET).all()
+
+
+def test_solve_residual_matches_seed_across_source_blocks(monkeypatch):
+    g_r, p, scale = contracted(grid_graph(12), SolveParams(d_max=3, i_max=0), encode=True)
+    r = g_r.n_present
+    monkeypatch.setattr(microsolve, "_BLOCK_CELLS", 5 * r + 1)  # 5 sources a block
+    assert r > 2 * 5 and r % 5  # at least 3 blocks, the last one short
+    assert_matches_seed(g_r, p, scale)
+
+
+def test_solve_residual_matches_seed_beyond_int64_keys():
+    # weights summing to 2**63 - 1 fit int64, but distance * order does not
+    g = path_graph([2**62, 2**62 - 1])
+    m, _ = assert_matches_seed(g, PrecedenceMatrix(3), 1)
+    assert m.cells[1, 3] == float(2**63 - 1)
+
+
+def test_solve_residual_refuses_int64_overflow_before_writing():
+    g = path_graph([2**62, 2**62])
+    m = DistanceMatrix(3)
+    p = PrecedenceMatrix(3)
+    p.cells[1, 3] = 2
+    with pytest.raises(ValueError, match="2\\*\\*63"):
+        solve_residual(g, m, p)
+    assert np.array_equal(m.cells, DistanceMatrix(3).cells)
+    assert p.cells.sum() == 2 and p.get(1, 3) == 2
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_dijkstra_matches_seed_with_ties(seed):
+    g = random_connected_graph(80, seed, wmax=2)
+    g.remove_vertex(40)  # ids with a gap, possibly disconnected
+    for src in (1, 39, 41, 80):
+        assert dijkstra(g, src) == seed_dijkstra(g, src)
