@@ -1,6 +1,6 @@
 """All-pairs shortest paths on sparse undirected graphs via graph contraction."""
 
-from .assembly import assemble, restore_vertex
+from .assembly import assemble
 from .baseline import apsp_dijkstra, floyd_warshall
 from .disassembly import (
     UNBOUNDED,
@@ -46,7 +46,6 @@ __all__ = [
     "path_weight",
     "reconstruct_path",
     "remove_and_preserve",
-    "restore_vertex",
     "solve",
     "solve_residual",
     "write_dimacs",

@@ -1,4 +1,4 @@
-"""Restore removed vertices in reverse order, extending M and P.
+"""Restore removed vertices in reverse order, extending D and P.
 
 Each restore touches only the restored vertex's row and column: its
 distance to every present vertex l is the minimum of (recorded edge weight
@@ -6,122 +6,66 @@ distance to every present vertex l is the minimum of (recorded edge weight
 entries come from the argmin neighbor.  The per-l minima run as one
 vectorized pass over a k x |present| candidate block.
 
-Driven by the full pipeline, recorded weights arrive in the hop-augmented
-encoding (see solver.solve): minima are then lexicographic in (weight,
-hops), with the hop parts kept in a parallel matrix.  With the default
-scale of 1 all hop parts are zero and the behavior is plain raw-weight
-minimization.
+Distances are plain integers in the int64 matrix D.  Driven by the full
+pipeline they carry the solver's (weight, hops) encoding (see
+solver.solve), so the one argmin is lexicographic in (weight, hops) and
+its first occurrence lands on the lowest neighbor id (incident_edges are
+sorted by neighbor id).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .disassembly import RemovalRecord, ShrinkSequence
-from .matrices import UNSET, DistanceMatrix, PrecedenceMatrix
-
-_HOP_SENTINEL = np.iinfo(np.int32).max
+from .disassembly import ShrinkSequence
+from .matrices import UNSET, PrecedenceMatrix
 
 
-def _restore(m_cells: np.ndarray, h_cells: np.ndarray, p_cells: np.ndarray,
-             rec: RemovalRecord, ids: np.ndarray, nbr_pos: np.ndarray,
-             scale: int) -> None:
-    """Core update against the present vertices `ids`; `nbr_pos` holds the
-    position of each recorded neighbor inside `ids` (record order)."""
-    i = rec.vertex
-    k = len(rec.incident_edges)
-    if k == 1:
-        # degree-1 restore: single candidate term, no argmin needed
-        nbr, enc = rec.incident_edges[0]
-        w, h = divmod(enc, scale)
-        dist = w + m_cells[nbr, ids]
-        hops = h + h_cells[nbr, ids]
-        pxl = p_cells[nbr, ids]
-        row_val = np.where(pxl != UNSET, pxl, nbr)
-        pxi = p_cells[nbr, i]
-        col_val = pxi if pxi != UNSET else nbr
-        weights = np.array([w], dtype=np.float64)
-        wh = np.array([h], dtype=np.int64)
-    else:
+def assemble(seq: ShrinkSequence, d: np.ndarray, p: PrecedenceMatrix) -> None:
+    """Replay the shrink sequence in reverse; afterwards D and P cover G_0.
+
+    D must hold every residual pair's distance.  A record naming a neighbor
+    that is neither in the residual nor restored before it is refused with
+    ValueError.
+    """
+    n = d.shape[0] - 1
+    p_cells = p.cells
+    ids_buf = np.empty(n, dtype=np.intp)
+    pos = np.full(n + 1, -1, dtype=np.intp)
+    residual_ids = sorted(seq.residual.adj)
+    count = len(residual_ids)
+    ids_buf[:count] = residual_ids
+    pos[ids_buf[:count]] = np.arange(count)
+    for rec in reversed(seq.records):
+        i, k = rec.vertex, len(rec.incident_edges)
+        ids = ids_buf[:count]
         nbr_ids = np.fromiter((nb for nb, _ in rec.incident_edges), dtype=np.intp, count=k)
-        weights = np.fromiter((enc // scale for _, enc in rec.incident_edges),
-                              dtype=np.float64, count=k)
-        wh = np.fromiter((enc % scale for _, enc in rec.incident_edges),
-                         dtype=np.int64, count=k)
-        cand_w = weights[:, None] + m_cells[nbr_ids[:, None], ids]
-        dist = cand_w.min(axis=0)
-        # lexicographic tie-break: among weight-minimal candidates take the
-        # fewest hops; argmin's first occurrence then lands on the lowest
-        # neighbor id (incident_edges are sorted by neighbor id)
-        cand_h = np.where(cand_w == dist,
-                          wh[:, None] + h_cells[nbr_ids[:, None], ids],
-                          _HOP_SENTINEL)
-        am = cand_h.argmin(axis=0)
-        hops = cand_h[am, np.arange(len(ids))]
+        enc = np.fromiter((w for _, w in rec.incident_edges), dtype=np.int64, count=k)
+        nbr_pos = pos[nbr_ids]
+        if (nbr_pos < 0).any():
+            raise ValueError(f"removal record for {i} names absent neighbor "
+                             f"{nbr_ids[nbr_pos.argmin()]}")
+        cand = enc[:, None] + d[nbr_ids[:, None], ids]
+        am = cand.argmin(axis=0)
+        dist = np.take_along_axis(cand, am[None], axis=0)[0]
         x = nbr_ids[am]
         pxl = p_cells[x, ids]                 # P[x(l)][l]: both present, final
         row_val = np.where(pxl != UNSET, pxl, x)
         pxi = p_cells[x, i]                   # P[x(l)][i]: stored entry for edge (x(l), i)
         col_val = np.where(pxi != UNSET, pxi, x)
 
-    # pairs whose recorded direct edge attains the minimum keep whatever P
-    # holds: unset for an original edge, the intermediate for a shortcut
-    direct_hits = (weights[np.arange(k)] == dist[nbr_pos]) if k > 1 else \
-        np.asarray([weights[0] == dist[nbr_pos[0]]])
-    direct_hits &= wh == hops[nbr_pos]
-    skip = nbr_pos[direct_hits]
-    skip_ids = ids[skip]
-    saved_row = p_cells[i, skip_ids].copy()
-    saved_col = p_cells[skip_ids, i].copy()
+        # pairs whose recorded direct edge attains the minimum keep whatever P
+        # holds: unset for an original edge, the intermediate for a shortcut
+        skip_ids = nbr_ids[enc == dist[nbr_pos]]
+        saved_row = p_cells[i, skip_ids]
+        saved_col = p_cells[skip_ids, i]
+        p_cells[i, ids] = row_val
+        p_cells[ids, i] = col_val
+        p_cells[i, skip_ids] = saved_row
+        p_cells[skip_ids, i] = saved_col
 
-    p_cells[i, ids] = row_val
-    p_cells[ids, i] = col_val
-    p_cells[i, skip_ids] = saved_row
-    p_cells[skip_ids, i] = saved_col
-    p_cells[i, i] = UNSET
-
-    m_cells[i, ids] = dist
-    m_cells[ids, i] = dist
-    m_cells[i, i] = 0.0
-    h_cells[i, ids] = hops
-    h_cells[ids, i] = hops
-    h_cells[i, i] = 0
-
-
-def restore_vertex(m: DistanceMatrix, p: PrecedenceMatrix, rec: RemovalRecord,
-                   present: list[int], scale: int = 1, hop_cells=None) -> None:
-    """Re-insert rec.vertex against the current present set (appended to it)."""
-    pos = {v: idx for idx, v in enumerate(present)}
-    try:
-        nbr_pos = np.fromiter((pos[nb] for nb, _ in rec.incident_edges),
-                              dtype=np.intp, count=len(rec.incident_edges))
-    except KeyError as exc:
-        raise ValueError(
-            f"removal record for {rec.vertex} names absent neighbor {exc.args[0]}") from None
-    ids = np.fromiter(present, dtype=np.intp, count=len(present))
-    if hop_cells is None:
-        hop_cells = np.zeros_like(m.cells, dtype=np.int64)
-    _restore(m.cells, hop_cells, p.cells, rec, ids, nbr_pos, scale)
-    present.append(rec.vertex)
-
-
-def assemble(seq: ShrinkSequence, m: DistanceMatrix, p: PrecedenceMatrix,
-             scale: int = 1, hop_cells=None) -> None:
-    """Replay the shrink sequence in reverse; afterwards M and P cover G_0."""
-    n = m.order
-    if hop_cells is None:
-        hop_cells = np.zeros_like(m.cells, dtype=np.int64)
-    ids_buf = np.empty(n, dtype=np.intp)
-    pos = np.empty(n + 1, dtype=np.intp)
-    residual_ids = sorted(seq.residual.adj)
-    count = len(residual_ids)
-    ids_buf[:count] = residual_ids
-    pos[ids_buf[:count]] = np.arange(count)
-    m_cells, p_cells = m.cells, p.cells
-    for rec in reversed(seq.records):
-        ids = ids_buf[:count]
-        nbr_pos = pos[[nb for nb, _ in rec.incident_edges]]
-        _restore(m_cells, hop_cells, p_cells, rec, ids, nbr_pos, scale)
-        ids_buf[count] = rec.vertex
-        pos[rec.vertex] = count
+        d[i, ids] = dist
+        d[ids, i] = dist
+        ids_buf[count] = i
+        pos[i] = count
         count += 1

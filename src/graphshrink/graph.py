@@ -7,6 +7,7 @@ and precedence matrices can be indexed by original id at every stage.
 
 from __future__ import annotations
 
+import operator
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -87,8 +88,12 @@ class Graph:
     def set_edge(self, u: int, v: int, w: int) -> None:
         if u == v:
             raise GraphError(f"self-loop on vertex {u} rejected")
-        if w == INF or w < 0:
-            raise GraphError(f"edge ({u},{v}) needs a finite non-negative weight, got {w}")
+        try:
+            w = operator.index(w)
+        except TypeError:
+            raise GraphError(f"edge ({u},{v}) needs an integer weight, got {w!r}") from None
+        if w < 0:
+            raise GraphError(f"edge ({u},{v}) needs a non-negative weight, got {w}")
         self._require(u)
         self._require(v)
         if v not in self.adj[u]:

@@ -1,8 +1,9 @@
 """Distance and precedence matrices by 1-based vertex id, and their files.
 
-Both are allocated once at full (n+1) x (n+1) (row/col 0 unused) and filled
-in place as the pipeline progresses; which cells are meaningful at a given
-stage is tracked by the caller's present set.
+Both are allocated once at full (n+1) x (n+1) (row/col 0 unused).  The
+pipeline fills P in place as it progresses; it works out the distances in
+an int64 matrix of its own (see solver.solve) and writes M from it once,
+at the end.
 
 Distances live in float64: every value is an integer (or inf), and with
 weights <= 2^32 - 1 and realistic path lengths all sums stay far below

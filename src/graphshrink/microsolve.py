@@ -8,8 +8,8 @@ packs (distance, position) into the one int ``distance * r + position``
 lexicographic order of the (distance, vertex id) tuples: every tie breaks
 as in a tuple heap.  numpy does the rest, one block of about
 ``_BLOCK_CELLS`` cells (a run of sources) at a time: it decodes
-the keys, splits off the hop encoding, writes the M and hop rows, and
-merges the block's predecessors into P in one pass.
+the keys into the block's rows of the int64 distance matrix and merges
+the block's predecessors into P in one pass.
 """
 
 from __future__ import annotations
@@ -19,7 +19,10 @@ import heapq
 import numpy as np
 
 from .graph import INF, Graph
-from .matrices import UNSET, DistanceMatrix, PrecedenceMatrix
+from .matrices import UNSET, PrecedenceMatrix
+
+#: Distance-matrix cell of a pair with no path between them.
+UNREACHED = np.iinfo(np.int64).max
 
 #: Cells in one block of sources.  8192 (64 KiB per int64 array) keeps the
 #: block's arrays below the memory the rest of the solve already peaks at.
@@ -78,9 +81,9 @@ def dijkstra(g: Graph, source: int) -> tuple[dict[int, float], dict[int, int | N
     return dist, {v: None if q < 0 else ids[q] for v, q in zip(ids, pred)}
 
 
-def solve_residual(g_r: Graph, m: DistanceMatrix, p: PrecedenceMatrix,
-                   scale: int = 1, hop_cells=None) -> None:
-    """Fill M for residual pairs and merge residual predecessors into P.
+def solve_residual(g_r: Graph, d: np.ndarray, p: PrecedenceMatrix) -> None:
+    """Write the residual pairs' distances into the int64 matrix `d` and
+    merge the residual predecessors into P.
 
     A one-vertex residual is a no-op (the diagonal is preset).  For every
     other reachable pair (i, j) whose residual predecessor q of j is not i
@@ -92,24 +95,19 @@ def solve_residual(g_r: Graph, m: DistanceMatrix, p: PrecedenceMatrix,
     P is read live with no snapshot: the edge (q, j) lies on a shortest
     path, so it is a shortest q-j path and Dijkstra from q, which relaxes
     q's edges first, keeps q as j's predecessor; source q's merge therefore
-    never rewrites P[q][j].  Unreachable cells keep INF in M and their P.
+    never rewrites P[q][j].  Unreachable cells get UNREACHED in `d` and
+    keep their P.
 
-    When driven by the full pipeline the residual weights arrive in the
-    hop-augmented encoding (see solver.solve); `scale` splits each distance
-    back into its weight part (stored in M) and hop part (stored in
-    `hop_cells` when given).  The default scale of 1 is the plain raw-weight
-    behavior.
-
-    A shortest path uses each edge at most once, so distances fit int64
-    when the residual's edge weights sum below 2**63; a larger sum is
-    refused with ValueError before any block is allocated or any cell
-    written.
+    A shortest path uses each edge at most once, so distances stay below
+    UNREACHED when the residual's edge weights sum below it; a sum that
+    reaches it is refused with ValueError before any block is allocated or
+    any cell written.
     """
     if len(g_r.adj) <= 1:
         return
     ids, adj, total = _array_adjacency(g_r)
-    if total >= 2**63:
-        raise ValueError(f"residual edge weights sum to {total} >= 2**63: "
+    if total >= UNREACHED:
+        raise ValueError(f"residual edge weights sum to {total} >= 2**63 - 1: "
                          f"distances could overflow int64")
     r = len(ids)
     unreached = (total + 1) * r
@@ -124,12 +122,8 @@ def solve_residual(g_r: Graph, m: DistanceMatrix, p: PrecedenceMatrix,
         pred = np.empty((len(sources), r), np.int32)
         for row, s in enumerate(sources):
             keys[row], pred[row] = _sssp(adj, s, unreached)
-        unreachable = keys == unreached
-        dist = np.where(unreachable, 0, (keys - positions) // r).astype(np.int64)
         block = np.ix_(vid[lo:sources.stop], vid)
-        if hop_cells is not None:
-            hop_cells[block] = dist % scale
-        m.cells[block] = np.where(unreachable, np.inf, dist // scale)
+        d[block] = np.where(keys == unreached, UNREACHED, (keys - positions) // r)
         # P[i][j] <- P[q][j], or q when that is unset, where q = pred != i
         q = vid[pred]
         pqj = p.cells[q, vid]

@@ -10,7 +10,7 @@ from .assembly import assemble
 from .disassembly import ShrinkSequence, SolveParams, disassemble
 from .graph import Graph
 from .matrices import DistanceMatrix, PrecedenceMatrix
-from .microsolve import solve_residual
+from .microsolve import UNREACHED, solve_residual
 
 
 @dataclass
@@ -35,20 +35,34 @@ def solve(g: Graph, params: SolveParams = SolveParams()) -> SolveResult:
     then still carry strictly positive internal cost, which keeps the
     precedence entries acyclic when many distances tie at zero; no simple
     path has more than n - 1 hops, so the hop component never overflows into
-    the weight part.  The reported matrix holds the decoded weight part.
+    the weight part.  The stages run on one int64 matrix of encoded
+    distances, decoded into the returned DistanceMatrix at the end.  Every
+    candidate distance the stages form is at most twice the sum of the
+    encoded edge weights, so a graph where that reaches 2**63 is refused
+    with ValueError before the matrices are allocated.
     """
     work = g.copy()
     n = g.n_original
     scale = n + 1
+    both_ways = 0  # each edge is seen from both ends: twice the encoded sum
     for nbrs in work.adj.values():
         for v in nbrs:
             nbrs[v] = nbrs[v] * scale + 1
+            both_ways += nbrs[v]
+    if both_ways >= 2**63:
+        raise ValueError(f"twice the encoded edge weights sum to {both_ways} >= 2**63: "
+                         f"distances could overflow int64")
+    # the returned matrices first: the working matrix d, freed on return,
+    # is then the last big allocation, and malloc can give its memory back
     m = DistanceMatrix(n)
     p = PrecedenceMatrix(n)
-    hops = np.zeros_like(m.cells, dtype=np.int64)
+    d = np.full((n + 1, n + 1), UNREACHED, dtype=np.int64)
+    np.fill_diagonal(d, 0)
     seq = disassemble(work, params, p)
-    solve_residual(seq.residual, m, p, scale=scale, hop_cells=hops)
-    assemble(seq, m, p, scale=scale, hop_cells=hops)
+    solve_residual(seq.residual, d, p)
+    assemble(seq, d, p)
+    # the graph is connected, so every 1..n cell holds a distance
+    np.floor_divide(d[1:, 1:], scale, out=m.cells[1:, 1:], casting="unsafe")
     return SolveResult(
         distances=m,
         precedence=p,

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from conftest import path_graph, random_connected_graph, triangle_graph
 
@@ -55,6 +56,20 @@ def test_set_edge_rejects_loop_and_inf():
         g.set_edge(1, 1, 3)
     with pytest.raises(GraphError):
         g.set_edge(1, 2, INF)
+
+
+@pytest.mark.parametrize("w", [1.5, float("nan"), 2.0, "3", -1])
+def test_set_edge_refuses_non_integer_and_negative_weights(w):
+    g = Graph(2)
+    with pytest.raises(GraphError, match="weight"):
+        g.set_edge(1, 2, w)
+    assert g.m == 0 and g.adj == {1: {}, 2: {}}
+
+
+def test_set_edge_stores_numpy_integers_as_int():
+    g = Graph(2)
+    g.set_edge(1, 2, np.int64(7))
+    assert g.edge_weight(1, 2) == 7 and type(g.adj[2][1]) is int
 
 
 def test_remove_vertex_returns_incident_edges():

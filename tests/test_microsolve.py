@@ -19,6 +19,14 @@ from graphshrink import (
     solve_residual,
 )
 from graphshrink import microsolve
+from graphshrink.microsolve import UNREACHED
+
+
+def new_d(n):
+    """The solver's distance matrix before any stage: UNREACHED, zero diagonal."""
+    d = np.full((n + 1, n + 1), UNREACHED, dtype=np.int64)
+    np.fill_diagonal(d, 0)
+    return d
 
 
 # -- frozen reference: the dict Dijkstra and per-cell merge it replaced -----
@@ -95,20 +103,20 @@ def test_dijkstra_matches_floyd_warshall(seed):
 
 def test_solve_residual_single_vertex_noop():
     g = Graph(1)
-    m = DistanceMatrix(1)
+    d = new_d(1)
     p = PrecedenceMatrix(1)
-    solve_residual(g, m, p)
-    assert m.get(1, 1) == 0
+    solve_residual(g, d, p)
+    assert np.array_equal(d, new_d(1))
     assert p.get(1, 1) == UNSET
 
 
 def test_solve_residual_plain_edge():
     g = Graph(2)
     g.set_edge(1, 2, 7)
-    m = DistanceMatrix(2)
+    d = new_d(2)
     p = PrecedenceMatrix(2)
-    solve_residual(g, m, p)
-    assert m.get(1, 2) == 7
+    solve_residual(g, d, p)
+    assert d[1, 2] == d[2, 1] == 7
     assert p.get(1, 2) == UNSET  # direct original edge
     assert p.get(2, 1) == UNSET
 
@@ -120,9 +128,9 @@ def test_solve_residual_keeps_shortcut_history():
     p = PrecedenceMatrix(3)
     remove_and_preserve(g, 2, p)
     assert g.edge_weight(1, 3) == 2
-    m = DistanceMatrix(3)
-    solve_residual(g, m, p)
-    assert m.get(1, 3) == 2
+    d = new_d(3)
+    solve_residual(g, d, p)
+    assert d[1, 3] == 2
     assert p.get(1, 3) == 2
     assert p.get(3, 1) == 2
 
@@ -131,10 +139,10 @@ def test_solve_residual_overrides_long_direct_edge():
     # direct edge (1,3) is longer than the two-hop route via 2: the merge
     # must install 2 as predecessor of 3 (and of 1)
     g = triangle_graph()
-    m = DistanceMatrix(3)
+    d = new_d(3)
     p = PrecedenceMatrix(3)
-    solve_residual(g, m, p)
-    assert m.get(1, 3) == 2
+    solve_residual(g, d, p)
+    assert d[1, 3] == 2
     assert p.get(1, 3) == 2
     assert p.get(3, 1) == 2
     assert p.get(1, 2) == UNSET
@@ -149,11 +157,11 @@ def test_solve_residual_distances_match_original(seed):
     work = g0.copy()
     p = PrecedenceMatrix(40)
     seq = disassemble(work, SolveParams(n_min=12), p)
-    m = DistanceMatrix(40)
-    solve_residual(seq.residual, m, p)
+    d = new_d(40)
+    solve_residual(seq.residual, d, p)
     for i in seq.residual.present():
         for j in seq.residual.present():
-            assert m.get(i, j) == fw.get(i, j)
+            assert d[i, j] == fw.get(i, j)
 
 
 # -- differential check against the frozen reference ------------------------
@@ -171,24 +179,26 @@ def contracted(g, params, encode):
 
 
 def assert_matches_seed(g_r, p, scale):
-    runs = []
-    for solve in (seed_solve_residual, solve_residual):
-        m = DistanceMatrix(g_r.n_original)
-        p_run = PrecedenceMatrix(g_r.n_original)
-        p_run.cells[...] = p.cells
-        hops = np.zeros_like(m.cells, dtype=np.int64) if scale > 1 else None
-        solve(g_r, m, p_run, scale=scale, hop_cells=hops)
-        runs.append((m, p_run, hops))
-    (m0, p0, h0), (m1, p1, h1) = runs
+    """Run the reference and solve_residual from copies of P; the new `d`
+    must equal the reference's M * scale + hops, with INF as UNREACHED."""
+    n = g_r.n_original
+    m0, p0 = DistanceMatrix(n), PrecedenceMatrix(n)
+    p0.cells[...] = p.cells
+    hops = np.zeros_like(m0.cells, dtype=np.int64) if scale > 1 else None
+    seed_solve_residual(g_r, m0, p0, scale=scale, hop_cells=hops)
+    d, p1 = new_d(n), PrecedenceMatrix(n)
+    p1.cells[...] = p.cells
+    solve_residual(g_r, d, p1)
     # the reference stored INF // scale, which Python evaluates to NaN, for
-    # unreachable pairs; the replacement keeps them at INF
-    m0.cells[np.isnan(m0.cells)] = np.inf
-    assert np.array_equal(m0.cells, m1.cells)
+    # unreachable pairs of a raw residual
+    missing = ~np.isfinite(m0.cells)
+    expected = np.where(missing, 0, m0.cells).astype(np.int64) * scale
+    if hops is not None:
+        expected += hops
+    expected[missing] = UNREACHED
+    assert np.array_equal(d, expected)
     assert np.array_equal(p0.cells, p1.cells)
-    assert (h0 is None) == (h1 is None)
-    if h0 is not None:
-        assert np.array_equal(h0, h1)
-    return m1, p1
+    return d, p1
 
 
 @pytest.mark.parametrize("params", [SolveParams(d_max=3, i_max=0),
@@ -216,8 +226,8 @@ def test_solve_residual_disconnected_leaves_inf_and_p_untouched():
             g.set_edge(u + offset, v + offset, w)
     p = PrecedenceMatrix(60)
     p.cells[1:31, 31:] = 7  # stored entries across the cut must survive
-    m, p_out = assert_matches_seed(g, p, 1)
-    assert np.isinf(m.cells[1:31, 31:]).all() and np.isinf(m.cells[31:, 1:31]).all()
+    d, p_out = assert_matches_seed(g, p, 1)
+    assert (d[1:31, 31:] == UNREACHED).all() and (d[31:, 1:31] == UNREACHED).all()
     assert (p_out.cells[1:31, 31:] == 7).all() and (p_out.cells[31:, 1:31] == UNSET).all()
 
 
@@ -230,21 +240,29 @@ def test_solve_residual_matches_seed_across_source_blocks(monkeypatch):
 
 
 def test_solve_residual_matches_seed_beyond_int64_keys():
-    # weights summing to 2**63 - 1 fit int64, but distance * order does not
-    g = path_graph([2**62, 2**62 - 1])
-    m, _ = assert_matches_seed(g, PrecedenceMatrix(3), 1)
-    assert m.cells[1, 3] == float(2**63 - 1)
+    # weights summing to 2**63 - 2 fit int64, but distance * order does not;
+    # float64 would round these distances, so the reference checks only P
+    g = path_graph([2**62, 2**62 - 2])
+    d, p = new_d(3), PrecedenceMatrix(3)
+    solve_residual(g, d, p)
+    assert d[1, 2] == 2**62 and d[2, 3] == 2**62 - 2 and d[1, 3] == d[3, 1] == 2**63 - 2
+    assert np.array_equal(d, d.T)
+    p0 = PrecedenceMatrix(3)
+    seed_solve_residual(g, DistanceMatrix(3), p0)
+    assert np.array_equal(p.cells, p0.cells) and p.get(1, 3) == 2
 
 
 def test_solve_residual_refuses_int64_overflow_before_writing():
-    g = path_graph([2**62, 2**62])
-    m = DistanceMatrix(3)
-    p = PrecedenceMatrix(3)
-    p.cells[1, 3] = 2
-    with pytest.raises(ValueError, match="2\\*\\*63"):
-        solve_residual(g, m, p)
-    assert np.array_equal(m.cells, DistanceMatrix(3).cells)
-    assert p.cells.sum() == 2 and p.get(1, 3) == 2
+    # a sum of 2**63 - 1 is refused too: that is UNREACHED itself
+    for weights in ([2**62, 2**62], [2**62, 2**62 - 1]):
+        g = path_graph(weights)
+        d = new_d(3)
+        p = PrecedenceMatrix(3)
+        p.cells[1, 3] = 2
+        with pytest.raises(ValueError, match="2\\*\\*63 - 1"):
+            solve_residual(g, d, p)
+        assert np.array_equal(d, new_d(3))
+        assert p.cells.sum() == 2 and p.get(1, 3) == 2
 
 
 @pytest.mark.parametrize("seed", range(4))
