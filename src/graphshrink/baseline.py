@@ -10,7 +10,7 @@ from __future__ import annotations
 import heapq
 
 from .graph import Graph, GraphError
-from .matrices import UNSET, DistanceMatrix, PrecedenceMatrix
+from .matrices import UNREACHED, UNSET, DistanceMatrix, PrecedenceMatrix
 
 #: floyd_warshall refuses larger graphs: O(n^3) work and dense matrices.
 ORACLE_CAP = 512
@@ -18,7 +18,7 @@ ORACLE_CAP = 512
 
 def _sssp(adj: dict[int, dict[int, int]], source: int, n: int):
     # array-backed binary heap with lazy deletion; no decrease-key needed
-    dist = [float("inf")] * (n + 1)
+    dist = [UNREACHED] * (n + 1)
     pred = [UNSET] * (n + 1)
     dist[source] = 0
     heap = [(0, source)]
@@ -60,7 +60,7 @@ def floyd_warshall(g: Graph, cap: int = ORACLE_CAP) -> DistanceMatrix:
 
     The two inner loops of the classic triple loop run as one vectorized
     minimum per pivot.  Exact on integer weights (float64 sums stay below
-    2^53 at the allowed sizes).
+    2^53 at the allowed sizes); unreached pairs are stored as UNREACHED.
     """
     import numpy as np
 
@@ -79,5 +79,8 @@ def floyd_warshall(g: Graph, cap: int = ORACLE_CAP) -> DistanceMatrix:
         np.minimum(w, w[:, k, None] + w[None, k, :], out=w)
     m = DistanceMatrix(g.n_original)
     ids = np.array(present)
-    m.cells[np.ix_(ids, ids)] = w
+    reached = np.isfinite(w)
+    block = np.full(w.shape, UNREACHED, dtype=np.int64)
+    block[reached] = w[reached]
+    m.cells[np.ix_(ids, ids)] = block
     return m

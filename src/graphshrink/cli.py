@@ -93,36 +93,29 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
-    g = _load_graph(args)
-    result = solve(g, _params(args))
-
+def _oracles(args, g: Graph):
+    """(name, distance matrix) of each oracle in turn, each computed only
+    when the previous one agreed."""
     if args.expected:
         expected = read_distance_matrix(Path(args.expected).read_text())
         if expected.order != g.n_original:
             raise CliError(f"expected matrix order {expected.order} != n {g.n_original}")
-        loc = _first_mismatch(result.distances.cells, expected.cells)
-        if loc is not None:
-            i, j = loc
-            print(f"FAIL: cell ({i},{j}): pipeline={result.distances.get(i, j)} "
-                  f"expected={expected.get(i, j)}", file=sys.stderr)
-            return 1
-
-    m_db, _ = apsp_dijkstra(g)
-    loc = _first_mismatch(result.distances.cells, m_db.cells)
-    if loc is not None:
-        i, j = loc
-        print(f"FAIL: cell ({i},{j}): pipeline={result.distances.get(i, j)} "
-              f"dijkstra={m_db.get(i, j)}", file=sys.stderr)
-        return 1
-
+        yield "expected", expected
+    yield "dijkstra", apsp_dijkstra(g)[0]
     if g.n_original <= ORACLE_CAP:
-        m_fw = floyd_warshall(g)
-        loc = _first_mismatch(result.distances.cells, m_fw.cells)
+        yield "floyd_warshall", floyd_warshall(g)
+
+
+def cmd_verify(args) -> int:
+    g = _load_graph(args)
+    result = solve(g, _params(args))
+
+    for name, m in _oracles(args, g):
+        loc = _first_mismatch(result.distances.cells, m.cells)
         if loc is not None:
             i, j = loc
             print(f"FAIL: cell ({i},{j}): pipeline={result.distances.get(i, j)} "
-                  f"floyd_warshall={m_fw.get(i, j)}", file=sys.stderr)
+                  f"{name}={m.get(i, j)}", file=sys.stderr)
             return 1
 
     rng = random.Random(args.seed)
@@ -206,17 +199,19 @@ def cmd_stats(args) -> int:
 # -- argument wiring --------------------------------------------------------
 
 
-def _add_common(sub: argparse.ArgumentParser, max_n: int = DEFAULT_MAX_N) -> None:
+def _add_input(sub: argparse.ArgumentParser, max_n: int = DEFAULT_MAX_N) -> None:
     sub.add_argument("--input", required=True, help="DIMACS 'p sp' graph file")
+    sub.add_argument("--max-n", type=int, default=max_n,
+                     help=f"refuse graphs larger than this (default {max_n})")
+
+
+def _add_knobs(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--dmax", type=_int_or_inf, default=UNBOUNDED,
                      help="max degree of removable vertices (default inf)")
     sub.add_argument("--imax", type=_int_or_inf, default=UNBOUNDED,
                      help="max edge-count increase per removal (default inf)")
     sub.add_argument("--nmin", type=int, default=1,
                      help="target residual order (default 1)")
-    sub.add_argument("--seed", type=int, default=1)
-    sub.add_argument("--max-n", type=int, default=max_n,
-                     help=f"refuse graphs larger than this (default {max_n})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -227,32 +222,37 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     sp = subs.add_parser("solve", help="solve an instance, write matrices")
-    _add_common(sp)
+    _add_input(sp)
+    _add_knobs(sp)
     sp.add_argument("--out", help="distance matrix output path")
     sp.add_argument("--pred", help="precedence matrix output path")
     sp.set_defaults(func=cmd_solve)
 
     sp = subs.add_parser("verify", help="solve and check against the oracles")
-    _add_common(sp)
+    _add_input(sp)
+    _add_knobs(sp)
+    sp.add_argument("--seed", type=int, default=1, help="path-check sample seed (default 1)")
     sp.add_argument("--sample", type=int, default=50,
                     help="random vertex pairs to path-check (default 50)")
     sp.add_argument("--expected", help="distance matrix file to compare against")
     sp.set_defaults(func=cmd_verify)
 
     sp = subs.add_parser("bench", help="time the pipeline against all-sources Dijkstra")
-    _add_common(sp)
+    _add_input(sp)
+    _add_knobs(sp)
     sp.add_argument("--repeats", type=int, default=3, help="best-of runs (default 3)")
     sp.add_argument("--report", help="CSV report path (appended)")
     sp.set_defaults(func=cmd_bench)
 
     sp = subs.add_parser("subgraph", help="extract a connected BFS-ball subgraph")
-    _add_common(sp, GRAPH_MAX_N)
+    _add_input(sp, GRAPH_MAX_N)
+    sp.add_argument("--seed", type=int, default=1, help="BFS start seed (default 1)")
     sp.add_argument("--size", type=int, required=True)
     sp.add_argument("--out", help="DIMACS output path (default stdout)")
     sp.set_defaults(func=cmd_subgraph)
 
     sp = subs.add_parser("stats", help="print instance,n,m,avg_degree,max_degree")
-    _add_common(sp, GRAPH_MAX_N)
+    _add_input(sp, GRAPH_MAX_N)
     sp.set_defaults(func=cmd_stats)
 
     return parser

@@ -112,16 +112,6 @@ class Graph:
         del self.adj[v]
         return incident
 
-    def insert_vertex(self, v: int, incident: Iterable[tuple[int, int]]) -> None:
-        """Inverse of remove_vertex: re-create v with the given incident edges."""
-        if v in self.adj:
-            raise GraphError(f"vertex {v} already present")
-        if not 1 <= v <= self.n_original:
-            raise GraphError(f"vertex id {v} outside 1..{self.n_original}")
-        self.adj[v] = {}
-        for nbr, w in incident:
-            self.set_edge(v, nbr, w)
-
     def copy(self) -> "Graph":
         g = Graph.__new__(Graph)
         g.n_original = self.n_original

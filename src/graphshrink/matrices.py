@@ -1,13 +1,8 @@
 """Distance and precedence matrices by 1-based vertex id, and their files.
 
-Both are allocated once at full (n+1) x (n+1) (row/col 0 unused).  The
-pipeline fills P in place as it progresses; it works out the distances in
-an int64 matrix of its own (see solver.solve) and writes M from it once,
-at the end.
-
-Distances live in float64: every value is an integer (or inf), and with
-weights <= 2^32 - 1 and realistic path lengths all sums stay far below
-2^53, so equality checks, and files read back as float64, are exact.
+Both are allocated once at full (n+1) x (n+1) (row/col 0 unused) and
+filled in place by the pipeline (see solver.solve).  Distances are exact
+int64 integers; a pair with no path holds UNREACHED.
 
 A matrix file (README "Matrix files") has '#' header lines, then one line
 per row of space-separated cells: decimal digits, or INF for the missing
@@ -17,7 +12,6 @@ numpy over blocks of rows, never Python per cell.
 
 from __future__ import annotations
 
-import contextlib
 import re
 from typing import IO
 
@@ -30,21 +24,24 @@ from .graph import INF
 #: so 0 is free.
 UNSET = 0
 
+#: DistanceMatrix cell of a pair with no path between them (2**63 - 1).
+UNREACHED = np.iinfo(np.int64).max
+
 
 class DistanceMatrix:
     __slots__ = ("order", "cells")
 
     def __init__(self, order: int):
         self.order = order
-        self.cells = np.full((order + 1, order + 1), np.inf, dtype=np.float64)
-        np.fill_diagonal(self.cells, 0.0)
+        self.cells = np.full((order + 1, order + 1), UNREACHED, dtype=np.int64)
+        np.fill_diagonal(self.cells, 0)
 
     def get(self, i: int, j: int):
-        v = self.cells[i, j]
-        return INF if np.isinf(v) else int(v)
+        v = int(self.cells[i, j])
+        return INF if v == UNREACHED else v
 
     def set(self, i: int, j: int, value) -> None:
-        self.cells[i, j] = value
+        self.cells[i, j] = UNREACHED if value == INF else value
 
 
 class PrecedenceMatrix:
@@ -67,7 +64,6 @@ class PrecedenceMatrix:
 _BLOCK_CELLS = 1 << 16  # cells in the block of rows held at a time
 _POW10 = 10 ** np.arange(1, 19, dtype=np.int64)  # digits = 1 + powers reached
 _ROW_CHARS = str.maketrans(dict.fromkeys("0123456789INF \t"))  # translate drops these
-_ROW = re.compile(r"(?:INF|[0-9]+)(?:[ \t]+(?:INF|[0-9]+))*")
 _LINE = re.compile(r"^.*$", re.MULTILINE)
 _ORDER = re.compile(r"#\s*n\s+([0-9]+)")
 
@@ -95,28 +91,34 @@ def _write_cells(cells: np.ndarray, order: int, kind: str, out: IO[str],
 
 
 def write_distance_matrix(m: DistanceMatrix, out: IO[str]) -> None:
-    _write_cells(m.cells, m.order, "distance", out, np.inf)
+    _write_cells(m.cells, m.order, "distance", out, UNREACHED)
 
 
 def write_precedence_matrix(p: PrecedenceMatrix, out: IO[str]) -> None:
     _write_cells(p.cells, p.order, "precedence", out, UNSET)
 
 
+def _parse(lines: list[str], dest: np.ndarray):
+    """`lines` as int64 cells shaped like `dest`, INF as -1; None when a
+    cell is not digits or INF or reaches dest's dtype maximum."""
+    if "".join(lines).translate(_ROW_CHARS):
+        return None
+    try:
+        block = np.loadtxt([line.replace("INF", "-1") for line in lines], dtype=np.int64, ndmin=2)
+    except ValueError:
+        return None
+    limit = np.iinfo(dest.dtype).max
+    return block if block.shape == dest.shape and ((block >= -1) & (block < limit)).all() else None
+
+
 def _store_rows(dest: np.ndarray, rows: list[tuple[int, str]], missing) -> None:
     """Parse (line number, line) `rows` into the cells `dest`."""
-    lines, block = [line for _, line in rows], None
-    if not "".join(lines).translate(_ROW_CHARS):
-        with contextlib.suppress(ValueError):
-            block = np.loadtxt(lines, dtype=np.float64, ndmin=2)
-    if block is None or block.shape != dest.shape:
-        lineno = next((k for k, line in rows if not _ROW.fullmatch(line)
-                       or len(line.split()) != dest.shape[1]), rows[-1][0])
-        raise ValueError(f"line {lineno}: expected {dest.shape[1]} cells, each digits or INF")
-    block[np.isinf(block)] = missing
-    with np.errstate(invalid="ignore"):
-        dest[...] = block
-    if not np.array_equal(dest, block):
-        raise ValueError(f"line {rows[(dest != block).any(axis=1).argmax()][0]}: cell out of range")
+    block = _parse([line for _, line in rows], dest)
+    if block is None:
+        lineno = next((k for k, line in rows if _parse([line], dest[:1]) is None), rows[-1][0])
+        raise ValueError(f"line {lineno}: expected {dest.shape[1]} cells, each INF or digits "
+                         f"below {np.iinfo(dest.dtype).max} (malformed or out of range)")
+    dest[...] = np.where(block < 0, missing, block)
 
 
 def _read_cells(text: str, make, missing):
@@ -143,7 +145,7 @@ def _read_cells(text: str, make, missing):
 
 
 def read_distance_matrix(text: str) -> DistanceMatrix:
-    return _read_cells(text, DistanceMatrix, np.inf)
+    return _read_cells(text, DistanceMatrix, UNREACHED)
 
 
 def read_precedence_matrix(text: str) -> PrecedenceMatrix:

@@ -8,8 +8,9 @@ packs (distance, position) into the one int ``distance * r + position``
 lexicographic order of the (distance, vertex id) tuples: every tie breaks
 as in a tuple heap.  numpy does the rest, one block of about
 ``_BLOCK_CELLS`` cells (a run of sources) at a time: it decodes
-the keys into the block's rows of the int64 distance matrix and merges
-the block's predecessors into P in one pass.
+the keys into the block's rows of the int64 distance matrix (the cells of
+a DistanceMatrix, UNREACHED where there is no path) and merges the
+block's predecessors into P in one pass.
 """
 
 from __future__ import annotations
@@ -19,10 +20,7 @@ import heapq
 import numpy as np
 
 from .graph import INF, Graph
-from .matrices import UNSET, PrecedenceMatrix
-
-#: Distance-matrix cell of a pair with no path between them.
-UNREACHED = np.iinfo(np.int64).max
+from .matrices import UNREACHED, UNSET, PrecedenceMatrix
 
 #: Cells in one block of sources.  8192 (64 KiB per int64 array) keeps the
 #: block's arrays below the memory the rest of the solve already peaks at.

@@ -1,16 +1,15 @@
-"""Full pipeline: contract, solve the residual, replay removals in reverse."""
+"""Full pipeline: contract, solve the residual, replay removals in reverse,
+all on the int64 cells of the DistanceMatrix that solve returns."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .assembly import assemble
 from .disassembly import ShrinkSequence, SolveParams, disassemble
 from .graph import Graph
 from .matrices import DistanceMatrix, PrecedenceMatrix
-from .microsolve import UNREACHED, solve_residual
+from .microsolve import solve_residual
 
 
 @dataclass
@@ -35,8 +34,8 @@ def solve(g: Graph, params: SolveParams = SolveParams()) -> SolveResult:
     then still carry strictly positive internal cost, which keeps the
     precedence entries acyclic when many distances tie at zero; no simple
     path has more than n - 1 hops, so the hop component never overflows into
-    the weight part.  The stages run on one int64 matrix of encoded
-    distances, decoded into the returned DistanceMatrix at the end.  Every
+    the weight part.  The stages run on the returned DistanceMatrix's int64
+    cells holding encoded distances, decoded in place at the end.  Every
     candidate distance the stages form is at most twice the sum of the
     encoded edge weights, so a graph where that reaches 2**63 is refused
     with ValueError before the matrices are allocated.
@@ -52,17 +51,13 @@ def solve(g: Graph, params: SolveParams = SolveParams()) -> SolveResult:
     if both_ways >= 2**63:
         raise ValueError(f"twice the encoded edge weights sum to {both_ways} >= 2**63: "
                          f"distances could overflow int64")
-    # the returned matrices first: the working matrix d, freed on return,
-    # is then the last big allocation, and malloc can give its memory back
     m = DistanceMatrix(n)
     p = PrecedenceMatrix(n)
-    d = np.full((n + 1, n + 1), UNREACHED, dtype=np.int64)
-    np.fill_diagonal(d, 0)
     seq = disassemble(work, params, p)
-    solve_residual(seq.residual, d, p)
-    assemble(seq, d, p)
+    solve_residual(seq.residual, m.cells, p)
+    assemble(seq, m.cells, p)
     # the graph is connected, so every 1..n cell holds a distance
-    np.floor_divide(d[1:, 1:], scale, out=m.cells[1:, 1:], casting="unsafe")
+    m.cells[1:, 1:] //= scale
     return SolveResult(
         distances=m,
         precedence=p,

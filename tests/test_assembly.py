@@ -21,9 +21,7 @@ from graphshrink.microsolve import UNREACHED
 
 def new_d(n):
     """The solver's distance matrix before any stage: UNREACHED, zero diagonal."""
-    d = np.full((n + 1, n + 1), UNREACHED, dtype=np.int64)
-    np.fill_diagonal(d, 0)
-    return d
+    return DistanceMatrix(n).cells
 
 
 def sequence(n, present, records):
@@ -119,8 +117,8 @@ def seed_restore(m_cells, h_cells, p_cells, rec, ids, nbr_pos, scale):
     h_cells[i, i] = 0
 
 
-def seed_assemble(seq, m, p, scale, hop_cells):
-    n = m.order
+def seed_assemble(seq, m_cells, p, scale, hop_cells):
+    n = m_cells.shape[0] - 1
     ids_buf = np.empty(n, dtype=np.intp)
     pos = np.empty(n + 1, dtype=np.intp)
     residual_ids = sorted(seq.residual.adj)
@@ -130,7 +128,7 @@ def seed_assemble(seq, m, p, scale, hop_cells):
     for rec in reversed(seq.records):
         ids = ids_buf[:count]
         nbr_pos = pos[[nb for nb, _ in rec.incident_edges]]
-        seed_restore(m.cells, hop_cells, p.cells, rec, ids, nbr_pos, scale)
+        seed_restore(m_cells, hop_cells, p.cells, rec, ids, nbr_pos, scale)
         ids_buf[count] = rec.vertex
         pos[rec.vertex] = count
         count += 1
@@ -147,12 +145,11 @@ def assert_matches_seed(g, params, encode):
         for v in nbrs:
             nbrs[v] = nbrs[v] * scale + (1 if encode else 0)
     seq, d, p = residual_solved(work, params)
-    m0, p0 = DistanceMatrix(n), copy_p(p)
-    m0.cells[1:, 1:] = np.where(d == UNREACHED, np.inf, d // scale)[1:, 1:]
+    m0, p0 = np.where(d == UNREACHED, np.inf, d // scale), copy_p(p)
     h0 = d % scale
     seed_assemble(seq, m0, p0, scale, h0)
     assemble(seq, d, p)
-    assert np.array_equal((d[1:, 1:] // scale).astype(np.float64), m0.cells[1:, 1:])
+    assert np.array_equal((d[1:, 1:] // scale).astype(np.float64), m0[1:, 1:])
     assert np.array_equal(d[1:, 1:] % scale, h0[1:, 1:])
     assert np.array_equal(p.cells, p0.cells)
     return seq
@@ -202,6 +199,16 @@ def test_restore_rejects_absent_neighbor():
     d = new_d(3)
     assemble(sequence(3, {1}, [rec2, rec3]), d, PrecedenceMatrix(3))
     assert list(d[2, 1:]) == [2, 0, 1]
+
+
+def test_restore_refuses_an_unreached_residual_pair_before_writing():
+    # the residual {1, 2} has no edge, so 5 + d[1, 2] would wrap int64
+    d, p = new_d(3), PrecedenceMatrix(3)
+    p.cells[...] = 7
+    rec = RemovalRecord(vertex=3, incident_edges=[(1, 5)])
+    with pytest.raises(ValueError, match="restoring 3 overflows int64"):
+        assemble(sequence(3, {1, 2}, [rec]), d, p)
+    assert np.array_equal(d, new_d(3)) and (p.cells == 7).all()
 
 
 def test_restore_touches_only_own_row_and_column():

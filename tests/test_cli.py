@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from conftest import grid_graph, random_connected_graph, triangle_graph
 
-from graphshrink import parse_dimacs, solve, write_dimacs
+from graphshrink import cli, parse_dimacs, solve, write_dimacs
 from graphshrink.cli import build_parser, main
 from graphshrink.matrices import read_distance_matrix, read_precedence_matrix, write_distance_matrix
 
@@ -126,6 +126,52 @@ def test_verify_corrupted_expected_matrix_names_cell(tmp_path, triangle_file, ca
     rc = main(["verify", "--input", str(triangle_file), "--expected", str(expected)])
     assert rc == 1
     assert "(1,3)" in capsys.readouterr().err
+
+
+ORACLES = ["expected", "dijkstra", "floyd_warshall"]
+
+
+@pytest.mark.parametrize("oracle", ORACLES)
+def test_verify_names_the_cell_each_oracle_disagrees_on(tmp_path, triangle_file, monkeypatch,
+                                                        capsys, oracle):
+    expected = tmp_path / "expected.txt"
+    with open(expected, "w") as fh:
+        write_distance_matrix(solve(triangle_graph()).distances, fh)
+
+    def corrupted_solve(g, params):
+        result = solve(g, params)
+        result.distances.set(1, 3, 99)
+        return result
+
+    def never_run(g):
+        raise AssertionError("oracle computed after an earlier one disagreed")
+
+    monkeypatch.setattr(cli, "solve", corrupted_solve)
+    # the oracles before the one under test agree with the corrupted cell,
+    # so the one under test is the first to disagree
+    if oracle == "floyd_warshall":
+        monkeypatch.setattr(cli, "apsp_dijkstra",
+                            lambda g: (corrupted_solve(g, cli.SolveParams()).distances, None))
+    for later in ORACLES[ORACLES.index(oracle) + 1:]:
+        monkeypatch.setattr(cli, "apsp_dijkstra" if later == "dijkstra" else later, never_run)
+    argv = ["verify", "--input", str(triangle_file)]
+    rc = main(argv + (["--expected", str(expected)] if oracle == "expected" else []))
+    assert rc == 1
+    assert f"FAIL: cell (1,3): pipeline=99 {oracle}=2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["stats", "--dmax", "3"], ["stats", "--seed", "2"],
+                                  ["subgraph", "--size", "2", "--nmin", "3"],
+                                  ["solve", "--seed", "2"], ["bench", "--seed", "2"]])
+def test_commands_refuse_options_they_do_not_read(argv, capsys):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args([*argv, "--input", "g.gr"])
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_subgraph_and_verify_take_a_seed():
+    for argv in (["subgraph", "--size", "2"], ["verify"]):
+        assert build_parser().parse_args([*argv, "--input", "g.gr", "--seed", "5"]).seed == 5
 
 
 def test_bench_writes_report(tmp_path, random_file, capsys):

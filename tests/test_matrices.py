@@ -5,9 +5,10 @@ import pytest
 from conftest import grid_graph, random_connected_graph
 
 import graphshrink.matrices as matrices
-from graphshrink import solve
+from graphshrink import INF, solve
 from graphshrink.graph import MAX_WEIGHT
 from graphshrink.matrices import (
+    UNREACHED,
     UNSET,
     DistanceMatrix,
     PrecedenceMatrix,
@@ -62,7 +63,7 @@ CASES = list(matrix_pairs())
 
 
 def assert_same_bytes(m, p):
-    for matrix, write, kind, sentinel in [(m, write_distance_matrix, "distance", np.inf),
+    for matrix, write, kind, sentinel in [(m, write_distance_matrix, "distance", UNREACHED),
                                           (p, write_precedence_matrix, "precedence", UNSET)]:
         expected = io.StringIO()
         reference_write_cells(matrix.cells, matrix.order, kind, expected, sentinel)
@@ -130,8 +131,12 @@ GOOD_BODY = "# graphshrink distance matrix\n# n 3\n# ids 1 2 3\n0 1 2\n1 0 3\n2 
     (GOOD_BODY.replace("1 0 3", "1 0 +3"), 5),
     (GOOD_BODY.replace("2 3 0", "2 NIF 0"), 6),
     (GOOD_BODY.replace("2 3 0", "2 3INF 0"), 6),
+    (GOOD_BODY.replace("2 3 0", "2 INF3 0"), 6),
+    # 2**63, in a row that is not the last of its block
+    (GOOD_BODY.replace("1 0 3", "1 0 9223372036854775808"), 5),
+    (GOOD_BODY.replace("1 0 3", "1 0 9223372036854775807"), 5),  # UNREACHED's digits
 ], ids=["no-header", "short-row", "long-row", "extra-row", "missing-row", "huge-order",
-        "inf", "nan", "1.5", "1e3", "-3", "+3", "NIF", "3INF"])
+        "inf", "nan", "1.5", "1e3", "-3", "+3", "NIF", "3INF", "INF3", "2**63", "2**63-1"])
 def test_reader_rejects_malformed_input_naming_the_line(text, line):
     for read in (read_distance_matrix, read_precedence_matrix):
         with pytest.raises(ValueError, match=rf"^line {line}: "):
@@ -141,3 +146,22 @@ def test_reader_rejects_malformed_input_naming_the_line(text, line):
 def test_precedence_reader_rejects_ids_beyond_int32():
     with pytest.raises(ValueError, match="^line 3: .*out of range"):
         read_precedence_matrix("# n 2\nINF 1\n99999999999 INF\n")
+
+
+def test_distance_cells_up_to_the_int64_guard_survive_a_round_trip():
+    m = DistanceMatrix(2)
+    m.set(1, 2, 2**63 - 2)
+    m.set(2, 1, INF)
+    text = written(write_distance_matrix, m)
+    assert text.splitlines()[3:] == ["0 9223372036854775806", "INF 0"]
+    back = read_distance_matrix(text)
+    assert back.cells.dtype == np.int64 and np.array_equal(back.cells, m.cells)
+    assert back.get(1, 2) == 2**63 - 2 and back.get(2, 1) == INF
+
+
+def test_distance_matrix_maps_inf_to_the_sentinel_both_ways():
+    m = DistanceMatrix(2)
+    assert m.cells.dtype == np.int64 and m.get(1, 2) == INF and m.get(1, 1) == 0
+    m.set(1, 2, 5)
+    m.set(1, 2, INF)
+    assert m.cells[1, 2] == UNREACHED and m.get(1, 2) == INF

@@ -24,12 +24,17 @@ from graphshrink.microsolve import UNREACHED
 
 def new_d(n):
     """The solver's distance matrix before any stage: UNREACHED, zero diagonal."""
-    d = np.full((n + 1, n + 1), UNREACHED, dtype=np.int64)
-    np.fill_diagonal(d, 0)
-    return d
+    return DistanceMatrix(n).cells
 
 
 # -- frozen reference: the dict Dijkstra and per-cell merge it replaced -----
+
+def float_m(n):
+    """The reference's own float64 M: inf, zero diagonal."""
+    m = np.full((n + 1, n + 1), np.inf)
+    np.fill_diagonal(m, 0.0)
+    return m
+
 
 def seed_dijkstra(g, source):
     dist = {v: INF for v in g.adj}
@@ -55,7 +60,7 @@ def seed_solve_residual(g_r, m, p, scale=1, hop_cells=None):
         return
     for i in present:
         dist, pred = seed_dijkstra(g_r, i)
-        m.cells[i, present] = [dist[j] // scale for j in present]
+        m[i, present] = [dist[j] // scale for j in present]
         if hop_cells is not None:
             hop_cells[i, present] = [dist[j] % scale for j in present]
         for j in present:
@@ -182,17 +187,17 @@ def assert_matches_seed(g_r, p, scale):
     """Run the reference and solve_residual from copies of P; the new `d`
     must equal the reference's M * scale + hops, with INF as UNREACHED."""
     n = g_r.n_original
-    m0, p0 = DistanceMatrix(n), PrecedenceMatrix(n)
+    m0, p0 = float_m(n), PrecedenceMatrix(n)
     p0.cells[...] = p.cells
-    hops = np.zeros_like(m0.cells, dtype=np.int64) if scale > 1 else None
+    hops = np.zeros_like(m0, dtype=np.int64) if scale > 1 else None
     seed_solve_residual(g_r, m0, p0, scale=scale, hop_cells=hops)
     d, p1 = new_d(n), PrecedenceMatrix(n)
     p1.cells[...] = p.cells
     solve_residual(g_r, d, p1)
     # the reference stored INF // scale, which Python evaluates to NaN, for
     # unreachable pairs of a raw residual
-    missing = ~np.isfinite(m0.cells)
-    expected = np.where(missing, 0, m0.cells).astype(np.int64) * scale
+    missing = ~np.isfinite(m0)
+    expected = np.where(missing, 0, m0).astype(np.int64) * scale
     if hops is not None:
         expected += hops
     expected[missing] = UNREACHED
@@ -248,7 +253,7 @@ def test_solve_residual_matches_seed_beyond_int64_keys():
     assert d[1, 2] == 2**62 and d[2, 3] == 2**62 - 2 and d[1, 3] == d[3, 1] == 2**63 - 2
     assert np.array_equal(d, d.T)
     p0 = PrecedenceMatrix(3)
-    seed_solve_residual(g, DistanceMatrix(3), p0)
+    seed_solve_residual(g, float_m(3), p0)
     assert np.array_equal(p.cells, p0.cells) and p.get(1, 3) == 2
 
 
