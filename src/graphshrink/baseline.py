@@ -15,6 +15,9 @@ from .matrices import UNREACHED, UNSET, DistanceMatrix, PrecedenceMatrix
 #: floyd_warshall refuses larger graphs: O(n^3) work and dense matrices.
 ORACLE_CAP = 512
 
+#: floyd_warshall's missing-pair value: twice it is still below 2**63.
+_NO_PATH = 2**62 - 1
+
 
 def _sssp(adj: dict[int, dict[int, int]], source: int, n: int):
     # array-backed binary heap with lazy deletion; no decrease-key needed
@@ -59,8 +62,12 @@ def floyd_warshall(g: Graph, cap: int = ORACLE_CAP) -> DistanceMatrix:
     """Independent brute-force oracle: n rounds of min-plus relaxation.
 
     The two inner loops of the classic triple loop run as one vectorized
-    minimum per pivot.  Exact on integer weights (float64 sums stay below
-    2^53 at the allowed sizes); unreached pairs are stored as UNREACHED.
+    minimum per pivot, exactly in int64.  A missing pair holds _NO_PATH,
+    and two of those still sum inside int64, so no pivot sum wraps.  No
+    distance exceeds the sum of the edge weights, so a graph whose weights
+    sum to _NO_PATH or more is refused with ValueError before anything is
+    allocated; below that a sum through a missing pair never undercuts a
+    real path.  Unreached pairs are stored as UNREACHED.
     """
     import numpy as np
 
@@ -68,9 +75,13 @@ def floyd_warshall(g: Graph, cap: int = ORACLE_CAP) -> DistanceMatrix:
     n_p = len(present)
     if n_p > cap:
         raise GraphError(f"floyd_warshall capped at {cap} vertices, got {n_p}")
+    total = sum(w for nbrs in g.adj.values() for w in nbrs.values()) // 2
+    if total >= _NO_PATH:
+        raise ValueError(f"edge weights sum to {total} >= 2**62 - 1: "
+                         f"floyd_warshall's int64 sums could wrap")
     pos = {v: i for i, v in enumerate(present)}
-    w = np.full((n_p, n_p), np.inf)
-    np.fill_diagonal(w, 0.0)
+    w = np.full((n_p, n_p), _NO_PATH, dtype=np.int64)
+    np.fill_diagonal(w, 0)
     for u, nbrs in g.adj.items():
         iu = pos[u]
         for v, wt in nbrs.items():
@@ -79,8 +90,5 @@ def floyd_warshall(g: Graph, cap: int = ORACLE_CAP) -> DistanceMatrix:
         np.minimum(w, w[:, k, None] + w[None, k, :], out=w)
     m = DistanceMatrix(g.n_original)
     ids = np.array(present)
-    reached = np.isfinite(w)
-    block = np.full(w.shape, UNREACHED, dtype=np.int64)
-    block[reached] = w[reached]
-    m.cells[np.ix_(ids, ids)] = block
+    m.cells[np.ix_(ids, ids)] = np.where(w == _NO_PATH, UNREACHED, w)
     return m

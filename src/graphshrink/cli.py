@@ -87,6 +87,7 @@ def cmd_solve(args) -> int:
     t2 = time.perf_counter()
     st = g.stats()
     print(f"n={st.n} m={st.m} removals={result.removals} "
+          f"shortcuts={result.shortcuts} "
           f"residual_order={result.residual_order} "
           f"max_removed_degree={result.max_removed_degree} "
           f"wall_seconds={t1 - t0:.3f} write_seconds={t2 - t1:.3f}")

@@ -19,6 +19,8 @@ class SolveResult:
     removals: int
     residual_order: int
     max_removed_degree: int
+    #: new edges the contraction wrote (mutations whose old weight is INF)
+    shortcuts: int
     sequence: ShrinkSequence
 
 
@@ -64,5 +66,6 @@ def solve(g: Graph, params: SolveParams = SolveParams()) -> SolveResult:
         removals=len(seq.records),
         residual_order=seq.residual.n_present,
         max_removed_degree=seq.max_removed_degree,
+        shortcuts=seq.shortcuts,
         sequence=seq,
     )

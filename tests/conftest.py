@@ -50,6 +50,14 @@ def path_graph(weights: list[int]) -> Graph:
     return g
 
 
+def cycle_graph(n: int) -> Graph:
+    """Cycle 1-2-...-n-1 with unit weights."""
+    g = Graph(n)
+    for v in range(1, n + 1):
+        g.set_edge(v, v % n + 1, 1)
+    return g
+
+
 def triangle_graph() -> Graph:
     """The running example: w(1,2) = w(2,3) = 1, w(1,3) = 5."""
     g = Graph(3)

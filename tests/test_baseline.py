@@ -48,6 +48,24 @@ def test_floyd_warshall_triangle():
     assert floyd_warshall(g).get(1, 3) == 2
 
 
+def test_floyd_warshall_is_exact_above_2_53():
+    # float64 would round 2**53 + 1 to 2**53
+    m = floyd_warshall(path_graph([2**53, 1]))
+    assert m.get(1, 3) == m.get(3, 1) == 2**53 + 1
+
+
+def test_floyd_warshall_refuses_a_weight_sum_reaching_its_sentinel(monkeypatch):
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("allocated before refusing")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "full", no_allocation)
+        with pytest.raises(ValueError, match="2\\*\\*62 - 1"):
+            floyd_warshall(path_graph([2**61, 2**61 - 1]))
+    m = floyd_warshall(path_graph([2**61, 2**61 - 2]))
+    assert m.get(1, 3) == 2**62 - 2
+
+
 def test_floyd_warshall_cap():
     with pytest.raises(GraphError):
         floyd_warshall(random_connected_graph(20, 1), cap=10)

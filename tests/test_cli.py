@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import grid_graph, random_connected_graph, triangle_graph
+from conftest import cycle_graph, grid_graph, random_connected_graph, triangle_graph
 
 from graphshrink import cli, parse_dimacs, solve, write_dimacs
 from graphshrink.cli import build_parser, main
@@ -34,6 +34,14 @@ def test_solve_writes_matrices(tmp_path, triangle_file, capsys):
     summary = capsys.readouterr().out
     assert "n=3" in summary and "removals=" in summary
     assert float(summary.split("write_seconds=")[1]) >= 0
+
+
+def test_solve_reports_shortcuts(tmp_path, capsys):
+    # the 5-cycle's first removal writes its one shortcut (see test_solver)
+    path = tmp_path / "cycle5.gr"
+    path.write_text(write_dimacs(cycle_graph(5)))
+    assert main(["solve", "--input", str(path)]) == 0
+    assert " shortcuts=1 " in capsys.readouterr().out
 
 
 def test_solve_without_outputs_reports_zero_write_time(triangle_file, capsys):

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from conftest import path_graph, random_connected_graph, triangle_graph
+from conftest import grid_graph, path_graph, random_connected_graph, triangle_graph
 
 from graphshrink import (
     INF,
@@ -12,10 +12,12 @@ from graphshrink import (
     UNBOUNDED,
     best_alternative_two_hop,
     disassemble,
+    disassembly,
     dijkstra,
     edge_delta,
     remove_and_preserve,
 )
+from graphshrink.graph import MAX_WEIGHT
 
 
 def star_graph(leaves=3, w=1):
@@ -220,3 +222,121 @@ def test_disassemble_rejects_disconnected():
     g.set_edge(3, 4, 1)
     with pytest.raises(GraphError):
         disassemble(g, SolveParams(), PrecedenceMatrix(4))
+
+
+# -- block decision against the dict decision --------------------------------
+
+def wheel_graph(spokes, w=1):
+    g = star_graph(spokes, w)
+    for rim in range(2, spokes + 2):
+        g.set_edge(rim, rim + 1 if rim <= spokes else 2, w)
+    return g
+
+
+def clique_graph(k, weight):
+    g = Graph(k)
+    for u in range(1, k + 1):
+        for v in range(u + 1, k + 1):
+            g.set_edge(u, v, weight(u, v))
+    return g
+
+
+def reweighted(g, weight):
+    out = Graph(g.n_original)
+    for u, v, _ in g.edges():
+        out.set_edge(u, v, weight(u, v))
+    return out
+
+
+def _hashed(u, v):
+    return (u * 7919 + v * 104729) % 13
+
+
+DECISION_CASES = {
+    "clique-distinct": clique_graph(20, _hashed),
+    "clique-equal": clique_graph(20, lambda u, v: 3),
+    "clique-zero": clique_graph(20, lambda u, v: 0),
+    "clique-max-weight": clique_graph(18, lambda u, v: MAX_WEIGHT - _hashed(u, v) % 2),
+    "wheel": wheel_graph(24),
+    "wheel-zero": wheel_graph(24, 0),
+    "star": star_graph(30),
+    "grid": grid_graph(8, 0.3, 5),
+    "grid-equal": reweighted(grid_graph(8, 0.3, 5), lambda u, v: 1),
+    "random-zero": random_connected_graph(60, 3, wmax=0),
+    "random-ties": random_connected_graph(70, 4, wmax=2),
+    "random-max-weight": reweighted(random_connected_graph(60, 5),
+                                    lambda u, v: MAX_WEIGHT - _hashed(u, v) % 3),
+    **{f"random-{seed}": random_connected_graph(40 + 10 * seed, seed)
+       for seed in range(6)},
+}
+
+
+def _no_dicts(*args):
+    raise AssertionError("a removal left the block path")
+
+
+def _encoded(g):
+    work = g.copy()
+    for nbrs in work.adj.values():
+        for v in nbrs:
+            nbrs[v] = nbrs[v] * (g.n_original + 1) + 1
+    return work
+
+
+def _contract(g, encoded, threshold, monkeypatch):
+    """Records and P of a full contraction with every removal of degree >=
+    threshold on the block path."""
+    work = _encoded(g) if encoded else g.copy()
+    p = PrecedenceMatrix(g.n_original)
+    with monkeypatch.context() as patch:
+        patch.setattr(disassembly, "_BLOCK_DEGREE", threshold)
+        seq = disassemble(work, SolveParams(), p)
+    return [(r.vertex, r.incident_edges, r.mutations) for r in seq.records], p.cells
+
+
+@pytest.mark.parametrize("encoded", [False, True], ids=["raw", "encoded"])
+@pytest.mark.parametrize("name", DECISION_CASES)
+def test_block_and_dict_decisions_give_identical_records(name, encoded, monkeypatch):
+    g = DECISION_CASES[name]
+    # at threshold 1 every removal must take the block path
+    monkeypatch.setattr(disassembly, "_decide_dicts", _no_dicts)
+    block, p_block = _contract(g, encoded, 1, monkeypatch)
+    monkeypatch.undo()
+    dicts, p_dicts = _contract(g, encoded, 10**9, monkeypatch)
+    assert block == dicts
+    assert (p_block == p_dicts).all()
+    for _, _, muts in block:
+        for a, b, old, new in muts:
+            assert type(a) is type(b) is type(new) is int
+            assert old == INF or type(old) is int
+
+
+@pytest.mark.parametrize("encoded", [False, True], ids=["raw", "encoded"])
+@pytest.mark.parametrize("name", DECISION_CASES)
+def test_block_and_dict_decide_every_first_removal_alike(name, encoded):
+    # a full contraction removes hubs and clique members only once their
+    # degree has dropped; here each is decided at its full degree
+    g = _encoded(DECISION_CASES[name]) if encoded else DECISION_CASES[name]
+    for v in sorted(g.adj):
+        nbrs = sorted(g.adj[v])
+        assert disassembly._decide_block(g, v, nbrs) == disassembly._decide_dicts(g, v, nbrs)
+
+
+@pytest.mark.parametrize("weight", [disassembly._BIG // 2, 2**70])
+def test_weights_too_large_for_the_block_take_the_dict_path(weight, monkeypatch):
+    # s = 2 * weight reaches _BIG, the block's missing-edge value: the
+    # block would find s < cur false and drop the needed shortcut
+    monkeypatch.setattr(disassembly, "_BLOCK_DEGREE", 1)
+    assert disassembly._decide_block(path_graph([weight, weight]), 2, [1, 3]) is None
+    g = path_graph([weight, weight])
+    rec = remove_and_preserve(g, 2, PrecedenceMatrix(3))
+    assert rec.mutations == [(1, 3, INF, 2 * weight)]
+    assert g.adj[1][3] == 2 * weight
+
+
+def test_weights_just_below_half_the_sentinel_stay_on_the_block_path(monkeypatch):
+    weight = disassembly._BIG // 2 - 1
+    monkeypatch.setattr(disassembly, "_BLOCK_DEGREE", 1)
+    monkeypatch.setattr(disassembly, "_decide_dicts", _no_dicts)
+    rec = remove_and_preserve(path_graph([weight, weight]), 2, PrecedenceMatrix(3))
+    assert rec.mutations == [(1, 3, INF, 2 * weight)]

@@ -2,9 +2,9 @@ import io
 
 import numpy as np
 import pytest
-from conftest import path_graph
+from conftest import cycle_graph, path_graph
 
-from graphshrink import SolveParams, apsp_dijkstra, floyd_warshall, solve
+from graphshrink import Graph, SolveParams, apsp_dijkstra, floyd_warshall, solve
 from graphshrink.graph import MAX_WEIGHT
 from graphshrink.matrices import read_distance_matrix, write_distance_matrix
 
@@ -44,3 +44,20 @@ def test_distances_above_2_53_are_exact():
     write_distance_matrix(result.distances, out)
     assert "9007199254740993" in out.getvalue()
     assert np.array_equal(read_distance_matrix(out.getvalue()).cells, result.distances.cells)
+
+
+def test_shortcuts_counts_only_new_edges():
+    # vertex 1 is the middle of the triangle: its removal lowers the
+    # existing edge (2, 3) from 5 to 2, which is a mutation but no new edge
+    g = Graph(3)
+    g.set_edge(1, 2, 1)
+    g.set_edge(1, 3, 1)
+    g.set_edge(2, 3, 5)
+    result = solve(g)
+    assert [len(r.mutations) for r in result.sequence.records] == [1, 0]
+    assert result.shortcuts == 0
+    # removing 1 from the 5-cycle joins 2 and 5, which share no other
+    # neighbor; every later removal finds an equally short route
+    result = solve(cycle_graph(5))
+    assert result.sequence.records[0].mutations == [(2, 5, float("inf"), 14)]
+    assert result.shortcuts == 1
