@@ -16,7 +16,7 @@ from .dimacs import DimacsError, parse_dimacs, write_dimacs
 from .graph import INF, Graph, GraphError, GraphStats, extract_connected_subgraph
 from .matrices import UNSET, DistanceMatrix, PrecedenceMatrix
 from .microsolve import dijkstra, solve_residual
-from .paths import PathError, path_weight, reconstruct_path
+from .paths import PathError, first_bad_precedence, path_weight, reconstruct_path
 from .solver import SolveResult, solve
 
 __all__ = [
@@ -41,6 +41,7 @@ __all__ = [
     "disassemble",
     "edge_delta",
     "extract_connected_subgraph",
+    "first_bad_precedence",
     "floyd_warshall",
     "parse_dimacs",
     "path_weight",

@@ -20,7 +20,7 @@ from .matrices import (
     write_distance_matrix,
     write_precedence_matrix,
 )
-from .paths import path_weight, reconstruct_path
+from .paths import first_bad_precedence, path_weight, reconstruct_path
 from .solver import solve
 
 DEFAULT_MAX_N = 15000
@@ -119,6 +119,16 @@ def cmd_verify(args) -> int:
                   f"{name}={m.get(i, j)}", file=sys.stderr)
             return 1
 
+    bad = first_bad_precedence(g, result.distances, result.precedence)
+    if bad is not None:
+        i, j, q = bad
+        d = result.distances.get
+        w = g.adj.get(q, {}).get(j)
+        why = (f"({q},{j}) is not an edge" if w is None else
+               f"D[{i}][{q}] + w({q},{j}) = {d(i, q) + w} != D[{i}][{j}] = {d(i, j)}")
+        print(f"FAIL: precedence cell ({i},{j}): last hop from {q}: {why}", file=sys.stderr)
+        return 1
+
     rng = random.Random(args.seed)
     vertices = sorted(g.adj)
     for _ in range(args.sample):
@@ -130,7 +140,8 @@ def cmd_verify(args) -> int:
                   f"{result.distances.get(i, j)}", file=sys.stderr)
             return 1
 
-    print(f"OK: n={g.n_original}, matrices agree, {args.sample} paths sound")
+    print(f"OK: n={g.n_original}, matrices agree, every precedence cell tight, "
+          f"{args.sample} paths sound")
     return 0
 
 
@@ -229,12 +240,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--pred", help="precedence matrix output path")
     sp.set_defaults(func=cmd_solve)
 
-    sp = subs.add_parser("verify", help="solve and check against the oracles")
+    sp = subs.add_parser("verify", help="solve, check distances against the oracles "
+                                        "and every precedence cell against the graph")
     _add_input(sp)
     _add_knobs(sp)
     sp.add_argument("--seed", type=int, default=1, help="path-check sample seed (default 1)")
     sp.add_argument("--sample", type=int, default=50,
-                    help="random vertex pairs to path-check (default 50)")
+                    help="random vertex pairs to path-check (default 50); every "
+                         "precedence cell is checked to end in a tight edge, but "
+                         "only a walked path shows a zero-weight cycle")
     sp.add_argument("--expected", help="distance matrix file to compare against")
     sp.set_defaults(func=cmd_verify)
 

@@ -8,9 +8,10 @@ of Contraction Hierarchies); on ties nothing is written, because an equally
 short route already survives.  Every removal is logged so the assembly
 stage can replay it in reverse.
 
-One function decides a removal's shortcuts, for remove_and_preserve and
-for the i_max gate (edge_delta) alike, every pair against the pre-removal
-graph.  How it decides depends only on the removed degree k:
+One function decides a removal's shortcuts, for remove_and_preserve,
+edge_delta and disassemble's i_max gate alike, every pair against the
+pre-removal graph; the gate hands its decision on to the removal.  How it
+decides depends only on the removed degree k:
 
 - Below _BLOCK_DEGREE, pair by pair over the adjacency dicts
   (best_alternative_two_hop).
@@ -178,13 +179,17 @@ def _decide(g: Graph, v: int, nbrs: list[int]) -> list[Mutation]:
     return _decide_dicts(g, v, nbrs)
 
 
+def _edge_delta(mutations: list[Mutation], degree: int) -> int:
+    return sum(1 for m in mutations if m[2] == INF) - degree
+
+
 def edge_delta(g: Graph, v: int) -> int:
     """Net edge-count change if v were removed with distance preservation:
     the new edges its removal writes minus degree(v).  Pure: g untouched."""
     nbrs = sorted(g.adj[v])
     if not nbrs:
         raise GraphError(f"edge_delta undefined for isolated vertex {v}")
-    return sum(1 for m in _decide(g, v, nbrs) if m[2] == INF) - len(nbrs)
+    return _edge_delta(_decide(g, v, nbrs), len(nbrs))
 
 
 def remove_and_preserve(g: Graph, v: int, p: PrecedenceMatrix) -> RemovalRecord:
@@ -193,10 +198,15 @@ def remove_and_preserve(g: Graph, v: int, p: PrecedenceMatrix) -> RemovalRecord:
     nbrs = sorted(g.adj[v])
     if not nbrs:
         raise GraphError(f"cannot remove isolated vertex {v}")
-    # decide every pair against the pre-removal state, then apply; deciding
-    # against a half-mutated graph would let an earlier shortcut suppress a
-    # later one and make the realized edge count diverge from edge_delta
-    mutations = _decide(g, v, nbrs)
+    return _apply_removal(g, v, p, _decide(g, v, nbrs))
+
+
+def _apply_removal(g: Graph, v: int, p: PrecedenceMatrix,
+                   mutations: list[Mutation]) -> RemovalRecord:
+    """Remove v after writing `mutations`, which _decide must have decided
+    on g as it is now: deciding against a half-mutated graph would let an
+    earlier shortcut suppress a later one and make the realized edge count
+    diverge from edge_delta."""
     for a, b, _, s in mutations:
         g.set_edge(a, b, s)
         # predecessor of b on the a->b path now runs through v (or
@@ -206,12 +216,11 @@ def remove_and_preserve(g: Graph, v: int, p: PrecedenceMatrix) -> RemovalRecord:
         pva = p.get(v, a)
         p.set(b, a, pva if pva != UNSET else v)
     incident = g.remove_vertex(v)
-    new_edges = sum(1 for m in mutations if m[2] == INF)
     return RemovalRecord(
         vertex=v,
         incident_edges=incident,
         mutations=mutations,
-        edge_delta=new_edges - len(incident),
+        edge_delta=_edge_delta(mutations, len(incident)),
     )
 
 
@@ -229,10 +238,15 @@ def disassemble(g: Graph, params: SolveParams, p: PrecedenceMatrix) -> ShrinkSeq
         raise GraphError("disassembly requires a connected graph")
     records: list[RemovalRecord] = []
     n_min = params.n_min
-    gate_open = params.i_max == UNBOUNDED
 
-    def removable(v: int) -> bool:
-        return gate_open or edge_delta(g, v) <= params.i_max
+    def try_remove(v: int) -> RemovalRecord | None:
+        """Remove v unless its edge delta exceeds i_max; one decision
+        serves the gate and the removal."""
+        nbrs = sorted(g.adj[v])
+        mutations = _decide(g, v, nbrs)
+        if _edge_delta(mutations, len(nbrs)) > params.i_max:
+            return None
+        return _apply_removal(g, v, p, mutations)
 
     while g.n_present > n_min:
         removed_in_sweep = False
@@ -248,9 +262,9 @@ def disassemble(g: Graph, params: SolveParams, p: PrecedenceMatrix) -> ShrinkSeq
                     break
                 if v not in g.adj or len(g.adj[v]) != d:
                     continue
-                if not removable(v):
+                rec = try_remove(v)
+                if rec is None:
                     continue
-                rec = remove_and_preserve(g, v, p)
                 records.append(rec)
                 removed_in_sweep = True
                 stack = [u for u, _ in rec.incident_edges if len(g.adj[u]) <= d]
@@ -259,9 +273,11 @@ def disassemble(g: Graph, params: SolveParams, p: PrecedenceMatrix) -> ShrinkSeq
                     if u not in g.adj:
                         continue
                     du = len(g.adj[u])
-                    if du == 0 or du > d or not removable(u):
+                    if du == 0 or du > d:
                         continue
-                    rec_u = remove_and_preserve(g, u, p)
+                    rec_u = try_remove(u)
+                    if rec_u is None:
+                        continue
                     records.append(rec_u)
                     stack.extend(w for w, _ in rec_u.incident_edges
                                  if w in g.adj and len(g.adj[w]) <= d)

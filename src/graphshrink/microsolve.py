@@ -1,30 +1,59 @@
 """Exact APSP on the residual graph and merge into the global matrices.
 
-Python runs only the heap loop.  The residual's adjacency is built once as
-lists over positions (position k holds the k-th smallest present id), and
-a binary heap with lazy deletion runs from each source.  Each heap entry
-packs (distance, position) into the one int ``distance * r + position``
-(r = residual order), so the heap compares ints, not tuples, in exactly the
-lexicographic order of the (distance, vertex id) tuples: every tie breaks
-as in a tuple heap.  numpy does the rest, one block of about
-``_BLOCK_CELLS`` cells (a run of sources) at a time: it decodes
-the keys into the block's rows of the int64 distance matrix (the cells of
-a DistanceMatrix, UNREACHED where there is no path) and merges the
-block's predecessors into P in one pass.
+The residual block of D and P is filled one of two ways; the residual
+itself picks which.
+
+**By contraction**, when the residual is connected, every weight in it is
+positive and twice its weight sum is below 2**63.  Residuals of
+``solver.solve`` are connected with weights encoded as ``w * (n + 1) + 1``,
+so only a sum that its shortcuts push past 2**62 sends them to the heap.
+A full ``disassemble`` + ``assemble`` on a copy of the residual writes its
+distances straight into the caller's matrix: they are unique, so any
+exact method gives the same D.  The predecessors are then
+read off those distances.  Call r the residual order and give the k-th
+smallest present id position k.  With positive weights the heap (below)
+pops vertices in strictly increasing ``dist * r + position`` order, and a
+later pop never improves an earlier vertex; so Dijkstra's predecessor of v
+from s is the *tight* neighbor u (``d[s,u] + w(u,v) == d[s,v]``) popped
+first, the one with the least ``(d[s,u], position u)``.  numpy finds it as
+one argmin per block of sources over a padded ``r x max_degree`` neighbor
+array whose rows ascend by position, so the first occurrence breaks ties
+to the least position.  A zero weight breaks that argument (a tight
+neighbor may be popped after v), and the inner ``disassemble`` refuses a
+disconnected graph: such residuals take the heap.
+
+**By heap**, otherwise.  The residual's adjacency is built once as lists
+over positions and a binary heap with lazy deletion runs from each source.
+Each heap entry packs (distance, position) into the one int
+``distance * r + position``, so the heap compares ints in exactly the
+lexicographic order of the (distance, vertex id) tuples.
+
+Either way the predecessors merge into P the same way, and numpy does it
+one block of sources at a time (about ``_BLOCK_CELLS`` cells for the
+heap's keys, ``_RULE_CELLS`` for the rule's temporaries).
 """
 
 from __future__ import annotations
 
 import heapq
+from itertools import chain
 
 import numpy as np
 
+from .assembly import assemble
+from .disassembly import SolveParams, disassemble
 from .graph import INF, Graph
 from .matrices import UNREACHED, UNSET, PrecedenceMatrix
 
-#: Cells in one block of sources.  8192 (64 KiB per int64 array) keeps the
-#: block's arrays below the memory the rest of the solve already peaks at.
+#: Cells in one block of heap sources.  8192 (64 KiB per int64 array) keeps
+#: the block's arrays below the memory the rest of the solve already peaks at.
 _BLOCK_CELLS = 1 << 13
+
+#: Cells (sources x r x max_degree) in one block of the predecessor rule.
+#: On grid_graph(32) and (48) under d_max=3, i_max=0, 2**13 to 2**17 timed
+#: alike within noise; 2**17 raised the peak RSS of a solve by 3.5 MB over
+#: 2**13, 2**15 by 0.8 MB.
+_RULE_CELLS = 1 << 15
 
 
 def _array_adjacency(g: Graph) -> tuple[list[int], list[list[tuple[int, int]]], int]:
@@ -89,24 +118,47 @@ def solve_residual(g_r: Graph, d: np.ndarray, p: PrecedenceMatrix) -> None:
     residual edge (q, j): P[i][j] becomes P[q][j] when that edge is itself
     a shortcut (P[q][j] set), plain q otherwise.  When q == i the last hop
     is the direct residual edge and the stored entry already applies.
+    Unreachable cells get UNREACHED in `d` and keep their P.
 
-    P is read live with no snapshot: the edge (q, j) lies on a shortest
-    path, so it is a shortest q-j path and Dijkstra from q, which relaxes
-    q's edges first, keeps q as j's predecessor; source q's merge therefore
-    never rewrites P[q][j].  Unreachable cells get UNREACHED in `d` and
-    keep their P.
+    The merge reads stored P only on residual edges, and reads the values
+    P held on entry.  The contraction path overwrites the residual block
+    of P, so it snapshots P on the residual's edges first (the inner
+    stages happen to leave P on every shortest-path edge as it was; the
+    snapshot keeps the merge from depending on that).  The heap path
+    reads P live, which gives the same values: source q rewrites P[q][j]
+    only when j's predecessor from q is not q, and an edge (q, j) read by
+    the merge lies on a shortest path, so it is the shortest q-j path and
+    Dijkstra from q, which relaxes q's edges first, keeps q.  `g_r` is
+    left as it was.
 
     A shortest path uses each edge at most once, so distances stay below
     UNREACHED when the residual's edge weights sum below it; a sum that
     reaches it is refused with ValueError before any block is allocated or
-    any cell written.
+    any cell written.  The contraction path also forms candidates of up to
+    twice that sum, so it runs only where those fit int64.
     """
     if len(g_r.adj) <= 1:
         return
-    ids, adj, total = _array_adjacency(g_r)
+    weights = [w for nbrs in g_r.adj.values() for w in nbrs.values()]
+    total = sum(weights) // 2
     if total >= UNREACHED:
         raise ValueError(f"residual edge weights sum to {total} >= 2**63 - 1: "
                          f"distances could overflow int64")
+    if 2 * total < 2**63 and all(w > 0 for w in weights) and g_r.unreachable_pair() is None:
+        _solve_by_contraction(g_r, d, p)
+    else:
+        _solve_by_heap(g_r, d, p)
+
+
+def _merge(p: PrecedenceMatrix, block, keep: np.ndarray, stored: np.ndarray,
+           q_ids: np.ndarray) -> None:
+    """P[block] <- `stored` where `keep`, else the expansion of the last hop
+    q: the stored P[q][j] when set, q itself otherwise."""
+    p.cells[block] = np.where(keep | (stored != UNSET), stored, q_ids)
+
+
+def _solve_by_heap(g_r: Graph, d: np.ndarray, p: PrecedenceMatrix) -> None:
+    ids, adj, total = _array_adjacency(g_r)
     r = len(ids)
     unreached = (total + 1) * r
     # keys exceed int64 only for huge weights; exact Python ints then
@@ -122,8 +174,51 @@ def solve_residual(g_r: Graph, d: np.ndarray, p: PrecedenceMatrix) -> None:
             keys[row], pred[row] = _sssp(adj, s, unreached)
         block = np.ix_(vid[lo:sources.stop], vid)
         d[block] = np.where(keys == unreached, UNREACHED, (keys - positions) // r)
-        # P[i][j] <- P[q][j], or q when that is unset, where q = pred != i
         q = vid[pred]
-        pqj = p.cells[q, vid]
-        merge = (pred >= 0) & (pred != positions[lo:sources.stop, None])
-        p.cells[block] = np.where(merge, np.where(pqj != UNSET, pqj, q), p.cells[block])
+        keep = (pred < 0) | (pred == positions[lo:sources.stop, None])
+        # a kept cell stays as it is; the others read P[q][j] live
+        stored = np.where(keep, p.cells[block], p.cells[q, vid])
+        _merge(p, block, keep, stored, q)
+
+
+def _solve_by_contraction(g_r: Graph, d: np.ndarray, p: PrecedenceMatrix) -> None:
+    ids = sorted(g_r.adj)
+    r = len(ids)
+    vid = np.array(ids, dtype=p.cells.dtype)
+    # neighbor rows in ascending id, which is ascending position
+    rows = [sorted(g_r.adj[u].items()) for u in ids]
+    deg = np.fromiter(map(len, rows), np.intp, r)
+    flat = list(chain.from_iterable(rows))
+    width = int(deg.max())
+    # pad each row with its own vertex at weight 1: d[s,v] + 1 != d[s,v],
+    # so a pad slot is never tight
+    pos = np.zeros(p.cells.shape[0], np.intp)
+    pos[vid] = np.arange(r)
+    nbr = np.repeat(np.arange(r)[:, None], width, axis=1)
+    wt = np.ones((r, width), np.int64)
+    slot = np.arange(width) < deg[:, None]
+    nbr[slot] = pos[np.fromiter((v for v, _ in flat), np.intp, len(flat))]
+    wt[slot] = np.fromiter((w for _, w in flat), np.int64, len(flat))
+    # P[q][j] for each edge slot (q = nbr[j, k]), before the inner stages
+    # write the residual block
+    stored = p.cells[vid[nbr], vid[:, None]]
+    diagonal = p.cells[vid, vid]
+
+    d[vid, vid] = 0  # as the heap writes it; assemble never touches the diagonal
+    assemble(disassemble(g_r.copy(), SolveParams(), p), d, p)
+
+    positions = np.arange(r)
+    step = max(1, _RULE_CELLS // (r * width))
+    for lo in range(0, r, step):
+        hi = min(lo + step, r)
+        block = np.ix_(vid[lo:hi], vid)
+        dist = d[block]
+        du = dist[:, nbr]  # d[s, u] for every slot u of every v
+        du[du + wt != dist[:, :, None]] = UNREACHED
+        k = du.argmin(axis=2)
+        q = nbr[positions, k]
+        source = positions[lo:hi, None]
+        # the source has no predecessor; k there points at a non-tight slot
+        keep = (q == source) | (positions == source)
+        kept = np.where(positions == source, diagonal[lo:hi, None], stored[positions, k])
+        _merge(p, block, keep, kept, vid[q])

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 from .graph import INF, Graph
-from .matrices import UNSET, PrecedenceMatrix
+from .matrices import UNSET, DistanceMatrix, PrecedenceMatrix
+
+#: Cells in one row block of first_bad_precedence (1 MiB per int64 array).
+_CHECK_CELLS = 1 << 17
 
 
 class PathError(ValueError):
@@ -48,3 +53,44 @@ def path_weight(g0: Graph, path: list[int]):
             return INF
         total += w
     return total
+
+
+def first_bad_precedence(g0: Graph, d: DistanceMatrix,
+                         p: PrecedenceMatrix) -> tuple[int, int, int] | None:
+    """First cell (i, j), i != j, in row-major order whose last hop is not a
+    tight edge of g0, as (i, j, q); None when every cell passes.
+
+    The last hop q is P[i][j], or i when unset.  It passes when (q, j) is an
+    edge of g0 and D[i][q] + w(q, j) == D[i][j].  Edge weights are looked up
+    in the sorted keys q * (n + 1) + j, one row block at a time, so memory
+    stays O(m + _CHECK_CELLS).  The test is local: a zero-weight cycle of
+    last hops passes it, which only reconstruct_path's walk detects.
+    """
+    n = g0.n_original
+    scale = n + 1
+    m2 = sum(map(len, g0.adj.values()))
+    keys = np.fromiter((u * scale + v for u, nbrs in g0.adj.items() for v in nbrs),
+                       np.int64, m2)
+    weights = np.fromiter((w for nbrs in g0.adj.values() for w in nbrs.values()),
+                          np.int64, m2)
+    order = keys.argsort()
+    keys, weights = np.append(keys[order], -1), np.append(weights[order], 0)
+    cols = np.arange(1, scale)
+    step = max(1, _CHECK_CELLS // n)
+    for lo in range(1, scale, step):
+        rows = np.arange(lo, min(lo + step, scale))[:, None]
+        last = p.cells[lo:lo + len(rows), 1:].astype(np.int64)
+        last = np.where(last == UNSET, rows, last)
+        # an id outside 1..n reads as q = 0, whose keys q * (n + 1) + j
+        # match no edge
+        q = np.where((last >= 1) & (last <= n), last, 0)
+        key = q * scale + cols
+        at = np.searchsorted(keys[:-1], key)  # past the last key: the -1 sentinel
+        dist = d.cells[lo:lo + len(rows)]
+        ok = (keys[at] == key) & (np.take_along_axis(dist, q, axis=1) + weights[at]
+                                  == dist[:, 1:])
+        bad = np.flatnonzero(~ok & (rows != cols))
+        if bad.size:
+            i, j = divmod(int(bad[0]), n)
+            return int(rows[i, 0]), j + 1, int(last[i, j])
+    return None

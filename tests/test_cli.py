@@ -168,6 +168,18 @@ def test_verify_names_the_cell_each_oracle_disagrees_on(tmp_path, triangle_file,
     assert f"FAIL: cell (1,3): pipeline=99 {oracle}=2" in capsys.readouterr().err
 
 
+def test_verify_names_the_bad_precedence_cell(triangle_file, monkeypatch, capsys):
+    def corrupted_solve(g, params):
+        result = solve(g, params)
+        result.precedence.set(1, 3, 0)  # the direct edge (1, 3) weighs 5
+        return result
+
+    monkeypatch.setattr(cli, "solve", corrupted_solve)
+    assert main(["verify", "--input", str(triangle_file)]) == 1
+    assert ("FAIL: precedence cell (1,3): last hop from 1: D[1][1] + w(1,3) = 5 != D[1][3] = 2"
+            in capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("argv", [["stats", "--dmax", "3"], ["stats", "--seed", "2"],
                                   ["subgraph", "--size", "2", "--nmin", "3"],
                                   ["solve", "--seed", "2"], ["bench", "--seed", "2"]])

@@ -216,6 +216,34 @@ def test_disassemble_blocked_by_tight_i_max():
     assert seq.residual.n_present == 5
 
 
+def test_disassemble_gate_decides_each_removal_once(monkeypatch):
+    g0 = grid_graph(16)
+    calls = []
+    real_decide = disassembly._decide
+
+    def counting_decide(g, v, nbrs):
+        mutations = real_decide(g, v, nbrs)
+        calls.append((v, disassembly._edge_delta(mutations, len(nbrs))))
+        return mutations
+
+    monkeypatch.setattr(disassembly, "_decide", counting_decide)
+    work, p = g0.copy(), PrecedenceMatrix(g0.n_original)
+    seq = disassemble(work, SolveParams(i_max=0), p)
+    monkeypatch.undo()
+    assert len(seq.records) > 100
+    # one decision per removal; a blocked vertex's decision removes nothing
+    assert [v for v, delta in calls if delta <= 0] == [r.vertex for r in seq.records]
+    assert any(delta > 0 for _, delta in calls)
+    # the gate and the removal still agree with the public edge_delta and
+    # remove_and_preserve, replayed in the same order
+    replay, p_replay = g0.copy(), PrecedenceMatrix(g0.n_original)
+    for rec in seq.records:
+        assert edge_delta(replay, rec.vertex) <= 0
+        assert remove_and_preserve(replay, rec.vertex, p_replay) == rec
+    assert replay.adj == work.adj
+    assert (p_replay.cells == p.cells).all()
+
+
 def test_disassemble_rejects_disconnected():
     g = Graph(4)
     g.set_edge(1, 2, 1)

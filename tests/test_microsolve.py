@@ -276,3 +276,99 @@ def test_dijkstra_matches_seed_with_ties(seed):
     g.remove_vertex(40)  # ids with a gap, possibly disconnected
     for src in (1, 39, 41, 80):
         assert dijkstra(g, src) == seed_dijkstra(g, src)
+
+
+# -- the two residual paths: contraction + predecessor rule, and the heap ----
+
+def fail(*args):
+    raise AssertionError("this path must not run")
+
+
+def plus_one(g):
+    """g with every weight raised by 1: positive, still with many ties."""
+    for u, nbrs in g.adj.items():
+        for v in nbrs:
+            nbrs[v] += 1
+    return g
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3, 5])
+@pytest.mark.parametrize("params", [SolveParams(d_max=3, i_max=0), SolveParams(n_min=60),
+                                    SolveParams(n_min=150)])
+def test_solve_residual_by_contraction_matches_seed_on_raw_positive_ties(
+        seed, params, monkeypatch):
+    g = plus_one(random_connected_graph(150, seed, wmax=3))
+    g_r, p, scale = contracted(g, params, encode=False)
+    assert g_r.n_present > 1
+    monkeypatch.setattr(microsolve, "_sssp", fail)
+    assert_matches_seed(g_r, p, scale)
+
+
+def test_solve_residual_by_contraction_reads_p_as_it_was_on_entry(monkeypatch):
+    # the residual's edges include shortcuts whose stored P[q][j] the merge
+    # expands; the inner stages may leave anything in the residual block
+    g_r, p, scale = contracted(grid_graph(12), SolveParams(d_max=3, i_max=0), encode=True)
+    ids = sorted(g_r.adj)
+    assert (p.cells[np.ix_(ids, ids)] != UNSET).any()
+    real_assemble = microsolve.assemble
+
+    def scribbling_assemble(seq, d, p):
+        real_assemble(seq, d, p)
+        p.cells[np.ix_(ids, ids)] = ids[0]
+
+    monkeypatch.setattr(microsolve, "assemble", scribbling_assemble)
+    edges_before = {v: dict(nbrs) for v, nbrs in g_r.adj.items()}
+    assert_matches_seed(g_r, p, scale)
+    assert g_r.adj == edges_before
+
+
+def test_solve_residual_by_contraction_across_source_blocks(monkeypatch):
+    g_r, p, scale = contracted(grid_graph(12), SolveParams(d_max=3, i_max=0), encode=True)
+    r = g_r.n_present
+    width = max(map(len, g_r.adj.values()))
+    monkeypatch.setattr(microsolve, "_RULE_CELLS", 5 * r * width + 1)  # 5 sources a block
+    monkeypatch.setattr(microsolve, "_sssp", fail)
+    assert r > 2 * 5 and r % 5  # at least 3 blocks, the last one short
+    assert_matches_seed(g_r, p, scale)
+
+
+def test_solve_residual_by_heap_across_source_blocks(monkeypatch):
+    g_r, p, scale = contracted(random_connected_graph(150, 0, wmax=3),
+                               SolveParams(d_max=3, i_max=0), encode=False)
+    r = g_r.n_present
+    assert min(w for nbrs in g_r.adj.values() for w in nbrs.values()) == 0
+    monkeypatch.setattr(microsolve, "_BLOCK_CELLS", 5 * r + 1)  # 5 sources a block
+    monkeypatch.setattr(microsolve, "_solve_by_contraction", fail)
+    assert r > 2 * 5 and r % 5  # at least 3 blocks, the last one short
+    assert_matches_seed(g_r, p, scale)
+
+
+def test_solve_residual_takes_the_heap_on_zero_weight_and_disconnected(monkeypatch):
+    monkeypatch.setattr(microsolve, "_solve_by_contraction", fail)
+    zero = path_graph([1, 0, 2])
+    assert_matches_seed(zero, PrecedenceMatrix(4), 1)
+    cut = Graph(4)
+    cut.set_edge(1, 2, 3)
+    cut.set_edge(3, 4, 5)
+    d, _ = assert_matches_seed(cut, PrecedenceMatrix(4), 1)
+    assert d[1, 3] == UNREACHED
+
+
+def test_solve_residual_selects_by_twice_the_weight_sum(monkeypatch):
+    # twice 2**62 - 1 fits int64: contraction; twice 2**62 + 1 does not: heap
+    below = path_graph([2**61, 2**61 - 1])
+    above = path_graph([2**61, 2**61 + 1])
+    for g, patched in ((below, "_sssp"), (above, "_solve_by_contraction")):
+        with monkeypatch.context() as m:
+            m.setattr(microsolve, patched, fail)
+            d, p = new_d(3), PrecedenceMatrix(3)
+            solve_residual(g, d, p)
+        w12, w23 = g.adj[1][2], g.adj[2][3]
+        assert d[1, 3] == d[3, 1] == w12 + w23 and p.get(1, 3) == 2 and p.get(3, 1) == 2
+
+
+def test_solve_residual_hop_encoded_takes_contraction(monkeypatch):
+    monkeypatch.setattr(microsolve, "_sssp", fail)
+    g_r, p, scale = contracted(grid_graph(24), SolveParams(d_max=2, n_min=24 * 24 // 2),
+                               encode=True)
+    assert_matches_seed(g_r, p, scale)

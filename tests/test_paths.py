@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from conftest import path_graph, random_connected_graph, triangle_graph
+from conftest import grid_graph, path_graph, random_connected_graph, triangle_graph
 
 from graphshrink import (
     INF,
@@ -9,8 +9,11 @@ from graphshrink import (
     PrecedenceMatrix,
     path_weight,
     reconstruct_path,
+    SolveParams,
+    first_bad_precedence,
     solve,
 )
+from graphshrink import paths
 
 
 def test_direct_edge_base_case():
@@ -88,3 +91,40 @@ def test_soundness_on_random_instances(seed):
         assert len(path) <= n
         assert len(set(path)) == len(path)
         assert path_weight(g, path) == result.distances.get(i, j)
+
+
+# -- first_bad_precedence: every cell's last hop against the graph ----------
+
+@pytest.mark.parametrize("g, params", [(triangle_graph(), SolveParams()),
+                                       (grid_graph(8), SolveParams(d_max=3, i_max=0)),
+                                       (random_connected_graph(60, 4, wmax=2), SolveParams())])
+def test_first_bad_precedence_passes_every_solve(g, params):
+    result = solve(g, params)
+    assert first_bad_precedence(g, result.distances, result.precedence) is None
+
+
+def test_first_bad_precedence_names_each_kind_of_bad_cell():
+    g = path_graph([1, 1, 1])
+    result = solve(g)
+    d, p = result.distances, result.precedence
+    assert p.get(4, 1) == 2
+    p.set(4, 1, 3)  # (3, 1) is not an edge
+    assert first_bad_precedence(g, d, p) == (4, 1, 3)
+    p.set(4, 1, 2)
+    p.set(1, 3, 9)  # no such vertex
+    assert first_bad_precedence(g, d, p) == (1, 3, 9)
+    p.set(1, 3, 2)
+    tri = triangle_graph()
+    result = solve(tri)
+    result.precedence.set(1, 3, 0)  # unset: the direct edge (1, 3), 5 > 2
+    assert first_bad_precedence(tri, result.distances, result.precedence) == (1, 3, 1)
+
+
+def test_first_bad_precedence_reports_the_first_cell_across_row_blocks(monkeypatch):
+    g = grid_graph(6)
+    result = solve(g)
+    monkeypatch.setattr(paths, "_CHECK_CELLS", 4 * 36)  # 4 rows a block
+    d, p = result.distances, result.precedence
+    p.set(30, 7, 31)
+    p.set(33, 2, 1)
+    assert first_bad_precedence(g, d, p)[:2] == (30, 7)
