@@ -1,6 +1,6 @@
 """All-pairs shortest paths on sparse undirected graphs via graph contraction."""
 
-from .assembly import assemble
+from .assembly import assemble, precede_shortcuts
 from .baseline import apsp_dijkstra, floyd_warshall
 from .disassembly import (
     UNBOUNDED,
@@ -45,6 +45,7 @@ __all__ = [
     "floyd_warshall",
     "parse_dimacs",
     "path_weight",
+    "precede_shortcuts",
     "reconstruct_path",
     "remove_and_preserve",
     "solve",

@@ -1,4 +1,6 @@
-"""Restore removed vertices in reverse order, extending D and P.
+"""Write the shortcuts' predecessors (before the residual solve, which
+reads them), then restore removed vertices in reverse order, extending D
+and P.
 
 Each restore touches only the restored vertex's row and column: its
 distance to every present vertex l is the minimum of (recorded edge weight
@@ -19,6 +21,24 @@ import numpy as np
 
 from .disassembly import ShrinkSequence
 from .matrices import UNSET, PrecedenceMatrix
+
+
+def precede_shortcuts(seq: ShrinkSequence, p: PrecedenceMatrix) -> None:
+    """Write P for every shortcut the contraction logged, in removal order.
+
+    For each mutation (a, b) of removed vertex v, P[a][b] becomes P[v][b],
+    or v when that is unset, and P[b][a] likewise: the a->b path now runs
+    through v, or through whatever v's own contracted edge to b expands
+    to.
+    """
+    cells = p.cells
+    for rec in seq.records:
+        v = rec.vertex
+        for a, b, _, _ in rec.mutations:
+            pvb = cells[v, b]
+            cells[a, b] = pvb if pvb != UNSET else v
+            pva = cells[v, a]
+            cells[b, a] = pva if pva != UNSET else v
 
 
 def assemble(seq: ShrinkSequence, d: np.ndarray, p: PrecedenceMatrix) -> None:

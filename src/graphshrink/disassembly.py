@@ -5,8 +5,9 @@ shortcut (a, b) through v is written only when the two-hop weight through v
 is strictly smaller than both the current edge weight and the best two-hop
 alternative through any other common neighbor (the one-hop witness search
 of Contraction Hierarchies); on ties nothing is written, because an equally
-short route already survives.  Every removal is logged so the assembly
-stage can replay it in reverse.
+short route already survives.  Contraction touches no matrix: every
+removal is logged, so assembly.precede_shortcuts can write the shortcuts'
+predecessors and assemble can replay the removals in reverse.
 
 One function decides a removal's shortcuts, for remove_and_preserve,
 edge_delta and disassemble's i_max gate alike, every pair against the
@@ -42,7 +43,6 @@ from itertools import chain
 import numpy as np
 
 from .graph import INF, Graph, GraphError
-from .matrices import UNSET, PrecedenceMatrix
 
 #: Parameter value meaning "no limit" for d_max / i_max.
 UNBOUNDED = INF
@@ -85,7 +85,6 @@ class RemovalRecord:
     incident_edges: list[tuple[int, int]]
     # only strict improvements appear
     mutations: list[Mutation] = field(default_factory=list)
-    edge_delta: int = 0
 
 
 @dataclass
@@ -192,39 +191,26 @@ def edge_delta(g: Graph, v: int) -> int:
     return _edge_delta(_decide(g, v, nbrs), len(nbrs))
 
 
-def remove_and_preserve(g: Graph, v: int, p: PrecedenceMatrix) -> RemovalRecord:
+def remove_and_preserve(g: Graph, v: int) -> RemovalRecord:
     """Remove v, writing whatever shortcuts are needed to keep all surviving
-    pairwise distances intact, and extend the precedence matrix through v."""
+    pairwise distances intact."""
     nbrs = sorted(g.adj[v])
     if not nbrs:
         raise GraphError(f"cannot remove isolated vertex {v}")
-    return _apply_removal(g, v, p, _decide(g, v, nbrs))
+    return _apply_removal(g, v, _decide(g, v, nbrs))
 
 
-def _apply_removal(g: Graph, v: int, p: PrecedenceMatrix,
-                   mutations: list[Mutation]) -> RemovalRecord:
+def _apply_removal(g: Graph, v: int, mutations: list[Mutation]) -> RemovalRecord:
     """Remove v after writing `mutations`, which _decide must have decided
     on g as it is now: deciding against a half-mutated graph would let an
     earlier shortcut suppress a later one and make the realized edge count
     diverge from edge_delta."""
     for a, b, _, s in mutations:
         g.set_edge(a, b, s)
-        # predecessor of b on the a->b path now runs through v (or
-        # through whatever v's own contracted edge to b expands to)
-        pvb = p.get(v, b)
-        p.set(a, b, pvb if pvb != UNSET else v)
-        pva = p.get(v, a)
-        p.set(b, a, pva if pva != UNSET else v)
-    incident = g.remove_vertex(v)
-    return RemovalRecord(
-        vertex=v,
-        incident_edges=incident,
-        mutations=mutations,
-        edge_delta=_edge_delta(mutations, len(incident)),
-    )
+    return RemovalRecord(vertex=v, incident_edges=g.remove_vertex(v), mutations=mutations)
 
 
-def disassemble(g: Graph, params: SolveParams, p: PrecedenceMatrix) -> ShrinkSequence:
+def disassemble(g: Graph, params: SolveParams) -> ShrinkSequence:
     """Contract g in place down to n_min vertices (or until blocked).
 
     Vertices are processed in ascending degree, ascending id within a degree;
@@ -246,7 +232,7 @@ def disassemble(g: Graph, params: SolveParams, p: PrecedenceMatrix) -> ShrinkSeq
         mutations = _decide(g, v, nbrs)
         if _edge_delta(mutations, len(nbrs)) > params.i_max:
             return None
-        return _apply_removal(g, v, p, mutations)
+        return _apply_removal(g, v, mutations)
 
     while g.n_present > n_min:
         removed_in_sweep = False

@@ -12,7 +12,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterator
 
 INF = float("inf")
 
@@ -54,26 +54,6 @@ class Graph:
     @property
     def n_present(self) -> int:
         return len(self.adj)
-
-    def present(self) -> Iterator[int]:
-        return iter(self.adj)
-
-    def has_vertex(self, v: int) -> bool:
-        return v in self.adj
-
-    def degree(self, v: int) -> int:
-        self._require(v)
-        return len(self.adj[v])
-
-    def neighbors(self, v: int) -> Iterable[int]:
-        self._require(v)
-        return self.adj[v].keys()
-
-    def edge_weight(self, u: int, v: int):
-        """Stored weight if adjacent, INF otherwise (including u == v: no loops)."""
-        self._require(u)
-        self._require(v)
-        return self.adj[u].get(v, INF)
 
     def edges(self) -> Iterator[tuple[int, int, int]]:
         """Each undirected edge once, as (u, v, w) with u < v, ascending."""

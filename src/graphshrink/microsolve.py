@@ -121,9 +121,10 @@ def solve_residual(g_r: Graph, d: np.ndarray, p: PrecedenceMatrix) -> None:
     Unreachable cells get UNREACHED in `d` and keep their P.
 
     The merge reads stored P only on residual edges, and reads the values
-    P held on entry.  The contraction path overwrites the residual block
-    of P, so it snapshots P on the residual's edges first (the inner
-    stages happen to leave P on every shortest-path edge as it was; the
+    P held on entry.  On the contraction path the inner assemble, the
+    only inner stage that touches P, overwrites the residual block of P,
+    so P is snapshot on the residual's edges first (the inner assemble
+    happens to leave P on every shortest-path edge as it was; the
     snapshot keeps the merge from depending on that).  The heap path
     reads P live, which gives the same values: source q rewrites P[q][j]
     only when j's predecessor from q is not q, and an edge (q, j) read by
@@ -205,7 +206,7 @@ def _solve_by_contraction(g_r: Graph, d: np.ndarray, p: PrecedenceMatrix) -> Non
     diagonal = p.cells[vid, vid]
 
     d[vid, vid] = 0  # as the heap writes it; assemble never touches the diagonal
-    assemble(disassemble(g_r.copy(), SolveParams(), p), d, p)
+    assemble(disassemble(g_r.copy(), SolveParams()), d, p)
 
     positions = np.arange(r)
     step = max(1, _RULE_CELLS // (r * width))

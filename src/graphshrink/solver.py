@@ -1,11 +1,12 @@
-"""Full pipeline: contract, solve the residual, replay removals in reverse,
-all on the int64 cells of the DistanceMatrix that solve returns."""
+"""Full pipeline: contract, write the shortcuts' predecessors, solve the
+residual, replay removals in reverse, all on the int64 cells of the
+DistanceMatrix that solve returns."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .assembly import assemble
+from .assembly import assemble, precede_shortcuts
 from .disassembly import ShrinkSequence, SolveParams, disassemble
 from .graph import Graph
 from .matrices import DistanceMatrix, PrecedenceMatrix
@@ -36,7 +37,10 @@ def solve(g: Graph, params: SolveParams = SolveParams()) -> SolveResult:
     then still carry strictly positive internal cost, which keeps the
     precedence entries acyclic when many distances tie at zero; no simple
     path has more than n - 1 hops, so the hop component never overflows into
-    the weight part.  The stages run on the returned DistanceMatrix's int64
+    the weight part.  Contraction touches no matrix, so it runs before the
+    matrices are allocated and refuses a disconnected graph with GraphError
+    first.  Then precede_shortcuts writes the shortcuts' P entries, and the
+    residual solve and assemble run on the returned DistanceMatrix's int64
     cells holding encoded distances, decoded in place at the end.  Every
     candidate distance the stages form is at most twice the sum of the
     encoded edge weights, so a graph where that reaches 2**63 is refused
@@ -53,9 +57,10 @@ def solve(g: Graph, params: SolveParams = SolveParams()) -> SolveResult:
     if both_ways >= 2**63:
         raise ValueError(f"twice the encoded edge weights sum to {both_ways} >= 2**63: "
                          f"distances could overflow int64")
+    seq = disassemble(work, params)
     m = DistanceMatrix(n)
     p = PrecedenceMatrix(n)
-    seq = disassemble(work, params, p)
+    precede_shortcuts(seq, p)
     solve_residual(seq.residual, m.cells, p)
     assemble(seq, m.cells, p)
     # the graph is connected, so every 1..n cell holds a distance

@@ -1,6 +1,15 @@
 import random
 
-from graphshrink import Graph
+from graphshrink import Graph, PrecedenceMatrix, disassemble, precede_shortcuts
+
+
+def contract(g: Graph, params):
+    """Contract g in place, then write its shortcuts' predecessors into a
+    fresh P, as solver.solve does before the residual solve."""
+    seq = disassemble(g, params)
+    p = PrecedenceMatrix(g.n_original)
+    precede_shortcuts(seq, p)
+    return seq, p
 
 
 def random_connected_graph(n: int, seed: int, wmax: int = 1000,

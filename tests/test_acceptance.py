@@ -10,7 +10,6 @@ from conftest import grid_graph, random_connected_graph
 
 from graphshrink import (
     DistanceMatrix,
-    PrecedenceMatrix,
     SolveParams,
     UNBOUNDED,
     apsp_dijkstra,
@@ -107,12 +106,11 @@ def test_criterion_3_per_step_distance_preservation():
     violations = 0
     for seed in range(30):
         g = random_connected_graph(60, seed + 3000)
-        plan = disassemble(g.copy(), SolveParams(), PrecedenceMatrix(60))
+        plan = disassemble(g.copy(), SolveParams())
         replay = g.copy()
-        p = PrecedenceMatrix(60)
         before = apsp_rows(replay)
         for rec in plan.records[:50]:
-            remove_and_preserve(replay, rec.vertex, p)
+            remove_and_preserve(replay, rec.vertex)
             after = apsp_rows(replay)
             survivors = sorted(replay.adj)
             for i in survivors:
@@ -131,11 +129,10 @@ def test_criterion_4_edge_delta_matches_realized_change():
     for sample in range(100):
         rng = random.Random(sample + 4000)
         g = random_connected_graph(rng.randint(5, 60), sample + 4000)
-        p = PrecedenceMatrix(g.n_original)
         v = rng.choice(sorted(g.adj))
         predicted = edge_delta(g, v)
         m_before = g.m
-        remove_and_preserve(g, v, p)
+        remove_and_preserve(g, v)
         if g.m - m_before != predicted:
             bad += 1
     _report(
@@ -149,7 +146,7 @@ def test_criterion_5_full_contraction():
     for seed in range(40):
         g = random_connected_graph(random.Random(seed).randint(2, 90), seed + 5000)
         n = g.n_original
-        seq = disassemble(g, SolveParams(), PrecedenceMatrix(n))
+        seq = disassemble(g, SolveParams())
         if seq.residual.n_present != 1 or len(seq.records) != n - 1:
             bad += 1
     _report(

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from conftest import grid_graph, path_graph, random_connected_graph
+from conftest import contract, grid_graph, path_graph, random_connected_graph, triangle_graph
 
 from graphshrink import (
+    INF,
     DistanceMatrix,
     Graph,
     PrecedenceMatrix,
@@ -13,6 +14,8 @@ from graphshrink import (
     assemble,
     disassemble,
     floyd_warshall,
+    precede_shortcuts,
+    remove_and_preserve,
     solve,
     solve_residual,
 )
@@ -41,8 +44,7 @@ def copy_p(p):
 
 def residual_solved(g, params):
     """Shrink sequence, D and P of a raw-weight solve before assembly."""
-    p = PrecedenceMatrix(g.n_original)
-    seq = disassemble(g.copy(), params, p)
+    seq, p = contract(g.copy(), params)
     d = new_d(g.n_original)
     solve_residual(seq.residual, d, p)
     return seq, d, p
@@ -155,6 +157,36 @@ def assert_matches_seed(g, params, encode):
     return seq
 
 
+# -- the shortcut replay -----------------------------------------------------
+
+def test_precede_shortcuts_triangle():
+    g = triangle_graph()
+    rec = remove_and_preserve(g, 2)
+    p = PrecedenceMatrix(3)
+    precede_shortcuts(ShrinkSequence([rec], g), p)
+    assert p.get(1, 3) == 2
+    assert p.get(3, 1) == 2
+    assert np.count_nonzero(p.cells) == 2
+
+
+def test_precede_shortcuts_chains_through_an_earlier_shortcut():
+    # path 1-2-3-4: removing 2 joins 1 and 3; removing 3 then joins 1 and
+    # 4, and 3's edge to 1 is that shortcut, so P[4][1] takes the stored
+    # P[3][1] = 2 rather than 3
+    g = path_graph([1, 1, 1])
+    records = [remove_and_preserve(g, 2), remove_and_preserve(g, 3)]
+    assert [r.mutations for r in records] == [[(1, 3, INF, 2)], [(1, 4, INF, 3)]]
+    p = PrecedenceMatrix(4)
+    precede_shortcuts(ShrinkSequence(records, g), p)
+    assert (p.get(1, 3), p.get(3, 1)) == (2, 2)
+    assert p.get(1, 4) == 3  # P[3][4] is unset: the edge (3, 4) is original
+    assert p.get(4, 1) == 2
+    # in the other order the chain is not there yet
+    reordered = PrecedenceMatrix(4)
+    precede_shortcuts(ShrinkSequence(records[::-1], g), reordered)
+    assert reordered.get(4, 1) == 3
+
+
 # -- restore steps on hand-built sequences ----------------------------------
 
 def test_restore_triangle_middle_vertex():
@@ -223,11 +255,9 @@ def test_restore_touches_only_own_row_and_column():
 
 
 def test_assemble_empty_records_is_noop():
-    g = Graph(1)
     d = new_d(1)
-    p = PrecedenceMatrix(1)
-    seq = disassemble(g, SolveParams(), p)
-    assemble(seq, d, p)
+    seq = disassemble(Graph(1), SolveParams())
+    assemble(seq, d, PrecedenceMatrix(1))
     assert np.array_equal(d, new_d(1))
 
 

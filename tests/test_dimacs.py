@@ -15,12 +15,12 @@ def test_parse_single_edge():
     g = parse_dimacs("p sp 2 1\na 1 2 7\na 2 1 7")
     assert g.n_original == 2
     assert g.m == 1
-    assert g.edge_weight(1, 2) == 7
+    assert g.adj[1][2] == 7
 
 
 def test_parse_duplicate_arcs_keep_minimum():
     g = parse_dimacs("p sp 3 3\na 1 2 4\na 1 2 3\na 2 3 1")
-    assert g.edge_weight(1, 2) == 3
+    assert g.adj[1][2] == 3
     assert g.m == 2
 
 
@@ -50,7 +50,7 @@ def test_parse_drops_self_loops():
 
 def test_parse_ignores_comments_and_blank_lines():
     g = parse_dimacs("c header\n\np sp 2 1\nc mid\na 1 2 3\n")
-    assert g.edge_weight(1, 2) == 3
+    assert g.adj[1][2] == 3
 
 
 @pytest.mark.parametrize("text", [

@@ -7,7 +7,6 @@ from graphshrink import (
     INF,
     Graph,
     GraphError,
-    PrecedenceMatrix,
     SolveParams,
     UNBOUNDED,
     best_alternative_two_hop,
@@ -85,32 +84,26 @@ def test_edge_delta_is_pure():
 def test_edge_delta_matches_realized_removal(seed):
     rng = random.Random(seed)
     g = random_connected_graph(rng.randint(5, 50), seed)
-    p = PrecedenceMatrix(g.n_original)
-    v = rng.choice([u for u in sorted(g.adj) if g.degree(u) >= 1])
+    v = rng.choice([u for u in sorted(g.adj) if g.adj[u]])
     predicted = edge_delta(g, v)
     m_before = g.m
-    rec = remove_and_preserve(g, v, p)
+    remove_and_preserve(g, v)
     assert g.m - m_before == predicted
-    assert rec.edge_delta == predicted
 
 
 # -- remove_and_preserve ---------------------------------------------------
 
 def test_remove_preserve_triangle_shortcut():
     g = triangle_graph()
-    p = PrecedenceMatrix(3)
-    rec = remove_and_preserve(g, 2, p)
-    assert g.edge_weight(1, 3) == 2
-    assert p.get(1, 3) == 2
-    assert p.get(3, 1) == 2
+    rec = remove_and_preserve(g, 2)
+    assert g.adj[1][3] == g.adj[3][1] == 2
     assert rec.incident_edges == [(1, 1), (3, 1)]
     assert rec.mutations == [(1, 3, 5, 2)]
 
 
 def test_remove_preserve_degree_one_no_mutations():
     g = path_graph([1, 2])
-    p = PrecedenceMatrix(3)
-    rec = remove_and_preserve(g, 1, p)
+    rec = remove_and_preserve(g, 1)
     assert rec.mutations == []
     assert rec.incident_edges == [(2, 1)]
 
@@ -123,10 +116,9 @@ def test_remove_preserve_square_tie_adds_nothing():
         g.set_edge(u, v, 1)
     dist_before, _ = dijkstra(g, 1)
     assert dist_before[3] == 2
-    p = PrecedenceMatrix(4)
-    rec = remove_and_preserve(g, 2, p)
+    rec = remove_and_preserve(g, 2)
     assert rec.mutations == []
-    assert g.edge_weight(1, 3) == INF
+    assert 3 not in g.adj[1]
     dist_after, _ = dijkstra(g, 1)
     assert dist_after[3] == 2  # still 2, via vertex 4
 
@@ -135,12 +127,11 @@ def test_remove_preserve_square_tie_adds_nothing():
 def test_remove_preserve_keeps_survivor_distances(seed):
     rng = random.Random(seed)
     g = random_connected_graph(40, seed + 100)
-    p = PrecedenceMatrix(g.n_original)
     for _ in range(15):
         v = rng.choice(sorted(g.adj))
         survivors = [u for u in sorted(g.adj) if u != v]
         before = {s: dijkstra(g, s)[0] for s in survivors[:8]}
-        remove_and_preserve(g, v, p)
+        remove_and_preserve(g, v)
         for s in survivors[:8]:
             after, _ = dijkstra(g, s)
             for t in survivors:
@@ -149,9 +140,7 @@ def test_remove_preserve_keeps_survivor_distances(seed):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_mutations_strictly_improve(seed):
-    g = random_connected_graph(50, seed + 7)
-    p = PrecedenceMatrix(g.n_original)
-    seq = disassemble(g, SolveParams(), p)
+    seq = disassemble(random_connected_graph(50, seed + 7), SolveParams())
     for rec in seq.records:
         for _, _, old, new in rec.mutations:
             assert new < old
@@ -162,18 +151,14 @@ def test_mutations_strictly_improve(seed):
 # -- disassemble -----------------------------------------------------------
 
 def test_disassemble_path_order():
-    g = path_graph([1, 1, 1])
-    p = PrecedenceMatrix(4)
-    seq = disassemble(g, SolveParams(), p)
+    seq = disassemble(path_graph([1, 1, 1]), SolveParams())
     assert [r.vertex for r in seq.records] == [1, 2, 3]
     assert sorted(seq.residual.adj) == [4]
 
 
 def test_disassemble_full_contraction_random():
     for seed in range(6):
-        g = random_connected_graph(35, seed)
-        p = PrecedenceMatrix(g.n_original)
-        seq = disassemble(g, SolveParams(), p)
+        seq = disassemble(random_connected_graph(35, seed), SolveParams())
         assert seq.residual.n_present == 1
         assert len(seq.records) == 34
         removed = {r.vertex for r in seq.records}
@@ -183,24 +168,19 @@ def test_disassemble_full_contraction_random():
 
 def test_disassemble_single_vertex():
     g = Graph(1)
-    p = PrecedenceMatrix(1)
-    seq = disassemble(g, SolveParams(), p)
+    seq = disassemble(g, SolveParams())
     assert seq.records == []
     assert seq.residual is g
 
 
 def test_disassemble_respects_n_min():
-    g = random_connected_graph(30, 3)
-    p = PrecedenceMatrix(30)
-    seq = disassemble(g, SolveParams(n_min=10), p)
+    seq = disassemble(random_connected_graph(30, 3), SolveParams(n_min=10))
     assert seq.residual.n_present == 10
     assert len(seq.records) == 20
 
 
 def test_disassemble_respects_d_max():
-    g = star_graph(5)  # center has degree 5
-    p = PrecedenceMatrix(6)
-    seq = disassemble(g, SolveParams(d_max=1), p)
+    seq = disassemble(star_graph(5), SolveParams(d_max=1))  # center has degree 5
     # leaves go one by one at degree 1; the center survives with the last leaf
     assert seq.residual.n_present == 1
 
@@ -208,9 +188,7 @@ def test_disassemble_respects_d_max():
 def test_disassemble_blocked_by_tight_i_max():
     # star center: removing a leaf is fine (delta -1), but once only the
     # center and leaves remain, an i_max below any achievable delta blocks
-    g = star_graph(4)
-    p = PrecedenceMatrix(5)
-    seq = disassemble(g, SolveParams(i_max=-2), p)
+    seq = disassemble(star_graph(4), SolveParams(i_max=-2))
     # degree-1 leaves have delta -1 > -2, center delta varies; nothing moves
     assert seq.records == []
     assert seq.residual.n_present == 5
@@ -227,8 +205,8 @@ def test_disassemble_gate_decides_each_removal_once(monkeypatch):
         return mutations
 
     monkeypatch.setattr(disassembly, "_decide", counting_decide)
-    work, p = g0.copy(), PrecedenceMatrix(g0.n_original)
-    seq = disassemble(work, SolveParams(i_max=0), p)
+    work = g0.copy()
+    seq = disassemble(work, SolveParams(i_max=0))
     monkeypatch.undo()
     assert len(seq.records) > 100
     # one decision per removal; a blocked vertex's decision removes nothing
@@ -236,12 +214,11 @@ def test_disassemble_gate_decides_each_removal_once(monkeypatch):
     assert any(delta > 0 for _, delta in calls)
     # the gate and the removal still agree with the public edge_delta and
     # remove_and_preserve, replayed in the same order
-    replay, p_replay = g0.copy(), PrecedenceMatrix(g0.n_original)
+    replay = g0.copy()
     for rec in seq.records:
         assert edge_delta(replay, rec.vertex) <= 0
-        assert remove_and_preserve(replay, rec.vertex, p_replay) == rec
+        assert remove_and_preserve(replay, rec.vertex) == rec
     assert replay.adj == work.adj
-    assert (p_replay.cells == p.cells).all()
 
 
 def test_disassemble_rejects_disconnected():
@@ -249,7 +226,7 @@ def test_disassemble_rejects_disconnected():
     g.set_edge(1, 2, 1)
     g.set_edge(3, 4, 1)
     with pytest.raises(GraphError):
-        disassemble(g, SolveParams(), PrecedenceMatrix(4))
+        disassemble(g, SolveParams())
 
 
 # -- block decision against the dict decision --------------------------------
@@ -312,14 +289,13 @@ def _encoded(g):
 
 
 def _contract(g, encoded, threshold, monkeypatch):
-    """Records and P of a full contraction with every removal of degree >=
+    """Records of a full contraction with every removal of degree >=
     threshold on the block path."""
     work = _encoded(g) if encoded else g.copy()
-    p = PrecedenceMatrix(g.n_original)
     with monkeypatch.context() as patch:
         patch.setattr(disassembly, "_BLOCK_DEGREE", threshold)
-        seq = disassemble(work, SolveParams(), p)
-    return [(r.vertex, r.incident_edges, r.mutations) for r in seq.records], p.cells
+        seq = disassemble(work, SolveParams())
+    return [(r.vertex, r.incident_edges, r.mutations) for r in seq.records]
 
 
 @pytest.mark.parametrize("encoded", [False, True], ids=["raw", "encoded"])
@@ -328,11 +304,12 @@ def test_block_and_dict_decisions_give_identical_records(name, encoded, monkeypa
     g = DECISION_CASES[name]
     # at threshold 1 every removal must take the block path
     monkeypatch.setattr(disassembly, "_decide_dicts", _no_dicts)
-    block, p_block = _contract(g, encoded, 1, monkeypatch)
+    # P is a function of the records (precede_shortcuts), so equal records
+    # give equal P
+    block = _contract(g, encoded, 1, monkeypatch)
     monkeypatch.undo()
-    dicts, p_dicts = _contract(g, encoded, 10**9, monkeypatch)
+    dicts = _contract(g, encoded, 10**9, monkeypatch)
     assert block == dicts
-    assert (p_block == p_dicts).all()
     for _, _, muts in block:
         for a, b, old, new in muts:
             assert type(a) is type(b) is type(new) is int
@@ -357,7 +334,7 @@ def test_weights_too_large_for_the_block_take_the_dict_path(weight, monkeypatch)
     monkeypatch.setattr(disassembly, "_BLOCK_DEGREE", 1)
     assert disassembly._decide_block(path_graph([weight, weight]), 2, [1, 3]) is None
     g = path_graph([weight, weight])
-    rec = remove_and_preserve(g, 2, PrecedenceMatrix(3))
+    rec = remove_and_preserve(g, 2)
     assert rec.mutations == [(1, 3, INF, 2 * weight)]
     assert g.adj[1][3] == 2 * weight
 
@@ -366,5 +343,5 @@ def test_weights_just_below_half_the_sentinel_stay_on_the_block_path(monkeypatch
     weight = disassembly._BIG // 2 - 1
     monkeypatch.setattr(disassembly, "_BLOCK_DEGREE", 1)
     monkeypatch.setattr(disassembly, "_decide_dicts", _no_dicts)
-    rec = remove_and_preserve(path_graph([weight, weight]), 2, PrecedenceMatrix(3))
+    rec = remove_and_preserve(path_graph([weight, weight]), 2)
     assert rec.mutations == [(1, 3, INF, 2 * weight)]

@@ -7,33 +7,6 @@ from conftest import path_graph, random_connected_graph, triangle_graph
 from graphshrink import INF, Graph, GraphError, extract_connected_subgraph
 
 
-def test_edge_weight_adjacent():
-    g = Graph(2)
-    g.set_edge(1, 2, 7)
-    assert g.edge_weight(1, 2) == 7
-    assert g.edge_weight(2, 1) == 7
-
-
-def test_edge_weight_non_adjacent_is_inf():
-    g = Graph(3)
-    g.set_edge(1, 2, 1)
-    assert g.edge_weight(1, 3) == INF
-
-
-def test_edge_weight_self_is_inf():
-    g = Graph(2)
-    g.set_edge(1, 2, 7)
-    assert g.edge_weight(1, 1) == INF
-
-
-def test_edge_weight_absent_vertex_raises():
-    g = Graph(3)
-    g.set_edge(1, 2, 1)
-    g.remove_vertex(3)
-    with pytest.raises(GraphError):
-        g.edge_weight(1, 3)
-
-
 def test_set_edge_new_edge_grows_m():
     g = Graph(3)
     g.set_edge(1, 2, 4)
@@ -47,7 +20,7 @@ def test_set_edge_overwrite_keeps_m():
     g.set_edge(1, 2, 9)
     g.set_edge(1, 2, 3)
     assert g.m == 1
-    assert g.edge_weight(1, 2) == 3
+    assert g.adj[1][2] == g.adj[2][1] == 3
 
 
 def test_set_edge_rejects_loop_and_inf():
@@ -69,7 +42,7 @@ def test_set_edge_refuses_non_integer_and_negative_weights(w):
 def test_set_edge_stores_numpy_integers_as_int():
     g = Graph(2)
     g.set_edge(1, 2, np.int64(7))
-    assert g.edge_weight(1, 2) == 7 and type(g.adj[2][1]) is int
+    assert g.adj[1][2] == 7 and type(g.adj[2][1]) is int
 
 
 def test_remove_vertex_returns_incident_edges():
@@ -77,7 +50,7 @@ def test_remove_vertex_returns_incident_edges():
     incident = g.remove_vertex(2)
     assert incident == [(1, 1), (3, 2)]
     assert g.m == 0
-    assert not g.has_vertex(2)
+    assert 2 not in g.adj
 
 
 def test_remove_isolated_vertex():
@@ -91,7 +64,7 @@ def test_remove_vertex_triangle_keeps_far_edge():
     g = triangle_graph()
     incident = g.remove_vertex(2)
     assert incident == [(1, 1), (3, 1)]
-    assert g.edge_weight(1, 3) == 5
+    assert g.adj[1] == {3: 5}
     assert g.m == 1
 
 
@@ -106,7 +79,7 @@ def test_is_connected():
 
 def test_symmetry_invariant_random():
     g = random_connected_graph(60, 3)
-    for u in g.present():
+    for u in g.adj:
         for v, w in g.adj[u].items():
             assert g.adj[v][u] == w
 

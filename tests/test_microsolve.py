@@ -2,7 +2,7 @@ import heapq
 
 import numpy as np
 import pytest
-from conftest import grid_graph, path_graph, random_connected_graph, triangle_graph
+from conftest import contract, grid_graph, path_graph, random_connected_graph, triangle_graph
 
 from graphshrink import (
     INF,
@@ -10,11 +10,12 @@ from graphshrink import (
     Graph,
     GraphError,
     PrecedenceMatrix,
+    ShrinkSequence,
     SolveParams,
     UNSET,
     dijkstra,
-    disassemble,
     floyd_warshall,
+    precede_shortcuts,
     remove_and_preserve,
     solve_residual,
 )
@@ -102,7 +103,7 @@ def test_dijkstra_matches_floyd_warshall(seed):
     fw = floyd_warshall(g)
     for src in (1, 17, 50):
         dist, _ = dijkstra(g, src)
-        for v in g.present():
+        for v in g.adj:
             assert dist[v] == fw.get(src, v)
 
 
@@ -131,8 +132,8 @@ def test_solve_residual_keeps_shortcut_history():
     # shortcut and its stored intermediate must survive the merge
     g = path_graph([1, 1])
     p = PrecedenceMatrix(3)
-    remove_and_preserve(g, 2, p)
-    assert g.edge_weight(1, 3) == 2
+    precede_shortcuts(ShrinkSequence([remove_and_preserve(g, 2)], g), p)
+    assert g.adj[1][3] == 2
     d = new_d(3)
     solve_residual(g, d, p)
     assert d[1, 3] == 2
@@ -159,28 +160,27 @@ def test_solve_residual_distances_match_original(seed):
     # original graph's distances on the surviving pairs
     g0 = random_connected_graph(40, seed + 50)
     fw = floyd_warshall(g0)
-    work = g0.copy()
-    p = PrecedenceMatrix(40)
-    seq = disassemble(work, SolveParams(n_min=12), p)
+    seq, p = contract(g0.copy(), SolveParams(n_min=12))
     d = new_d(40)
     solve_residual(seq.residual, d, p)
-    for i in seq.residual.present():
-        for j in seq.residual.present():
+    for i in seq.residual.adj:
+        for j in seq.residual.adj:
             assert d[i, j] == fw.get(i, j)
 
 
 # -- differential check against the frozen reference ------------------------
 
 def contracted(g, params, encode):
-    """(residual, P after contraction, scale) as solver.solve builds them,
-    or with raw weights (scale 1) when `encode` is false."""
+    """(residual, P after contraction and the shortcut replay, scale) as
+    solver.solve builds them, or with raw weights (scale 1) when `encode`
+    is false."""
     scale = g.n_original + 1 if encode else 1
     work = g.copy()
     for nbrs in work.adj.values():
         for v in nbrs:
             nbrs[v] = nbrs[v] * scale + (1 if encode else 0)
-    p = PrecedenceMatrix(g.n_original)
-    return disassemble(work, params, p).residual, p, scale
+    seq, p = contract(work, params)
+    return seq.residual, p, scale
 
 
 def assert_matches_seed(g_r, p, scale):

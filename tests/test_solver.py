@@ -1,10 +1,11 @@
+import hashlib
 import io
 
 import numpy as np
 import pytest
-from conftest import cycle_graph, path_graph
+from conftest import cycle_graph, grid_graph, path_graph, random_connected_graph
 
-from graphshrink import Graph, SolveParams, apsp_dijkstra, floyd_warshall, solve
+from graphshrink import Graph, GraphError, SolveParams, apsp_dijkstra, floyd_warshall, solve
 from graphshrink.graph import MAX_WEIGHT
 from graphshrink.matrices import read_distance_matrix, write_distance_matrix
 
@@ -21,6 +22,64 @@ def test_solve_refuses_when_twice_the_encoded_sum_reaches_2_63(monkeypatch):
             solve(path_graph([2**59, 2**59]))
     result = solve(path_graph([2**59, 2**59 - 1]))
     assert result.distances.cells[1, 3] == 2**60 - 1
+
+
+def test_solve_refuses_a_disconnected_graph_before_allocating(monkeypatch):
+    g = Graph(2000)
+    g.set_edge(1, 2, 1)
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("allocated before refusing")
+
+    monkeypatch.setattr(np, "full", no_allocation)
+    monkeypatch.setattr(np, "zeros", no_allocation)
+    with pytest.raises(GraphError, match="connected"):
+        solve(g)
+
+
+# sha256 of solve's distance cells as little-endian int64 and precedence
+# cells as little-endian int32, (n+1) x (n+1) each: a change to P that
+# keeps every last hop tight still changes these bytes
+SOLVE_DIGESTS = {
+    "grid24-full": (
+        lambda: grid_graph(24), SolveParams(),
+        "da1043483b42e57e497bfaf015869d342e012c8d7907d7f30be56f6565b4718a",
+        "79295e4a2d7dc1cb48dc2b653d9968921292fe38b234f882fd83bb8b2c71c378"),
+    "grid24-bounded": (
+        lambda: grid_graph(24), SolveParams(d_max=3, i_max=0),
+        "da1043483b42e57e497bfaf015869d342e012c8d7907d7f30be56f6565b4718a",
+        "feb86717a5db06c9788079d4ad74870b84ea15ab700397f0bad258f362c03f38"),
+    "random150-0-n_min60": (
+        lambda: random_connected_graph(150, 0, wmax=3), SolveParams(n_min=60),
+        "b0924a5a36953f323339001de3ee6d48a06d2024bcc6d35a591cbfe3dc2864e7",
+        "52f8da5101aa58cedce10f415c9e7907bd958905f1c3dbda2ba3d8b7e71b0030"),
+    "random150-0-i_max0": (
+        lambda: random_connected_graph(150, 0, wmax=3), SolveParams(i_max=0),
+        "b0924a5a36953f323339001de3ee6d48a06d2024bcc6d35a591cbfe3dc2864e7",
+        "d55c52273b5debb113f51563c8d0c2f8b5ac862b921c3d61c9260a199795fb89"),
+    "random150-1-n_min60": (
+        lambda: random_connected_graph(150, 1, wmax=3), SolveParams(n_min=60),
+        "a702235bcc03e49e77cfc960856d8bf958ad8d5bbe2adfcdc3e88a5a073cd503",
+        "221f9f66c2ccb8b23e39cd26dce42e894739bd45bffb6a5335875672cce196ae"),
+    "random150-1-i_max0": (
+        lambda: random_connected_graph(150, 1, wmax=3), SolveParams(i_max=0),
+        "a702235bcc03e49e77cfc960856d8bf958ad8d5bbe2adfcdc3e88a5a073cd503",
+        "556429da0bfd0bb10eb28724a05b9ae03cf41d5ccccd9ff3b08ac83cbddfda1f"),
+    "cycle101-n_min30": (
+        lambda: cycle_graph(101), SolveParams(n_min=30),
+        "af3a26354f78456fda05e610f6ba676ad9dc6b376c7352b4bb5bdd874d2d8b54",
+        "4fd581441ebb6d8b6fd21334f434a1d8518398337d7daa93f26d4b6a67ff9d24"),
+}
+
+
+@pytest.mark.parametrize("name", SOLVE_DIGESTS)
+def test_solve_output_bytes_are_pinned(name):
+    make, params, d_digest, p_digest = SOLVE_DIGESTS[name]
+    result = solve(make(), params)
+    d_bytes = result.distances.cells.astype("<i8").tobytes()
+    p_bytes = result.precedence.cells.astype("<i4").tobytes()
+    assert hashlib.sha256(d_bytes).hexdigest() == d_digest
+    assert hashlib.sha256(p_bytes).hexdigest() == p_digest
 
 
 @pytest.mark.parametrize("params", [SolveParams(), SolveParams(n_min=20)])
