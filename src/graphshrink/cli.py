@@ -48,7 +48,7 @@ def _load_graph(args, require_connected: bool = True) -> Graph:
     path = Path(args.input)
     if not path.exists():
         raise CliError(f"input file not found: {path}")
-    g = parse_dimacs(path.read_text(), args.max_n)
+    g = parse_dimacs(path.read_bytes(), args.max_n)
     if require_connected:
         witness = g.unreachable_pair()
         if witness is not None:
@@ -74,6 +74,9 @@ def _first_mismatch(a: np.ndarray, b: np.ndarray):
 
 
 def cmd_solve(args) -> int:
+    for out in (args.out, args.pred):
+        if out and not Path(out).parent.is_dir():
+            raise CliError(f"output directory not found: {Path(out).parent}")
     g = _load_graph(args)
     t0 = time.perf_counter()
     result = solve(g, _params(args))
@@ -277,7 +280,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ValueError) as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -2,7 +2,10 @@
 
 Input may describe a directed multigraph; it is folded into a simple
 undirected graph: duplicate arcs for the same unordered pair keep the
-minimum weight, self-loop arcs are dropped.
+minimum weight, self-loop arcs are dropped.  Every line but a comment is
+ASCII, and its numbers are plain decimal digits ('-' only to be refused as
+a negative weight): Python's int() would also take '1_0', '+3' and
+non-ASCII digits.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ def parse_dimacs(text: str | bytes | Iterable[str], max_n: int | None = None) ->
     """Parse DIMACS text; with `max_n`, refuse a problem line naming more
     vertices before the graph is allocated."""
     if isinstance(text, bytes):
-        text = text.decode("ascii")
+        text = text.decode("latin-1")  # never fails; a non-ASCII line is refused below
     lines = text.splitlines() if isinstance(text, str) else text
 
     g: Graph | None = None
@@ -28,16 +31,18 @@ def parse_dimacs(text: str | bytes | Iterable[str], max_n: int | None = None) ->
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
+        if not line.isascii():
+            raise DimacsError(f"line {lineno}: malformed line {line!r} (not ASCII)")
         fields = line.split()
         if fields[0] == "p":
             if g is not None:
                 raise DimacsError(f"line {lineno}: second problem line")
-            if len(fields) != 4 or fields[1] != "sp":
+            if not (len(fields) == 4 and fields[1] == "sp"
+                    and fields[2].isdigit() and fields[3].isdigit()):
                 raise DimacsError(f"line {lineno}: malformed problem line {line!r}")
             try:
                 n = int(fields[2])
-                int(fields[3])
-            except ValueError:
+            except ValueError:  # more digits than int() converts
                 raise DimacsError(f"line {lineno}: malformed problem line {line!r}") from None
             if n < 1:
                 raise DimacsError(f"line {lineno}: vertex count must be positive")
@@ -49,11 +54,12 @@ def parse_dimacs(text: str | bytes | Iterable[str], max_n: int | None = None) ->
         elif fields[0] == "a":
             if g is None:
                 raise DimacsError(f"line {lineno}: arc before problem line")
-            if len(fields) != 4:
+            if not (len(fields) == 4 and fields[1].isdigit() and fields[2].isdigit()
+                    and fields[3].removeprefix("-").isdigit()):
                 raise DimacsError(f"line {lineno}: malformed arc line {line!r}")
             try:
                 u, v, w = int(fields[1]), int(fields[2]), int(fields[3])
-            except ValueError:
+            except ValueError:  # more digits than int() converts
                 raise DimacsError(f"line {lineno}: malformed arc line {line!r}") from None
             if not (1 <= u <= g.n_original and 1 <= v <= g.n_original):
                 raise DimacsError(f"line {lineno}: arc ({u},{v}) references id > {g.n_original}")

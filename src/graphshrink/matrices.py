@@ -7,11 +7,15 @@ int64 integers; a pair with no path holds UNREACHED.
 A matrix file (README "Matrix files") has '#' header lines, then one line
 per row of space-separated cells: decimal digits, or INF for the missing
 value (an infinite distance or an UNSET predecessor).  Both directions run
-numpy over blocks of rows, never Python per cell.
+numpy over blocks of rows, never Python per cell.  The writer splits each
+cell into base-10**4 chunks and gathers one 4-byte ASCII word per chunk
+from a table, NUL-padding the leading chunk, INF and the separators; one
+bytes.translate then drops every NUL.  It refuses negative cells.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from typing import IO
 
@@ -62,32 +66,66 @@ class PrecedenceMatrix:
 # -- text serialization --------------------------------------------------
 
 _BLOCK_CELLS = 1 << 16  # cells in the block of rows held at a time
-_POW10 = 10 ** np.arange(1, 19, dtype=np.int64)  # digits = 1 + powers reached
+_CHUNK = 10_000  # cells are written in base-10**4 chunks, one 4-byte word each
+_NUL, _INF, _SP, _NL = range(2 * _CHUNK, 2 * _CHUNK + 4)  # word indices past the chunks
 _ROW_CHARS = str.maketrans(dict.fromkeys("0123456789INF \t"))  # translate drops these
 _LINE = re.compile(r"^.*$", re.MULTILINE)
 _ORDER = re.compile(r"#\s*n\s+([0-9]+)")
 
 
+@functools.cache
+def _words() -> np.ndarray:
+    """The uint32 words, four ASCII bytes each, that cells are gathered from.
+
+    Word k < C (C = 10**4) is chunk k zero-padded ("0042"), for a chunk
+    behind its cell's leading one; word C + k is chunk k NUL-padded
+    ("\\0\\042"), for the leading chunk, 0 as "\\0\\0\\0" "0".  Then come the
+    all-NUL word, INF, " " and "\\n", NUL-padded too.  Built on the first
+    write, not at import.
+    """
+    k = np.arange(_CHUNK)[:, None]
+    digits = (k // [1000, 100, 10, 1] % 10 + ord("0")).astype(np.uint8)
+    lead = digits * (k >= [1000, 100, 10, 0])  # a digit before the first nonzero one is NUL
+    extra = np.frombuffer(b"\0\0\0\0\0INF\0\0\0 \0\0\0\n", np.uint8).reshape(4, 4)
+    words = np.concatenate([digits, lead, extra]).view(np.uint32).ravel()
+    words.flags.writeable = False
+    return words
+
+
 def _write_cells(cells: np.ndarray, order: int, kind: str, out: IO[str],
                  missing) -> None:
+    body = cells[1:, 1:]
+    if body.size and body.min() < 0:
+        i, j = np.argwhere(body < 0)[0] + 1
+        raise ValueError(f"{kind} cell ({i},{j}) is negative: {body[i - 1, j - 1]}")
+    words = _words()
     ids = " ".join(map(str, range(1, order + 1)))
     out.write(f"# graphshrink {kind} matrix\n# n {order}\n# ids {ids}\n")
     step = _BLOCK_CELLS // (order + 1) + 1
     for lo in range(1, order + 1, step):
         unset = cells[lo:lo + step, 1:] == missing
-        values = np.where(unset, 0, cells[lo:lo + step, 1:]).astype(np.int64)
-        digits = np.where(unset, 3, np.searchsorted(_POW10, values, side="right") + 1)
-        # right-align each cell in `width` bytes plus a separator, then keep
-        # only the cell's own digits and its separator
-        width = max(int(digits.max()), 3)
-        chars = np.empty(values.shape + (width + 1,), np.uint8)
-        for col in range(width - 1, -1, -1):
-            values, chars[..., col] = np.divmod(values, 10)
-        chars += ord("0")
-        chars[unset, width - 3:width] = np.frombuffer(b"INF", np.uint8)
-        chars[..., width], chars[:, -1, width] = ord(" "), ord("\n")
-        keep = np.arange(width + 1) >= width - digits[..., None]
-        out.write(chars[keep].tobytes().decode("ascii"))
+        values = np.where(unset, 0, cells[lo:lo + step, 1:])
+        width = (len(str(values.max())) + 3) // 4  # 4-digit chunks in the widest cell
+        # each cell is `width` chunk words and a separator word; chunk j
+        # from the right is high % C for high = value // C**j, leading when
+        # high < C and all NUL when high is 0 (j > 0)
+        chunks = np.empty(values.shape + (width + 1,), np.uint32)
+        high = values
+        for j in range(width):
+            if j:
+                high = high // _CHUNK
+            if j == width - 1:  # every high < C: a leading chunk, or NUL
+                index = high + _CHUNK
+            else:
+                index = np.where(high < _CHUNK, high + _CHUNK, high % _CHUNK)
+            if j == 0:
+                index[unset] = _INF
+            else:
+                index[high == 0] = _NUL
+            chunks[..., width - 1 - j] = words[index]
+        chunks[..., width], chunks[:, -1, width] = words[_SP], words[_NL]
+        # one C pass drops every NUL byte of padding
+        out.write(chunks.tobytes().translate(None, b"\0").decode("ascii"))
 
 
 def write_distance_matrix(m: DistanceMatrix, out: IO[str]) -> None:

@@ -65,6 +65,35 @@ def test_solve_parse_failure(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--out", "--pred"])
+def test_solve_refuses_a_missing_output_directory_before_solving(tmp_path, triangle_file,
+                                                                 monkeypatch, capsys, flag):
+    monkeypatch.setattr(cli, "solve", lambda *a: pytest.fail("solved before checking outputs"))
+    missing = tmp_path / "missing" / "d.txt"
+    assert main(["solve", "--input", str(triangle_file), flag, str(missing)]) == 1
+    assert capsys.readouterr().err == f"error: output directory not found: {missing.parent}\n"
+
+
+def test_verify_missing_expected_file_is_an_error_line(tmp_path, triangle_file, capsys):
+    missing = tmp_path / "missing.txt"
+    assert main(["verify", "--input", str(triangle_file), "--expected", str(missing)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(missing) in err and "Traceback" not in err
+
+
+def test_solve_input_directory_is_an_error_line(tmp_path, capsys):
+    assert main(["solve", "--input", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path) in err
+
+
+def test_solve_non_ascii_input_names_the_line(tmp_path, capsys):
+    path = tmp_path / "bad.gr"
+    path.write_bytes(b"c \xff comment\np sp 2 1\na 1 2 \xd9\xa3\n")
+    assert main(["solve", "--input", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: line 3: malformed line")
+
+
 def test_solve_refuses_above_cap(tmp_path, capsys):
     path = tmp_path / "small.gr"
     path.write_text(write_dimacs(random_connected_graph(30, 1)))

@@ -68,6 +68,39 @@ def test_parse_rejects_malformed(text):
         parse_dimacs(text)
 
 
+@pytest.mark.parametrize("text,message", [
+    ("p sp 2 1\na 1 2 1_0", "line 2: malformed arc line"),
+    ("p sp 2 1\na 1 2 +3", "line 2: malformed arc line"),
+    ("p sp 2 1\na 1_2 2 3", "line 2: malformed arc line"),
+    ("p sp 2 1\na 1 2 \u0663", "line 2: malformed line"),      # an Arabic-Indic 3
+    ("p sp 2 1\na 1 2 \u00b3", "line 2: malformed line"),      # a superscript 3
+    ("p sp 2 1\na 1 2 --3", "line 2: malformed arc line"),
+    ("p sp 2 1\na 1 2 " + "9" * 5000, "line 2: malformed arc line"),  # beyond int()'s digits
+    ("p sp 1_0 2", "line 1: malformed problem line"),
+    ("p sp +2 1", "line 1: malformed problem line"),
+    ("p sp 2 1_0", "line 1: malformed problem line"),
+    ("p sp -2 1", "line 1: malformed problem line"),
+    ("c ok\np sp \u0662 1", "line 2: malformed line"),
+    ("p sp 2 1\na 1 2 -3", "line 2: negative weight -3"),
+])
+def test_parse_accepts_only_plain_decimal_integers(text, message):
+    for given in (text, text.encode("utf-8")):
+        with pytest.raises(DimacsError, match=f"^{message}"):
+            parse_dimacs(given)
+
+
+def test_parse_bytes_that_are_not_ascii_name_the_line():
+    with pytest.raises(DimacsError, match="^line 3: malformed line"):
+        parse_dimacs(b"p sp 2 1\na 1 2 3\na 2 1 \xff\n")
+
+
+def test_comments_may_hold_any_text():
+    text = "c caf\u00e9 \u0663 1_0 +3\np sp 2 1\nc \u00ff\na 1 2 3\n"
+    for given in (text, text.encode("utf-8"), b"c \xff\xfe\n" + text.encode("utf-8"),
+                  text.splitlines()):
+        assert parse_dimacs(given).adj[1] == {2: 3}
+
+
 def test_write_single_edge():
     g = Graph(2)
     g.set_edge(1, 2, 7)

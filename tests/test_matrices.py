@@ -62,16 +62,34 @@ def matrix_pairs():
 CASES = list(matrix_pairs())
 
 
+FORMATS = {DistanceMatrix: (write_distance_matrix, read_distance_matrix, "distance", UNREACHED),
+           PrecedenceMatrix: (write_precedence_matrix, read_precedence_matrix, "precedence",
+                              UNSET)}
+
+
+def assert_like_reference(matrix) -> str:
+    """`matrix` written, after checking it against reference_write_cells."""
+    write, _, kind, sentinel = FORMATS[type(matrix)]
+    expected = io.StringIO()
+    reference_write_cells(matrix.cells, matrix.order, kind, expected, sentinel)
+    text = written(write, matrix)
+    got, want = text.split("\n"), expected.getvalue().split("\n")
+    # name the first differing line instead of diffing whole files
+    bad = next((k for k, (a, b) in enumerate(zip(got, want), 1) if a != b), None)
+    assert bad is None, f"{kind} line {bad}: {got[bad - 1][:200]!r} != {want[bad - 1][:200]!r}"
+    assert len(got) == len(want), f"{kind}: {len(got)} lines, reference has {len(want)}"
+    return text
+
+
 def assert_same_bytes(m, p):
-    for matrix, write, kind, sentinel in [(m, write_distance_matrix, "distance", UNREACHED),
-                                          (p, write_precedence_matrix, "precedence", UNSET)]:
-        expected = io.StringIO()
-        reference_write_cells(matrix.cells, matrix.order, kind, expected, sentinel)
-        got, want = written(write, matrix).split("\n"), expected.getvalue().split("\n")
-        # name the first differing line instead of diffing whole files
-        bad = next((k for k, (a, b) in enumerate(zip(got, want), 1) if a != b), None)
-        assert bad is None, f"{kind} line {bad}: {got[bad - 1][:200]!r} != {want[bad - 1][:200]!r}"
-        assert len(got) == len(want), f"{kind}: {len(got)} lines, reference has {len(want)}"
+    for matrix in (m, p):
+        assert_like_reference(matrix)
+
+
+def assert_writes_like_reference_and_reads_back(matrix):
+    read = FORMATS[type(matrix)][1]
+    back = read(assert_like_reference(matrix))
+    assert back.order == matrix.order and np.array_equal(back.cells[1:, 1:], matrix.cells[1:, 1:])
 
 
 @pytest.mark.parametrize("m,p", [pair for _, pair in CASES], ids=[name for name, _ in CASES])
@@ -95,6 +113,63 @@ def test_blocks_keep_bytes_and_bound_what_the_reader_parses(monkeypatch):
     assert np.array_equal(read_precedence_matrix(written(write_precedence_matrix, p)).cells,
                           p.cells)
     assert parsed_rows == [5, 5, 3] * 2
+
+
+def with_row(matrix, row: int, values):
+    matrix.cells[row, 1:len(values) + 1] = values
+    return matrix
+
+
+# cells at each chunk and digit-count boundary, beside the missing value
+D_EDGES = [0, 9, 10, 9999, 10**4, 10**8 - 1, 10**8, 2**63 - 2, UNREACHED]
+P_EDGES = [9, 10, 9999, 10**4, 10**8 - 1, 10**8, 2**31 - 2, UNSET]
+BOUNDARY_CASES = {
+    "distance-edges": with_row(DistanceMatrix(len(D_EDGES)), 2, D_EDGES),
+    "precedence-edges": with_row(PrecedenceMatrix(len(P_EDGES)), 2, P_EDGES),
+    # ids of 10**4 and above; 10**8 and 100010000 have zero chunks behind the leading one
+    "precedence-large-ids": with_row(
+        with_row(PrecedenceMatrix(4), 1, [10**4, 10**4 + 1, 12345, 10**8 + 7]),
+        4, [99999, 10**8, 100010000, 2**31 - 2]),
+    "distance-zero-chunks": with_row(DistanceMatrix(4), 3, [10**16, 10**12 + 1, 0, 10**8 + 10**4]),
+    "order1-distance": DistanceMatrix(1),
+    "order1-precedence": PrecedenceMatrix(1),
+    "order1-distance-huge": with_row(DistanceMatrix(1), 1, [2**63 - 2]),
+    "order1-precedence-id": with_row(PrecedenceMatrix(1), 1, [10**4]),
+}
+
+
+@pytest.mark.parametrize("matrix", BOUNDARY_CASES.values(), ids=BOUNDARY_CASES.keys())
+def test_writer_chunk_boundaries_match_reference_and_read_back(matrix):
+    assert_writes_like_reference_and_reads_back(matrix)
+
+
+def test_each_block_takes_the_chunks_its_own_cells_need(monkeypatch):
+    # order 4 with 8 cells per block holds 2 rows per block: rows 1-2 stay
+    # below 10**4 (one chunk per cell), rows 3-4 reach 2**63 - 2 (five)
+    monkeypatch.setattr(matrices, "_BLOCK_CELLS", 8)
+    m = with_row(DistanceMatrix(4), 1, [0, 9999, 10, UNREACHED])
+    with_row(m, 3, [2**63 - 2, 7, 0, 10**16])
+    widths, empty = [], np.empty
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "empty",
+                      lambda shape, dtype: widths.append(shape[-1] - 1) or empty(shape, dtype))
+        assert_like_reference(m)
+    assert widths == [1, 5]
+    assert_writes_like_reference_and_reads_back(m)
+
+
+@pytest.mark.parametrize("make", [DistanceMatrix, PrecedenceMatrix])
+def test_writer_refuses_a_negative_cell_before_writing_a_byte(make):
+    m = make(2)
+    m.cells[0, 1] = -1  # row and column 0 are unused and never written
+    m.cells[1, 2], m.cells[2, 1] = -5, -123
+    out = io.StringIO()
+    with pytest.raises(ValueError, match=r"cell \(1,2\) is negative: -5$"):
+        FORMATS[make][0](m, out)
+    assert out.getvalue() == ""
+    m.cells[1, 2] = 0
+    with pytest.raises(ValueError, match=r"cell \(2,1\) is negative: -123$"):
+        FORMATS[make][0](m, out)
 
 
 @pytest.mark.parametrize("m,p", [pair for _, pair in CASES], ids=[name for name, _ in CASES])
