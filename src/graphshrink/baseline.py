@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import heapq
 
+import numpy as np
+
 from .graph import Graph, GraphError
 from .matrices import UNREACHED, UNSET, DistanceMatrix, PrecedenceMatrix
 
@@ -58,7 +60,7 @@ def apsp_dijkstra(g: Graph) -> tuple[DistanceMatrix, PrecedenceMatrix]:
     return m, p
 
 
-def floyd_warshall(g: Graph, cap: int = ORACLE_CAP) -> DistanceMatrix:
+def floyd_warshall(g: Graph) -> DistanceMatrix:
     """Independent brute-force oracle: n rounds of min-plus relaxation.
 
     The two inner loops of the classic triple loop run as one vectorized
@@ -69,12 +71,10 @@ def floyd_warshall(g: Graph, cap: int = ORACLE_CAP) -> DistanceMatrix:
     allocated; below that a sum through a missing pair never undercuts a
     real path.  Unreached pairs are stored as UNREACHED.
     """
-    import numpy as np
-
     present = sorted(g.adj)
     n_p = len(present)
-    if n_p > cap:
-        raise GraphError(f"floyd_warshall capped at {cap} vertices, got {n_p}")
+    if n_p > ORACLE_CAP:
+        raise GraphError(f"floyd_warshall capped at {ORACLE_CAP} vertices, got {n_p}")
     total = sum(w for nbrs in g.adj.values() for w in nbrs.values()) // 2
     if total >= _NO_PATH:
         raise ValueError(f"edge weights sum to {total} >= 2**62 - 1: "

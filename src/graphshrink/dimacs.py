@@ -10,8 +10,6 @@ non-ASCII digits.
 
 from __future__ import annotations
 
-from typing import IO, Iterable
-
 from .graph import MAX_WEIGHT, Graph
 
 
@@ -19,15 +17,14 @@ class DimacsError(ValueError):
     pass
 
 
-def parse_dimacs(text: str | bytes | Iterable[str], max_n: int | None = None) -> Graph:
+def parse_dimacs(text: str | bytes, max_n: int | None = None) -> Graph:
     """Parse DIMACS text; with `max_n`, refuse a problem line naming more
     vertices before the graph is allocated."""
     if isinstance(text, bytes):
         text = text.decode("latin-1")  # never fails; a non-ASCII line is refused below
-    lines = text.splitlines() if isinstance(text, str) else text
 
     g: Graph | None = None
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
@@ -79,9 +76,10 @@ def parse_dimacs(text: str | bytes | Iterable[str], max_n: int | None = None) ->
     return g
 
 
-def write_dimacs(g: Graph, out: IO[str] | None = None) -> str | None:
-    """Emit the graph; each undirected edge becomes two arc lines, ascending
-    (u, v).  Round-trips through parse_dimacs for fully-present graphs."""
+def write_dimacs(g: Graph) -> str:
+    """The graph as DIMACS text; each undirected edge becomes two arc lines,
+    ascending (u, v).  Round-trips through parse_dimacs for fully-present
+    graphs."""
     chunks = [
         "c graphshrink export\n",
         f"p sp {g.n_original} {2 * g.m}\n",
@@ -89,8 +87,4 @@ def write_dimacs(g: Graph, out: IO[str] | None = None) -> str | None:
     for u, v, w in g.edges():
         chunks.append(f"a {u} {v} {w}\n")
         chunks.append(f"a {v} {u} {w}\n")
-    text = "".join(chunks)
-    if out is None:
-        return text
-    out.write(text)
-    return None
+    return "".join(chunks)

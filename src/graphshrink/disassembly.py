@@ -214,26 +214,16 @@ def disassemble(g: Graph, params: SolveParams) -> ShrinkSequence:
     """Contract g in place down to n_min vertices (or until blocked).
 
     Vertices are processed in ascending degree, ascending id within a degree;
-    after each removal the neighbors whose degree dropped to the current
-    level are re-examined through an explicit LIFO stack (recursion would
-    overflow on long degree-1 chains).  A vertex is removed only when its
-    edge delta stays within i_max.  Stops at n_min present vertices or after
-    a full sweep that removes nothing.
+    each vertex of exactly the current degree starts an explicit LIFO stack,
+    and after each removal the neighbors left at or below that degree are
+    pushed onto it (recursion would overflow on long degree-1 chains).  A
+    vertex is removed only when its edge delta stays within i_max.  Stops at
+    n_min present vertices or after a full sweep that removes nothing.
     """
     if not g.is_connected():
         raise GraphError("disassembly requires a connected graph")
     records: list[RemovalRecord] = []
     n_min = params.n_min
-
-    def try_remove(v: int) -> RemovalRecord | None:
-        """Remove v unless its edge delta exceeds i_max; one decision
-        serves the gate and the removal."""
-        nbrs = sorted(g.adj[v])
-        mutations = _decide(g, v, nbrs)
-        if _edge_delta(mutations, len(nbrs)) > params.i_max:
-            return None
-        return _apply_removal(g, v, mutations)
-
     while g.n_present > n_min:
         removed_in_sweep = False
         d = 1
@@ -244,29 +234,22 @@ def disassemble(g: Graph, params: SolveParams) -> ShrinkSequence:
             if d > limit:
                 break
             for v in sorted(g.adj):
-                if g.n_present <= n_min:
-                    break
                 if v not in g.adj or len(g.adj[v]) != d:
                     continue
-                rec = try_remove(v)
-                if rec is None:
-                    continue
-                records.append(rec)
-                removed_in_sweep = True
-                stack = [u for u, _ in rec.incident_edges if len(g.adj[u]) <= d]
+                stack = [v]
                 while stack and g.n_present > n_min:
                     u = stack.pop()
-                    if u not in g.adj:
+                    if u not in g.adj or len(g.adj[u]) > d:
                         continue
-                    du = len(g.adj[u])
-                    if du == 0 or du > d:
+                    # one decision serves the i_max gate and the removal
+                    nbrs = sorted(g.adj[u])
+                    mutations = _decide(g, u, nbrs)
+                    if _edge_delta(mutations, len(nbrs)) > params.i_max:
                         continue
-                    rec_u = try_remove(u)
-                    if rec_u is None:
-                        continue
-                    records.append(rec_u)
-                    stack.extend(w for w, _ in rec_u.incident_edges
-                                 if w in g.adj and len(g.adj[w]) <= d)
+                    rec = _apply_removal(g, u, mutations)
+                    records.append(rec)
+                    removed_in_sweep = True
+                    stack.extend(w for w, _ in rec.incident_edges if len(g.adj[w]) <= d)
             d += 1
         if not removed_in_sweep:
             break

@@ -12,7 +12,7 @@ distances straight into the caller's matrix: they are unique, so any
 exact method gives the same D.  The predecessors are then
 read off those distances.  Call r the residual order and give the k-th
 smallest present id position k.  With positive weights the heap (below)
-pops vertices in strictly increasing ``dist * r + position`` order, and a
+pops vertices in strictly increasing ``(distance, position)`` order, and a
 later pop never improves an earlier vertex; so Dijkstra's predecessor of v
 from s is the *tight* neighbor u (``d[s,u] + w(u,v) == d[s,v]``) popped
 first, the one with the least ``(d[s,u], position u)``.  numpy finds it as
@@ -22,21 +22,19 @@ to the least position.  A zero weight breaks that argument (a tight
 neighbor may be popped after v), and the inner ``disassemble`` refuses a
 disconnected graph: such residuals take the heap.
 
-**By heap**, otherwise.  The residual's adjacency is built once as lists
-over positions and a binary heap with lazy deletion runs from each source.
-Each heap entry packs (distance, position) into the one int
-``distance * r + position``, so the heap compares ints in exactly the
-lexicographic order of the (distance, vertex id) tuples.
+**By heap**, otherwise.  A binary heap with lazy deletion runs from one
+source at a time over ``(distance, position)`` tuples, which pop in
+exactly the order of (distance, vertex id), and writes that source's row
+of D and merges its row of P.
 
-Either way the predecessors merge into P the same way, and numpy does it
-one block of sources at a time (about ``_BLOCK_CELLS`` cells for the
-heap's keys, ``_RULE_CELLS`` for the rule's temporaries).
+Both paths take the residual's adjacency from ``_array_adjacency`` and
+merge predecessors into P through ``_merge``; only the predecessor rule
+works in blocks of sources (``_RULE_CELLS`` cells of its temporaries).
 """
 
 from __future__ import annotations
 
 import heapq
-from itertools import chain
 
 import numpy as np
 
@@ -45,10 +43,6 @@ from .disassembly import SolveParams, disassemble
 from .graph import INF, Graph
 from .matrices import UNREACHED, UNSET, PrecedenceMatrix
 
-#: Cells in one block of heap sources.  8192 (64 KiB per int64 array) keeps
-#: the block's arrays below the memory the rest of the solve already peaks at.
-_BLOCK_CELLS = 1 << 13
-
 #: Cells (sources x r x max_degree) in one block of the predecessor rule.
 #: On grid_graph(32) and (48) under d_max=3, i_max=0, 2**13 to 2**17 timed
 #: alike within noise; 2**17 raised the peak RSS of a solve by 3.5 MB over
@@ -56,56 +50,51 @@ _BLOCK_CELLS = 1 << 13
 _RULE_CELLS = 1 << 15
 
 
-def _array_adjacency(g: Graph) -> tuple[list[int], list[list[tuple[int, int]]], int]:
-    """Present ids ascending, each one's (w * r + position, position) neighbor
-    list in ``g.adj`` order, and the sum of the edge weights."""
+def _array_adjacency(g: Graph) -> tuple[list[int], list[list[tuple[int, int]]]]:
+    """Present ids ascending (id k-th smallest: position k) and, for each,
+    its (position, weight) neighbor rows in ascending position."""
     ids = sorted(g.adj)
-    r = len(ids)
     pos = {v: k for k, v in enumerate(ids)}
-    adj = [[(w * r + pos[v], pos[v]) for v, w in g.adj[u].items()] for u in ids]
-    total = sum(w for nbrs in g.adj.values() for w in nbrs.values()) // 2
-    return ids, adj, total
+    return ids, [[(pos[v], w) for v, w in sorted(g.adj[u].items())] for u in ids]
 
 
-def _sssp(adj: list[list[tuple[int, int]]], source: int, unreached: int):
-    """Keys ``dist * r + position`` and predecessor positions (-1: none)
-    from position `source`; a vertex never reached keeps key `unreached`,
-    which must exceed every reachable key."""
-    r = len(adj)
-    keys = [unreached] * r
-    pred = [-1] * r
-    keys[source] = source
-    heap = [source]
+def _sssp(adj: list[list[tuple[int, int]]], source: int) -> tuple[list[int], list[int]]:
+    """Distances and predecessor positions (-1: none) from position
+    `source`; a vertex never reached keeps UNREACHED, so the distances are
+    exact while the edge weights sum below it."""
+    dist = [UNREACHED] * len(adj)
+    pred = [-1] * len(adj)
+    dist[source] = 0
+    heap = [(0, source)]
     pop, push = heapq.heappop, heapq.heappush
     while heap:
-        k = pop(heap)
-        u = k % r
-        if k > keys[u]:
+        du, u = pop(heap)
+        if du > dist[u]:
             continue
-        base = k - u  # dist[u] * r
-        for step, v in adj[u]:
-            nk = base + step
-            if nk < keys[v]:
-                keys[v] = nk
+        for v, w in adj[u]:
+            dv = du + w
+            if dv < dist[v]:
+                dist[v] = dv
                 pred[v] = u
-                push(heap, nk)
-    return keys, pred
+                push(heap, (dv, v))
+    return dist, pred
 
 
 def dijkstra(g: Graph, source: int) -> tuple[dict[int, float], dict[int, int | None]]:
     """Single-source distances/predecessors over the present vertices.
 
     Binary heap with lazy deletion; predecessor of the source is None,
-    unreachable vertices stay at INF.
+    unreachable vertices stay at INF.  Edge weights summing to UNREACHED
+    (2**63 - 1) or more are refused with ValueError.
     """
     g._require(source)
-    ids, adj, total = _array_adjacency(g)
-    r = len(ids)
-    unreached = (total + 1) * r
-    keys, pred = _sssp(adj, ids.index(source), unreached)
-    dist = {v: INF if k == unreached else (k - at) // r
-            for at, (v, k) in enumerate(zip(ids, keys))}
-    return dist, {v: None if q < 0 else ids[q] for v, q in zip(ids, pred)}
+    ids, adj = _array_adjacency(g)
+    total = sum(w for row in adj for _, w in row) // 2
+    if total >= UNREACHED:
+        raise ValueError(f"edge weights sum to {total} >= 2**63 - 1")
+    dist, pred = _sssp(adj, ids.index(source))
+    return ({v: INF if x == UNREACHED else x for v, x in zip(ids, dist)},
+            {v: None if q < 0 else ids[q] for v, q in zip(ids, pred)})
 
 
 def solve_residual(g_r: Graph, d: np.ndarray, p: PrecedenceMatrix) -> None:
@@ -159,47 +148,28 @@ def _merge(p: PrecedenceMatrix, block, keep: np.ndarray, stored: np.ndarray,
 
 
 def _solve_by_heap(g_r: Graph, d: np.ndarray, p: PrecedenceMatrix) -> None:
-    ids, adj, total = _array_adjacency(g_r)
-    r = len(ids)
-    unreached = (total + 1) * r
-    # keys exceed int64 only for huge weights; exact Python ints then
-    key_dtype = np.int64 if unreached < 2**63 else object
+    ids, adj = _array_adjacency(g_r)
     vid = np.array(ids, dtype=p.cells.dtype)
-    positions = np.arange(r)
-    step = max(1, _BLOCK_CELLS // r)
-    for lo in range(0, r, step):
-        sources = range(lo, min(lo + step, r))
-        keys = np.empty((len(sources), r), key_dtype)
-        pred = np.empty((len(sources), r), np.int32)
-        for row, s in enumerate(sources):
-            keys[row], pred[row] = _sssp(adj, s, unreached)
-        block = np.ix_(vid[lo:sources.stop], vid)
-        d[block] = np.where(keys == unreached, UNREACHED, (keys - positions) // r)
+    for s, i in enumerate(ids):
+        dist, pred = _sssp(adj, s)
+        d[i, vid] = dist
+        pred = np.array(pred)
         q = vid[pred]
-        keep = (pred < 0) | (pred == positions[lo:sources.stop, None])
+        keep = (pred < 0) | (pred == s)
         # a kept cell stays as it is; the others read P[q][j] live
-        stored = np.where(keep, p.cells[block], p.cells[q, vid])
-        _merge(p, block, keep, stored, q)
+        stored = np.where(keep, p.cells[i, vid], p.cells[q, vid])
+        _merge(p, (i, vid), keep, stored, q)
 
 
 def _solve_by_contraction(g_r: Graph, d: np.ndarray, p: PrecedenceMatrix) -> None:
-    ids = sorted(g_r.adj)
+    ids, adj = _array_adjacency(g_r)
     r = len(ids)
     vid = np.array(ids, dtype=p.cells.dtype)
-    # neighbor rows in ascending id, which is ascending position
-    rows = [sorted(g_r.adj[u].items()) for u in ids]
-    deg = np.fromiter(map(len, rows), np.intp, r)
-    flat = list(chain.from_iterable(rows))
-    width = int(deg.max())
+    width = max(map(len, adj))
     # pad each row with its own vertex at weight 1: d[s,v] + 1 != d[s,v],
     # so a pad slot is never tight
-    pos = np.zeros(p.cells.shape[0], np.intp)
-    pos[vid] = np.arange(r)
-    nbr = np.repeat(np.arange(r)[:, None], width, axis=1)
-    wt = np.ones((r, width), np.int64)
-    slot = np.arange(width) < deg[:, None]
-    nbr[slot] = pos[np.fromiter((v for v, _ in flat), np.intp, len(flat))]
-    wt[slot] = np.fromiter((w for _, w in flat), np.int64, len(flat))
+    slots = np.array([row + [(v, 1)] * (width - len(row)) for v, row in enumerate(adj)], np.int64)
+    nbr, wt = slots[:, :, 0], slots[:, :, 1]
     # P[q][j] for each edge slot (q = nbr[j, k]), before the inner stages
     # write the residual block
     stored = p.cells[vid[nbr], vid[:, None]]

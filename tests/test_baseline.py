@@ -66,9 +66,13 @@ def test_floyd_warshall_refuses_a_weight_sum_reaching_its_sentinel(monkeypatch):
     assert m.get(1, 3) == 2**62 - 2
 
 
-def test_floyd_warshall_cap():
-    with pytest.raises(GraphError):
-        floyd_warshall(random_connected_graph(20, 1), cap=10)
+def test_floyd_warshall_cap(monkeypatch):
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("allocated before refusing")
+
+    monkeypatch.setattr(np, "full", no_allocation)
+    with pytest.raises(GraphError, match="capped"):
+        floyd_warshall(Graph(ORACLE_CAP + 1))
 
 
 @pytest.mark.parametrize("seed", range(12))

@@ -154,6 +154,14 @@ def test_verify_random_passes(random_file):
     assert main(["verify", "--input", str(random_file), "--sample", "30"]) == 0
 
 
+def test_verify_one_vertex_walks_no_path(tmp_path, capsys):
+    path = tmp_path / "one.gr"
+    path.write_text("p sp 1 0\n")
+    assert main(["verify", "--input", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("OK: n=1,") and out.rstrip().endswith(" 0 paths sound")
+
+
 def test_verify_corrupted_expected_matrix_names_cell(tmp_path, triangle_file, capsys):
     result = solve(triangle_graph())
     result.distances.set(1, 3, 99)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -219,6 +220,49 @@ def test_disassemble_gate_decides_each_removal_once(monkeypatch):
         assert edge_delta(replay, rec.vertex) <= 0
         assert remove_and_preserve(replay, rec.vertex) == rec
     assert replay.adj == work.adj
+
+
+# sha256 of repr([(vertex, incident_edges, mutations), ...]) over
+# disassemble's records: the order of removals and every shortcut they
+# write.  grid32's full and i_max=0 runs remove vertices of degree 16+,
+# which decide their pairs in the numpy block.
+RECORD_GRAPHS = {
+    "grid16": lambda: grid_graph(16),
+    "grid32": lambda: grid_graph(32),
+    "random200-11": lambda: random_connected_graph(200, 11),
+    "random150-3-w2": lambda: random_connected_graph(150, 3, wmax=2),
+}
+RECORD_KNOBS = {
+    "full": SolveParams(),
+    "d3-i0": SolveParams(d_max=3, i_max=0),
+    "i0": SolveParams(i_max=0),
+    "d2-n50": SolveParams(d_max=2, n_min=50),
+}
+RECORD_DIGESTS = {
+    ("grid16", "full"): "8bef6aa3fc9337c7ee2738b27ad35a526c0438bb802574d039e93fcb450a3f06",
+    ("grid16", "d3-i0"): "3dcb0defd3cdff77e23d51c50e218e978c7642fe3891ada0ca392639f1810bc3",
+    ("grid16", "i0"): "7d049ec0a3a0f7a3c54c1abd326d3a10c13b6163a5c1db52e87e929cba2d0f6b",
+    ("grid16", "d2-n50"): "fd70913eb27a2e77042757ff53ecf54e1bfa343ffb41a6915a0bb4c64e0a699e",
+    ("random200-11", "full"): "ac84cff81f010e116d8e9e9fd9e6bc38d8fdb1ff62de0fc717338329b2169ea9",
+    ("random200-11", "d3-i0"): "904b6af4e5955da95a0c149b95f6863d732278f8b50a57b493f7e93fef653153",
+    ("random200-11", "i0"): "1f65dad4d5995217ccd97ed83e2e5e169df271515d1174c652acb105f61defb8",
+    ("random200-11", "d2-n50"): "ebd43cbfdc25df95ea13c7e8df8973fa4c2b46bdf79e25dc172d90a725d18a30",
+    ("random150-3-w2", "full"): "456fe42e07c13ce1fdb74220d35b91382eff24a6d2bdb4f5ff0d2b0bc74c149d",
+    ("random150-3-w2", "d3-i0"): "80d6aa41eb8d1eefddac802972b3a5c804c784a0725b761759a95e15d6ce058d",
+    ("random150-3-w2", "i0"): "aa0369e6c090692b777c5c7296c58d71634348c41f5f29784c2f9d1eef25df5c",
+    ("random150-3-w2", "d2-n50"): "efb18bc610404d84b815eccdf0336ace3374f7dea77ddee3d1f7dc8b4be3f5d2",
+    ("grid32", "full"): "9594b829a61ad568262a906387b7e063bee1d74bcea8b84d96d183468828a3dc",
+    ("grid32", "d3-i0"): "9a40cc39c8f4dd26e8a0e4ca5968635448e088fd24e0ea087a4aee78b8fcc58b",
+    ("grid32", "i0"): "89635179925685d46fde0e42fc812190c677197fa2bdfcf4c5f9eb485939fdf0",
+    ("grid32", "d2-n50"): "0540cd0b10ed33cc2532a4b561d064165494952a79a78bb03131b8f37ae0a953",
+}
+
+
+@pytest.mark.parametrize("graph, knobs", RECORD_DIGESTS)
+def test_disassemble_records_are_pinned(graph, knobs):
+    seq = disassemble(RECORD_GRAPHS[graph](), RECORD_KNOBS[knobs])
+    text = repr([(r.vertex, r.incident_edges, r.mutations) for r in seq.records])
+    assert hashlib.sha256(text.encode()).hexdigest() == RECORD_DIGESTS[graph, knobs]
 
 
 def test_disassemble_rejects_disconnected():

@@ -236,17 +236,18 @@ def test_solve_residual_disconnected_leaves_inf_and_p_untouched():
     assert (p_out.cells[1:31, 31:] == 7).all() and (p_out.cells[31:, 1:31] == UNSET).all()
 
 
-def test_solve_residual_matches_seed_across_source_blocks(monkeypatch):
+def test_solve_residual_by_heap_matches_seed_on_hop_encoded_grid(monkeypatch):
     g_r, p, scale = contracted(grid_graph(12), SolveParams(d_max=3, i_max=0), encode=True)
-    r = g_r.n_present
-    monkeypatch.setattr(microsolve, "_BLOCK_CELLS", 5 * r + 1)  # 5 sources a block
-    assert r > 2 * 5 and r % 5  # at least 3 blocks, the last one short
+    assert g_r.n_present > 100
+    # a positive connected residual: only the substitution makes it take the heap
+    monkeypatch.setattr(microsolve, "_solve_by_contraction", microsolve._solve_by_heap)
     assert_matches_seed(g_r, p, scale)
 
 
-def test_solve_residual_matches_seed_beyond_int64_keys():
-    # weights summing to 2**63 - 2 fit int64, but distance * order does not;
-    # float64 would round these distances, so the reference checks only P
+def test_solve_residual_matches_seed_just_below_unreached():
+    # weights summing to 2**63 - 2 take the heap (twice the sum overflows
+    # int64); float64 would round these distances, so the reference checks
+    # only P
     g = path_graph([2**62, 2**62 - 2])
     d, p = new_d(3), PrecedenceMatrix(3)
     solve_residual(g, d, p)
@@ -268,6 +269,13 @@ def test_solve_residual_refuses_int64_overflow_before_writing():
             solve_residual(g, d, p)
         assert np.array_equal(d, new_d(3))
         assert p.cells.sum() == 2 and p.get(1, 3) == 2
+
+
+def test_dijkstra_refuses_a_weight_sum_reaching_unreached():
+    with pytest.raises(ValueError, match="2\\*\\*63 - 1"):
+        dijkstra(path_graph([2**62, 2**62 - 1]), 1)
+    dist, _ = dijkstra(path_graph([2**62, 2**62 - 2]), 1)
+    assert dist[3] == 2**63 - 2
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -332,14 +340,12 @@ def test_solve_residual_by_contraction_across_source_blocks(monkeypatch):
     assert_matches_seed(g_r, p, scale)
 
 
-def test_solve_residual_by_heap_across_source_blocks(monkeypatch):
+def test_solve_residual_by_heap_matches_seed_on_zero_weights(monkeypatch):
     g_r, p, scale = contracted(random_connected_graph(150, 0, wmax=3),
                                SolveParams(d_max=3, i_max=0), encode=False)
-    r = g_r.n_present
+    assert g_r.n_present > 100
     assert min(w for nbrs in g_r.adj.values() for w in nbrs.values()) == 0
-    monkeypatch.setattr(microsolve, "_BLOCK_CELLS", 5 * r + 1)  # 5 sources a block
     monkeypatch.setattr(microsolve, "_solve_by_contraction", fail)
-    assert r > 2 * 5 and r % 5  # at least 3 blocks, the last one short
     assert_matches_seed(g_r, p, scale)
 
 
