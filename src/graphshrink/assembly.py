@@ -46,8 +46,9 @@ def assemble(seq: ShrinkSequence, d: np.ndarray, p: PrecedenceMatrix) -> None:
 
     D must hold every residual pair's distance.  A record naming a neighbor
     that is neither in the residual nor restored before it is refused with
-    ValueError, and so is a restore where a positive recorded weight added
-    to an UNREACHED cell wraps int64, before its row is written.
+    ValueError, and so is a restore where a recorded weight plus a known
+    distance wraps int64 (an UNREACHED cell, or raw weights summing past
+    2**62), before its row is written.
     """
     n = d.shape[0] - 1
     p_cells = p.cells
@@ -69,9 +70,9 @@ def assemble(seq: ShrinkSequence, d: np.ndarray, p: PrecedenceMatrix) -> None:
         cand = enc[:, None] + d[nbr_ids[:, None], ids]
         am = cand.argmin(axis=0)
         dist = np.take_along_axis(cand, am[None], axis=0)[0]
-        if dist.min() < 0:  # a recorded weight added to UNREACHED wraps negative
+        if dist.min() < 0:  # a recorded weight plus a distance wraps negative
             raise ValueError(f"restoring {i} overflows int64: a residual pair it "
-                             f"reaches through is unreached")
+                             f"reaches through is unreached, or the weights are too large")
         x = nbr_ids[am]
         pxl = p_cells[x, ids]                 # P[x(l)][l]: both present, final
         row_val = np.where(pxl != UNSET, pxl, x)

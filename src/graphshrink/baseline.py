@@ -1,8 +1,8 @@
 """Reference APSP solvers used as comparators and correctness oracles.
 
-Deliberately shares no traversal code with the contraction pipeline (the
-microsolve module has its own Dijkstra), so a bug in one side cannot
-validate itself against the other.
+Deliberately shares no traversal code with the contraction pipeline,
+which runs no Dijkstra (``microsolve.dijkstra`` is a standalone helper),
+so a bug in one side cannot validate itself against the other.
 """
 
 from __future__ import annotations
@@ -45,8 +45,14 @@ def apsp_dijkstra(g: Graph) -> tuple[DistanceMatrix, PrecedenceMatrix]:
     """Binary-heap Dijkstra from every present vertex (the classic comparator).
 
     P rows use the shared convention: an entry is UNSET iff the predecessor
-    is the source itself (the last hop is the direct edge).
+    is the source itself (the last hop is the direct edge).  Distances
+    start from UNREACHED, so a graph whose edge weights sum to UNREACHED or
+    more is refused with ValueError before anything is allocated.
     """
+    total = sum(w for nbrs in g.adj.values() for w in nbrs.values()) // 2
+    if total >= UNREACHED:
+        raise ValueError(f"edge weights sum to {total} >= 2**63 - 1: "
+                         f"apsp_dijkstra's distances could reach UNREACHED")
     if not g.is_connected():
         raise GraphError("apsp_dijkstra requires a connected graph")
     n = g.n_original

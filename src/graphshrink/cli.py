@@ -111,6 +111,8 @@ def _oracles(args, g: Graph):
 
 
 def cmd_verify(args) -> int:
+    if args.sample < 0:
+        raise CliError(f"--sample must be at least 0, got {args.sample}")
     g = _load_graph(args)
     result = solve(g, _params(args))
 
@@ -150,6 +152,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.repeats < 1:
+        raise CliError(f"--repeats must be at least 1, got {args.repeats}")
     g = _load_graph(args)
     params = _params(args)
 

@@ -1,35 +1,24 @@
 """Exact APSP on the residual graph and merge into the global matrices.
 
-The residual block of D and P is filled one of two ways; the residual
-itself picks which.
+The residual is solved by the pipeline itself.  A full ``disassemble`` +
+``assemble`` on a copy of the residual writes its distances straight into
+the caller's matrix: they are unique, so any exact method gives the same
+D.  The predecessors are then read off those distances.  Call r the
+residual order and give the k-th smallest present id position k.  With
+positive weights a binary-heap Dijkstra over ``(distance, position)``
+pops vertices in strictly increasing order, and a later pop never
+improves an earlier vertex; so its predecessor of v from s is the
+*tight* neighbor u (``d[s,u] + w(u,v) == d[s,v]``) popped first, the one
+with the least ``(d[s,u], position u)``.  numpy finds it as one argmin
+per block of sources (``_RULE_CELLS`` cells of its temporaries) over a
+padded ``r x max_degree`` neighbor array whose rows ascend by position,
+so the first occurrence breaks ties to the least position.  A zero weight
+breaks that argument (a tight neighbor may be popped after v), so
+residuals with one are refused, and so are disconnected ones, which the
+inner ``disassemble`` refuses.
 
-**By contraction**, when the residual is connected, every weight in it is
-positive and twice its weight sum is below 2**63.  Residuals of
-``solver.solve`` are connected with weights encoded as ``w * (n + 1) + 1``,
-so only a sum that its shortcuts push past 2**62 sends them to the heap.
-A full ``disassemble`` + ``assemble`` on a copy of the residual writes its
-distances straight into the caller's matrix: they are unique, so any
-exact method gives the same D.  The predecessors are then
-read off those distances.  Call r the residual order and give the k-th
-smallest present id position k.  With positive weights the heap (below)
-pops vertices in strictly increasing ``(distance, position)`` order, and a
-later pop never improves an earlier vertex; so Dijkstra's predecessor of v
-from s is the *tight* neighbor u (``d[s,u] + w(u,v) == d[s,v]``) popped
-first, the one with the least ``(d[s,u], position u)``.  numpy finds it as
-one argmin per block of sources over a padded ``r x max_degree`` neighbor
-array whose rows ascend by position, so the first occurrence breaks ties
-to the least position.  A zero weight breaks that argument (a tight
-neighbor may be popped after v), and the inner ``disassemble`` refuses a
-disconnected graph: such residuals take the heap.
-
-**By heap**, otherwise.  A binary heap with lazy deletion runs from one
-source at a time over ``(distance, position)`` tuples, which pop in
-exactly the order of (distance, vertex id), and writes that source's row
-of D and merges its row of P.
-
-Both paths take the residual's adjacency from ``_array_adjacency`` and
-merge predecessors into P through ``_merge``; only the predecessor rule
-works in blocks of sources (``_RULE_CELLS`` cells of its temporaries).
+``dijkstra`` is that heap, for one source, as a standalone helper; no
+stage calls it.
 """
 
 from __future__ import annotations
@@ -102,30 +91,30 @@ def solve_residual(g_r: Graph, d: np.ndarray, p: PrecedenceMatrix) -> None:
     merge the residual predecessors into P.
 
     A one-vertex residual is a no-op (the diagonal is preset).  For every
-    other reachable pair (i, j) whose residual predecessor q of j is not i
-    itself, the entry is expanded through any contraction structure on the
+    other pair (i, j) whose residual predecessor q of j is not i itself,
+    the entry is expanded through any contraction structure on the
     residual edge (q, j): P[i][j] becomes P[q][j] when that edge is itself
     a shortcut (P[q][j] set), plain q otherwise.  When q == i the last hop
     is the direct residual edge and the stored entry already applies.
-    Unreachable cells get UNREACHED in `d` and keep their P.
 
     The merge reads stored P only on residual edges, and reads the values
-    P held on entry.  On the contraction path the inner assemble, the
-    only inner stage that touches P, overwrites the residual block of P,
-    so P is snapshot on the residual's edges first (the inner assemble
-    happens to leave P on every shortest-path edge as it was; the
-    snapshot keeps the merge from depending on that).  The heap path
-    reads P live, which gives the same values: source q rewrites P[q][j]
-    only when j's predecessor from q is not q, and an edge (q, j) read by
-    the merge lies on a shortest path, so it is the shortest q-j path and
-    Dijkstra from q, which relaxes q's edges first, keeps q.  `g_r` is
-    left as it was.
+    P held on entry.  The inner assemble, the only inner stage that
+    touches P, overwrites the residual block of P, so P is snapshot on the
+    residual's edges first (the inner assemble happens to leave P on every
+    shortest-path edge as it was; the snapshot keeps the merge from
+    depending on that).  `g_r` is left as it was.
 
-    A shortest path uses each edge at most once, so distances stay below
-    UNREACHED when the residual's edge weights sum below it; a sum that
-    reaches it is refused with ValueError before any block is allocated or
-    any cell written.  The contraction path also forms candidates of up to
-    twice that sum, so it runs only where those fit int64.
+    Refused before any cell of `d` or P is written: edge weights summing
+    to UNREACHED or more (ValueError: a shortest path uses each edge at
+    most once, so below that every distance stays below UNREACHED), a
+    zero-weight edge (ValueError) and a disconnected residual (GraphError,
+    from the inner disassemble).  Weights summing past 2**62 can make a
+    candidate sum wrap int64.  The inner assemble refuses a restore whose
+    candidate wraps with ValueError, before that restore's row is written
+    but after earlier ones; solve never meets it, as its shortcuts and
+    distances are simple paths of a graph whose doubled weight sum stays
+    below 2**63.  In the predecessor rule a wrapped sum is negative, so it
+    is never tight.
     """
     if len(g_r.adj) <= 1:
         return
@@ -134,34 +123,9 @@ def solve_residual(g_r: Graph, d: np.ndarray, p: PrecedenceMatrix) -> None:
     if total >= UNREACHED:
         raise ValueError(f"residual edge weights sum to {total} >= 2**63 - 1: "
                          f"distances could overflow int64")
-    if 2 * total < 2**63 and all(w > 0 for w in weights) and g_r.unreachable_pair() is None:
-        _solve_by_contraction(g_r, d, p)
-    else:
-        _solve_by_heap(g_r, d, p)
-
-
-def _merge(p: PrecedenceMatrix, block, keep: np.ndarray, stored: np.ndarray,
-           q_ids: np.ndarray) -> None:
-    """P[block] <- `stored` where `keep`, else the expansion of the last hop
-    q: the stored P[q][j] when set, q itself otherwise."""
-    p.cells[block] = np.where(keep | (stored != UNSET), stored, q_ids)
-
-
-def _solve_by_heap(g_r: Graph, d: np.ndarray, p: PrecedenceMatrix) -> None:
-    ids, adj = _array_adjacency(g_r)
-    vid = np.array(ids, dtype=p.cells.dtype)
-    for s, i in enumerate(ids):
-        dist, pred = _sssp(adj, s)
-        d[i, vid] = dist
-        pred = np.array(pred)
-        q = vid[pred]
-        keep = (pred < 0) | (pred == s)
-        # a kept cell stays as it is; the others read P[q][j] live
-        stored = np.where(keep, p.cells[i, vid], p.cells[q, vid])
-        _merge(p, (i, vid), keep, stored, q)
-
-
-def _solve_by_contraction(g_r: Graph, d: np.ndarray, p: PrecedenceMatrix) -> None:
+    if 0 in weights:
+        raise ValueError("residual has a zero-weight edge: predecessors need positive weights")
+    seq = disassemble(g_r.copy(), SolveParams())
     ids, adj = _array_adjacency(g_r)
     r = len(ids)
     vid = np.array(ids, dtype=p.cells.dtype)
@@ -175,8 +139,8 @@ def _solve_by_contraction(g_r: Graph, d: np.ndarray, p: PrecedenceMatrix) -> Non
     stored = p.cells[vid[nbr], vid[:, None]]
     diagonal = p.cells[vid, vid]
 
-    d[vid, vid] = 0  # as the heap writes it; assemble never touches the diagonal
-    assemble(disassemble(g_r.copy(), SolveParams()), d, p)
+    d[vid, vid] = 0  # assemble never touches the diagonal
+    assemble(seq, d, p)
 
     positions = np.arange(r)
     step = max(1, _RULE_CELLS // (r * width))
@@ -188,8 +152,9 @@ def _solve_by_contraction(g_r: Graph, d: np.ndarray, p: PrecedenceMatrix) -> Non
         du[du + wt != dist[:, :, None]] = UNREACHED
         k = du.argmin(axis=2)
         q = nbr[positions, k]
-        source = positions[lo:hi, None]
-        # the source has no predecessor; k there points at a non-tight slot
-        keep = (q == source) | (positions == source)
-        kept = np.where(positions == source, diagonal[lo:hi, None], stored[positions, k])
-        _merge(p, block, keep, kept, vid[q])
+        kept = stored[positions, k]
+        # a last hop from the source keeps its stored entry; any other
+        # expands to the stored P[q][j] when set, q itself otherwise
+        p.cells[block] = np.where((q == positions[lo:hi, None]) | (kept != UNSET), kept, vid[q])
+    # the source has no predecessor: nothing on the diagonal is tight
+    p.cells[vid, vid] = diagonal

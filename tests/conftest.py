@@ -1,6 +1,8 @@
 import random
 
-from graphshrink import Graph, PrecedenceMatrix, disassemble, precede_shortcuts
+import numpy as np
+
+from graphshrink import UNSET, Graph, PrecedenceMatrix, apsp_dijkstra, disassemble, precede_shortcuts
 
 
 def contract(g: Graph, params):
@@ -10,6 +12,22 @@ def contract(g: Graph, params):
     p = PrecedenceMatrix(g.n_original)
     precede_shortcuts(seq, p)
     return seq, p
+
+
+def reference_solve_residual(g_r: Graph, d: np.ndarray, p: PrecedenceMatrix) -> None:
+    """solve_residual's output from the independent baseline: apsp_dijkstra's
+    distances, and its predecessor q of each (i, j) merged into P as P held
+    it on entry: the stored P[i][j] when q == i, else P[q][j], or q when
+    that is unset."""
+    ids = sorted(g_r.adj)
+    block = np.ix_(ids, ids)
+    m, pred = apsp_dijkstra(g_r)
+    d[block] = m.cells[block]
+    source = np.array(ids)[:, None]
+    q = np.where(pred.cells[block] == UNSET, source, pred.cells[block])
+    entry = p.cells.copy()
+    stored = entry[q, source.T]
+    p.cells[block] = np.where(q == source, entry[block], np.where(stored != UNSET, stored, q))
 
 
 def random_connected_graph(n: int, seed: int, wmax: int = 1000,

@@ -1,6 +1,13 @@
 import numpy as np
 import pytest
-from conftest import contract, grid_graph, path_graph, random_connected_graph, triangle_graph
+from conftest import (
+    contract,
+    grid_graph,
+    path_graph,
+    random_connected_graph,
+    reference_solve_residual,
+    triangle_graph,
+)
 
 from graphshrink import (
     INF,
@@ -17,7 +24,6 @@ from graphshrink import (
     precede_shortcuts,
     remove_and_preserve,
     solve,
-    solve_residual,
 )
 from graphshrink.microsolve import UNREACHED
 
@@ -43,10 +49,12 @@ def copy_p(p):
 
 
 def residual_solved(g, params):
-    """Shrink sequence, D and P of a raw-weight solve before assembly."""
+    """Shrink sequence, D and P of a raw-weight solve before assembly, the
+    residual solved by the reference (raw residuals may hold zero weights,
+    which solve_residual refuses)."""
     seq, p = contract(g.copy(), params)
     d = new_d(g.n_original)
-    solve_residual(seq.residual, d, p)
+    reference_solve_residual(seq.residual, d, p)
     return seq, d, p
 
 

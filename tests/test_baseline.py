@@ -35,6 +35,21 @@ def test_apsp_dijkstra_rejects_disconnected():
         apsp_dijkstra(g)
 
 
+def test_apsp_dijkstra_refuses_a_weight_sum_reaching_unreached(monkeypatch):
+    # a distance of 2**63 - 1 would read as UNREACHED, and 2**63 would wrap
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("allocated before refusing")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "full", no_allocation)
+        for weights in ([2**62, 2**62], [2**62, 2**62 - 1]):
+            with pytest.raises(ValueError, match="2\\*\\*63 - 1"):
+                apsp_dijkstra(path_graph(weights))
+    m, p = apsp_dijkstra(path_graph([2**62, 2**62 - 2]))
+    assert m.get(1, 3) == m.get(3, 1) == 2**63 - 2
+    assert p.get(1, 3) == 2
+
+
 def test_floyd_warshall_path():
     m = floyd_warshall(path_graph([1, 2]))
     assert m.cells[1:, 1:].tolist() == [[0, 1, 3], [1, 0, 2], [3, 2, 0]]

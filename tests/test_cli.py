@@ -226,6 +226,18 @@ def test_commands_refuse_options_they_do_not_read(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def test_bench_refuses_zero_repeats(triangle_file, capsys):
+    assert main(["bench", "--input", str(triangle_file), "--repeats", "0"]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "error: --repeats must be at least 1, got 0\n"
+
+
+def test_verify_refuses_a_negative_sample(triangle_file, capsys):
+    assert main(["verify", "--input", str(triangle_file), "--sample", "-3"]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "error: --sample must be at least 0, got -3\n"
+
+
 def test_subgraph_and_verify_take_a_seed():
     for argv in (["subgraph", "--size", "2"], ["verify"]):
         assert build_parser().parse_args([*argv, "--input", "g.gr", "--seed", "5"]).seed == 5

@@ -1,15 +1,15 @@
 """Seeded differential fuzz: solve against floyd_warshall on many graph
 shapes and the whole knob grid, with every precedence cell checked, and
-the residual solved both by contraction and by heap."""
+every residual's solve checked against a reference built on apsp_dijkstra."""
 
 import random
 
 import numpy as np
 import pytest
-from conftest import grid_graph, random_connected_graph
+from conftest import grid_graph, random_connected_graph, reference_solve_residual
 
 from graphshrink import UNBOUNDED, Graph, SolveParams, first_bad_precedence, floyd_warshall, solve
-from graphshrink import microsolve
+from graphshrink import solver
 from graphshrink.graph import MAX_WEIGHT
 
 
@@ -75,10 +75,9 @@ def test_solve_matches_floyd_warshall_and_every_precedence_cell_is_tight(
         assert np.array_equal(result.distances.cells, floyd_warshall(g).cells)
         assert first_bad_precedence(g, result.distances, result.precedence) is None
         if result.residual_order > 1:
-            # solve's residuals all take the contraction path; the heap
-            # must give the same bytes
+            # the residual solved by the baseline's Dijkstra gives the same bytes
             with monkeypatch.context() as m:
-                m.setattr(microsolve, "_solve_by_contraction", microsolve._solve_by_heap)
-                by_heap = solve(g, params)
-            assert np.array_equal(by_heap.distances.cells, result.distances.cells)
-            assert np.array_equal(by_heap.precedence.cells, result.precedence.cells)
+                m.setattr(solver, "solve_residual", reference_solve_residual)
+                by_reference = solve(g, params)
+            assert np.array_equal(by_reference.distances.cells, result.distances.cells)
+            assert np.array_equal(by_reference.precedence.cells, result.precedence.cells)

@@ -194,8 +194,7 @@ def assert_matches_seed(g_r, p, scale):
     d, p1 = new_d(n), PrecedenceMatrix(n)
     p1.cells[...] = p.cells
     solve_residual(g_r, d, p1)
-    # the reference stored INF // scale, which Python evaluates to NaN, for
-    # unreachable pairs of a raw residual
+    # cells outside the residual block stay inf in the reference
     missing = ~np.isfinite(m0)
     expected = np.where(missing, 0, m0).astype(np.int64) * scale
     if hops is not None:
@@ -214,40 +213,30 @@ def test_solve_residual_matches_seed_on_hop_encoded_grid(params):
     assert_matches_seed(g_r, p, scale)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 3, 5])  # seeds 2 and 4 draw trees
-@pytest.mark.parametrize("params", [SolveParams(d_max=3, i_max=0), SolveParams(n_min=60),
-                                    SolveParams(n_min=150)])
-def test_solve_residual_matches_seed_on_raw_tied_weights(seed, params):
-    # weights 0..3: zero-weight edges and many equal-length paths
-    g_r, p, scale = contracted(random_connected_graph(150, seed, wmax=3), params, encode=False)
-    assert scale == 1 and g_r.n_present > 1
-    assert_matches_seed(g_r, p, scale)
+def refused_untouched(g_r, p, error, match):
+    """solve_residual on g_r refuses with `error` and leaves D and P as they were."""
+    d = new_d(g_r.n_original)
+    cells = p.cells.copy()
+    with pytest.raises(error, match=match):
+        solve_residual(g_r, d, p)
+    assert np.array_equal(d, new_d(g_r.n_original))
+    assert np.array_equal(p.cells, cells)
 
 
-def test_solve_residual_disconnected_leaves_inf_and_p_untouched():
+def test_solve_residual_refuses_a_disconnected_residual_untouched():
     g = Graph(60)
     for offset, seed in ((0, 1), (30, 2)):
         for u, v, w in random_connected_graph(30, seed, wmax=3).edges():
-            g.set_edge(u + offset, v + offset, w)
+            g.set_edge(u, v, w + 1)
     p = PrecedenceMatrix(60)
-    p.cells[1:31, 31:] = 7  # stored entries across the cut must survive
-    d, p_out = assert_matches_seed(g, p, 1)
-    assert (d[1:31, 31:] == UNREACHED).all() and (d[31:, 1:31] == UNREACHED).all()
-    assert (p_out.cells[1:31, 31:] == 7).all() and (p_out.cells[31:, 1:31] == UNSET).all()
-
-
-def test_solve_residual_by_heap_matches_seed_on_hop_encoded_grid(monkeypatch):
-    g_r, p, scale = contracted(grid_graph(12), SolveParams(d_max=3, i_max=0), encode=True)
-    assert g_r.n_present > 100
-    # a positive connected residual: only the substitution makes it take the heap
-    monkeypatch.setattr(microsolve, "_solve_by_contraction", microsolve._solve_by_heap)
-    assert_matches_seed(g_r, p, scale)
+    p.cells[1:31, 31:] = 7
+    refused_untouched(g, p, GraphError, "connected")
 
 
 def test_solve_residual_matches_seed_just_below_unreached():
-    # weights summing to 2**63 - 2 take the heap (twice the sum overflows
-    # int64); float64 would round these distances, so the reference checks
-    # only P
+    # weights summing to 2**63 - 2: twice the sum passes 2**63, and
+    # contraction still solves it; float64 would round these distances, so
+    # the reference checks only P
     g = path_graph([2**62, 2**62 - 2])
     d, p = new_d(3), PrecedenceMatrix(3)
     solve_residual(g, d, p)
@@ -286,7 +275,7 @@ def test_dijkstra_matches_seed_with_ties(seed):
         assert dijkstra(g, src) == seed_dijkstra(g, src)
 
 
-# -- the two residual paths: contraction + predecessor rule, and the heap ----
+# -- contraction + predecessor rule ----------------------------------------
 
 def fail(*args):
     raise AssertionError("this path must not run")
@@ -340,37 +329,47 @@ def test_solve_residual_by_contraction_across_source_blocks(monkeypatch):
     assert_matches_seed(g_r, p, scale)
 
 
-def test_solve_residual_by_heap_matches_seed_on_zero_weights(monkeypatch):
-    g_r, p, scale = contracted(random_connected_graph(150, 0, wmax=3),
-                               SolveParams(d_max=3, i_max=0), encode=False)
+def test_solve_residual_refuses_zero_weights_untouched():
+    g_r, p, _ = contracted(random_connected_graph(150, 0, wmax=3),
+                           SolveParams(d_max=3, i_max=0), encode=False)
     assert g_r.n_present > 100
     assert min(w for nbrs in g_r.adj.values() for w in nbrs.values()) == 0
-    monkeypatch.setattr(microsolve, "_solve_by_contraction", fail)
-    assert_matches_seed(g_r, p, scale)
+    refused_untouched(g_r, p, ValueError, "zero-weight")
 
 
-def test_solve_residual_takes_the_heap_on_zero_weight_and_disconnected(monkeypatch):
-    monkeypatch.setattr(microsolve, "_solve_by_contraction", fail)
-    zero = path_graph([1, 0, 2])
-    assert_matches_seed(zero, PrecedenceMatrix(4), 1)
+def test_solve_residual_refuses_zero_weight_and_disconnected():
+    refused_untouched(path_graph([1, 0, 2]), PrecedenceMatrix(4), ValueError, "zero-weight")
     cut = Graph(4)
     cut.set_edge(1, 2, 3)
     cut.set_edge(3, 4, 5)
-    d, _ = assert_matches_seed(cut, PrecedenceMatrix(4), 1)
-    assert d[1, 3] == UNREACHED
+    refused_untouched(cut, PrecedenceMatrix(4), GraphError, "connected")
+    refused_untouched(Graph(2), PrecedenceMatrix(2), GraphError, "connected")
 
 
-def test_solve_residual_selects_by_twice_the_weight_sum(monkeypatch):
-    # twice 2**62 - 1 fits int64: contraction; twice 2**62 + 1 does not: heap
-    below = path_graph([2**61, 2**61 - 1])
-    above = path_graph([2**61, 2**61 + 1])
-    for g, patched in ((below, "_sssp"), (above, "_solve_by_contraction")):
-        with monkeypatch.context() as m:
-            m.setattr(microsolve, patched, fail)
-            d, p = new_d(3), PrecedenceMatrix(3)
-            solve_residual(g, d, p)
+def test_solve_residual_contracts_on_both_sides_of_a_doubled_sum_of_2_63(monkeypatch):
+    # twice 2**62 - 1 fits int64, twice 2**62 + 1 does not: both contract
+    monkeypatch.setattr(microsolve, "_sssp", fail)
+    for g in (path_graph([2**61, 2**61 - 1]), path_graph([2**61, 2**61 + 1])):
+        d, p = new_d(3), PrecedenceMatrix(3)
+        solve_residual(g, d, p)
         w12, w23 = g.adj[1][2], g.adj[2][3]
         assert d[1, 3] == d[3, 1] == w12 + w23 and p.get(1, 3) == 2 and p.get(3, 1) == 2
+
+
+def test_solve_residual_refuses_a_wrapping_candidate():
+    # vertex 1 joins two unit cliques, {2, 4, 5, 6} by A and {3, 7, 8, 9}
+    # by 1, and is contracted first; restoring it tries A + d(2, 3) =
+    # 2 A + 1 > 2**63 - 1, though the weights sum below that
+    a = 2**62 + 2**40
+    g = Graph(9)
+    g.set_edge(1, 2, a)
+    g.set_edge(1, 3, 1)
+    for clique in ((2, 4, 5, 6), (3, 7, 8, 9)):
+        for i, u in enumerate(clique):
+            for v in clique[i + 1:]:
+                g.set_edge(u, v, 1)
+    with pytest.raises(ValueError, match="restoring 1 overflows int64"):
+        solve_residual(g, new_d(9), PrecedenceMatrix(9))
 
 
 def test_solve_residual_hop_encoded_takes_contraction(monkeypatch):

@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 from conftest import cycle_graph, grid_graph, path_graph, random_connected_graph
 
-from graphshrink import Graph, GraphError, SolveParams, apsp_dijkstra, floyd_warshall, solve
+from graphshrink import (
+    Graph,
+    GraphError,
+    SolveParams,
+    apsp_dijkstra,
+    first_bad_precedence,
+    floyd_warshall,
+    solve,
+)
 from graphshrink.graph import MAX_WEIGHT
 from graphshrink.matrices import read_distance_matrix, write_distance_matrix
 
@@ -80,6 +88,30 @@ def test_solve_output_bytes_are_pinned(name):
     p_bytes = result.precedence.cells.astype("<i4").tobytes()
     assert hashlib.sha256(d_bytes).hexdigest() == d_digest
     assert hashlib.sha256(p_bytes).hexdigest() == p_digest
+
+
+def test_solve_contracts_a_residual_whose_doubled_weight_sum_passes_2_63():
+    # 1 joins each of 2..5 by W, and each of those joins 6, 7 and 8 by
+    # W + 1; removing 1 leaves shortcuts of 2 W between 2..5, so the
+    # encoded residual's doubled weight sum passes 2**63 while solve's own
+    # guard (twice the encoded sum of g) holds
+    w = 3 * 2**53
+    g = Graph(8)
+    for a in range(2, 6):
+        g.set_edge(1, a, w)
+        for b in (6, 7, 8):
+            g.set_edge(a, b, w + 1)
+    result = solve(g, SolveParams(n_min=7))
+    residual_sum = sum(weight for _, _, weight in result.sequence.residual.edges())
+    assert result.residual_order == 7 and 2 * residual_sum >= 2**63
+    assert np.array_equal(result.distances.cells, apsp_dijkstra(g)[0].cells)
+    assert first_bad_precedence(g, result.distances, result.precedence) is None
+    d_bytes = result.distances.cells.astype("<i8").tobytes()
+    p_bytes = result.precedence.cells.astype("<i4").tobytes()
+    assert (hashlib.sha256(d_bytes).hexdigest()
+            == "155e7f0380fa3c60df2b8615895d955d60fac40ca26b934b4f5b5ef1d913860b")
+    assert (hashlib.sha256(p_bytes).hexdigest()
+            == "8085c16ccb7a77d7ddb8287005a9447c8149301564cc4ce223a17a49ca0e5631")
 
 
 @pytest.mark.parametrize("params", [SolveParams(), SolveParams(n_min=20)])
