@@ -2,7 +2,14 @@ import heapq
 
 import numpy as np
 import pytest
-from conftest import contract, grid_graph, path_graph, random_connected_graph, triangle_graph
+from conftest import (
+    contract,
+    grid_graph,
+    path_graph,
+    random_connected_graph,
+    reference_solve_residual,
+    triangle_graph,
+)
 
 from graphshrink import (
     INF,
@@ -183,9 +190,9 @@ def contracted(g, params, encode):
     return seq.residual, p, scale
 
 
-def assert_matches_seed(g_r, p, scale):
-    """Run the reference and solve_residual from copies of P; the new `d`
-    must equal the reference's M * scale + hops, with INF as UNREACHED."""
+def assert_matches_seed(g_r, p, scale, solve=solve_residual):
+    """Run the reference and `solve` from copies of P; the new `d` must
+    equal the reference's M * scale + hops, with INF as UNREACHED."""
     n = g_r.n_original
     m0, p0 = float_m(n), PrecedenceMatrix(n)
     p0.cells[...] = p.cells
@@ -193,7 +200,7 @@ def assert_matches_seed(g_r, p, scale):
     seed_solve_residual(g_r, m0, p0, scale=scale, hop_cells=hops)
     d, p1 = new_d(n), PrecedenceMatrix(n)
     p1.cells[...] = p.cells
-    solve_residual(g_r, d, p1)
+    solve(g_r, d, p1)
     # cells outside the residual block stay inf in the reference
     missing = ~np.isfinite(m0)
     expected = np.where(missing, 0, m0).astype(np.int64) * scale
@@ -223,13 +230,26 @@ def refused_untouched(g_r, p, error, match):
     assert np.array_equal(p.cells, cells)
 
 
-def test_solve_residual_refuses_a_disconnected_residual_untouched():
+@pytest.mark.parametrize("seed", [0, 1, 3, 5])  # seeds 2 and 4 draw trees
+@pytest.mark.parametrize("params", [SolveParams(d_max=3, i_max=0), SolveParams(n_min=60),
+                                    SolveParams(n_min=150)])
+def test_solve_residual_matches_seed_on_raw_tied_weights(seed, params):
+    # weights 0..3: zero-weight edges and many equal-length paths.
+    # solve_residual refuses them; the test-side reference that stands in
+    # for it in the fuzz and assembly tests must still match the seed
+    g_r, p, scale = contracted(random_connected_graph(150, seed, wmax=3), params, encode=False)
+    assert scale == 1 and g_r.n_present > 1
+    refused_untouched(g_r, p, ValueError, "zero-weight")
+    assert_matches_seed(g_r, p, scale, solve=reference_solve_residual)
+
+
+def test_solve_residual_disconnected_leaves_inf_and_p_untouched():
     g = Graph(60)
     for offset, seed in ((0, 1), (30, 2)):
         for u, v, w in random_connected_graph(30, seed, wmax=3).edges():
-            g.set_edge(u, v, w + 1)
+            g.set_edge(u + offset, v + offset, w + 1)
     p = PrecedenceMatrix(60)
-    p.cells[1:31, 31:] = 7
+    p.cells[1:31, 31:] = 7  # stored entries across the cut must survive
     refused_untouched(g, p, GraphError, "connected")
 
 
