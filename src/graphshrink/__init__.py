@@ -1,7 +1,7 @@
 """All-pairs shortest paths on sparse undirected graphs via graph contraction."""
 
 from .assembly import assemble, precede_shortcuts
-from .baseline import apsp_dijkstra, floyd_warshall
+from .baseline import apsp_dijkstra, dijkstra, floyd_warshall
 from .disassembly import (
     UNBOUNDED,
     RemovalRecord,
@@ -15,7 +15,7 @@ from .disassembly import (
 from .dimacs import DimacsError, parse_dimacs, write_dimacs
 from .graph import INF, Graph, GraphError, GraphStats, extract_connected_subgraph
 from .matrices import UNSET, DistanceMatrix, PrecedenceMatrix
-from .microsolve import dijkstra, solve_residual
+from .microsolve import solve_residual
 from .paths import PathError, first_bad_precedence, path_weight, reconstruct_path
 from .solver import SolveResult, solve
 

@@ -1,8 +1,10 @@
 """Reference APSP solvers used as comparators and correctness oracles.
 
 Deliberately shares no traversal code with the contraction pipeline,
-which runs no Dijkstra (``microsolve.dijkstra`` is a standalone helper),
-so a bug in one side cannot validate itself against the other.
+which runs no Dijkstra, so a bug in one side cannot validate itself
+against the other.  ``apsp_dijkstra`` runs the binary heap ``_sssp`` from
+every vertex; ``dijkstra`` is this heap from one source; no pipeline stage
+calls either.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import heapq
 
 import numpy as np
 
-from .graph import Graph, GraphError
+from .graph import INF, Graph, GraphError
 from .matrices import UNREACHED, UNSET, DistanceMatrix, PrecedenceMatrix
 
 #: floyd_warshall refuses larger graphs: O(n^3) work and dense matrices.
@@ -41,6 +43,22 @@ def _sssp(adj: dict[int, dict[int, int]], source: int, n: int):
     return dist, pred
 
 
+def dijkstra(g: Graph, source: int) -> tuple[dict[int, float], dict[int, int | None]]:
+    """Single-source distances/predecessors over the present vertices.
+
+    Predecessor of the source is None, unreachable vertices stay at INF.
+    Edge weights summing to UNREACHED (2**63 - 1) or more are refused with
+    ValueError.
+    """
+    g._require(source)
+    total = sum(w for nbrs in g.adj.values() for w in nbrs.values()) // 2
+    if total >= UNREACHED:
+        raise ValueError(f"edge weights sum to {total} >= 2**63 - 1")
+    dist, pred = _sssp(g.adj, source, g.n_original)
+    return ({v: INF if dist[v] == UNREACHED else dist[v] for v in sorted(g.adj)},
+            {v: None if pred[v] == UNSET else pred[v] for v in sorted(g.adj)})
+
+
 def apsp_dijkstra(g: Graph) -> tuple[DistanceMatrix, PrecedenceMatrix]:
     """Binary-heap Dijkstra from every present vertex (the classic comparator).
 
@@ -53,8 +71,7 @@ def apsp_dijkstra(g: Graph) -> tuple[DistanceMatrix, PrecedenceMatrix]:
     if total >= UNREACHED:
         raise ValueError(f"edge weights sum to {total} >= 2**63 - 1: "
                          f"apsp_dijkstra's distances could reach UNREACHED")
-    if not g.is_connected():
-        raise GraphError("apsp_dijkstra requires a connected graph")
+    g.require_connected()
     n = g.n_original
     m = DistanceMatrix(n)
     p = PrecedenceMatrix(n)

@@ -44,18 +44,11 @@ def _int_or_inf(text: str) -> float:
     return int(text)
 
 
-def _load_graph(args, require_connected: bool = True) -> Graph:
+def _load_graph(args) -> Graph:
     path = Path(args.input)
     if not path.exists():
         raise CliError(f"input file not found: {path}")
-    g = parse_dimacs(path.read_bytes(), args.max_n)
-    if require_connected:
-        witness = g.unreachable_pair()
-        if witness is not None:
-            raise CliError(
-                f"input graph is disconnected: no path between vertices "
-                f"{witness[0]} and {witness[1]}")
-    return g
+    return parse_dimacs(path.read_bytes(), args.max_n)
 
 
 def _params(args) -> SolveParams:
@@ -210,7 +203,7 @@ def cmd_subgraph(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    g = _load_graph(args, require_connected=False)
+    g = _load_graph(args)
     st = g.stats()
     print(f"{Path(args.input).stem},{st.n},{st.m},{float(st.avg_degree):.4f},{st.max_degree}")
     return 0

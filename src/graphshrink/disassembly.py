@@ -220,8 +220,7 @@ def disassemble(g: Graph, params: SolveParams) -> ShrinkSequence:
     vertex is removed only when its edge delta stays within i_max.  Stops at
     n_min present vertices or after a full sweep that removes nothing.
     """
-    if not g.is_connected():
-        raise GraphError("disassembly requires a connected graph")
+    g.require_connected()
     records: list[RemovalRecord] = []
     n_min = params.n_min
     while g.n_present > n_min:

@@ -102,12 +102,19 @@ class Graph:
     # -- structure -------------------------------------------------------
 
     def is_connected(self) -> bool:
-        if not self.adj:
-            raise GraphError("connectivity undefined on an empty graph")
         return self.unreachable_pair() is None
+
+    def require_connected(self) -> None:
+        """Refuse a disconnected graph with GraphError naming a witness pair."""
+        witness = self.unreachable_pair()
+        if witness is not None:
+            raise GraphError(f"graph is disconnected: no path between vertices "
+                             f"{witness[0]} and {witness[1]}")
 
     def unreachable_pair(self) -> tuple[int, int] | None:
         """(start, unreached) witness if disconnected, else None."""
+        if not self.adj:
+            raise GraphError("connectivity undefined on an empty graph")
         start = min(self.adj)
         seen = {start}
         queue = deque([start])
@@ -145,8 +152,7 @@ def extract_connected_subgraph(g: Graph, size: int, seed: int) -> tuple[Graph, l
     """
     if not 1 <= size <= g.n_present:
         raise GraphError(f"subgraph size {size} outside 1..{g.n_present}")
-    if not g.is_connected():
-        raise GraphError("subgraph extraction requires a connected graph")
+    g.require_connected()
 
     rng = random.Random(seed)
     start = rng.choice(sorted(g.adj))

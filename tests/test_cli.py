@@ -49,13 +49,14 @@ def test_solve_without_outputs_reports_zero_write_time(triangle_file, capsys):
     assert capsys.readouterr().out.rstrip().endswith("write_seconds=0.000")
 
 
-def test_solve_disconnected_names_vertices(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["solve", "verify", "bench", "subgraph --size 2"])
+def test_solve_disconnected_names_vertices(tmp_path, capsys, command):
     path = tmp_path / "disc.gr"
     path.write_text("p sp 4 4\na 1 2 1\na 2 1 1\na 3 4 1\na 4 3 1\n")
-    rc = main(["solve", "--input", str(path)])
+    rc = main([*command.split(), "--input", str(path)])
     assert rc == 1
-    err = capsys.readouterr().err
-    assert "1" in err and "3" in err and "disconnected" in err
+    assert capsys.readouterr().err == (
+        "error: graph is disconnected: no path between vertices 1 and 3\n")
 
 
 def test_solve_parse_failure(tmp_path, capsys):

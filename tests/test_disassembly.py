@@ -269,7 +269,7 @@ def test_disassemble_rejects_disconnected():
     g = Graph(4)
     g.set_edge(1, 2, 1)
     g.set_edge(3, 4, 1)
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match="disconnected: no path between vertices 1 and 3"):
         disassemble(g, SolveParams())
 
 
