@@ -185,6 +185,7 @@ def _edge_delta(mutations: list[Mutation], degree: int) -> int:
 def edge_delta(g: Graph, v: int) -> int:
     """Net edge-count change if v were removed with distance preservation:
     the new edges its removal writes minus degree(v).  Pure: g untouched."""
+    g._require(v)
     nbrs = sorted(g.adj[v])
     if not nbrs:
         raise GraphError(f"edge_delta undefined for isolated vertex {v}")
@@ -194,6 +195,7 @@ def edge_delta(g: Graph, v: int) -> int:
 def remove_and_preserve(g: Graph, v: int) -> RemovalRecord:
     """Remove v, writing whatever shortcuts are needed to keep all surviving
     pairwise distances intact."""
+    g._require(v)
     nbrs = sorted(g.adj[v])
     if not nbrs:
         raise GraphError(f"cannot remove isolated vertex {v}")

@@ -101,9 +101,6 @@ class Graph:
 
     # -- structure -------------------------------------------------------
 
-    def is_connected(self) -> bool:
-        return self.unreachable_pair() is None
-
     def require_connected(self) -> None:
         """Refuse a disconnected graph with GraphError naming a witness pair."""
         witness = self.unreachable_pair()

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from .assembly import assemble, precede_shortcuts
 from .disassembly import ShrinkSequence, SolveParams, disassemble
 from .graph import Graph
-from .matrices import DistanceMatrix, PrecedenceMatrix
+from .matrices import UNREACHED, DistanceMatrix, PrecedenceMatrix
 from .microsolve import solve_residual
 
 
@@ -28,9 +28,10 @@ class SolveResult:
 def solve(g: Graph, params: SolveParams = SolveParams()) -> SolveResult:
     """Compute the full distance and precedence matrices of a connected graph.
 
-    Works on a private copy of g.  With the default parameters (everything
-    unbounded, n_min = 1) the graph contracts to a single vertex and the
-    residual solve is skipped entirely.
+    Works on a private copy of g.  Ids removed from g before the call keep
+    UNREACHED rows and columns (0 on the diagonal) and UNSET precedence.
+    With the default parameters (everything unbounded, n_min = 1) the graph
+    contracts to a single vertex and the residual solve is skipped entirely.
 
     Internally every edge weight w is encoded as w * (n + 1) + 1, so all
     comparisons are lexicographic in (weight, hop count).  Zero-weight edges
@@ -63,8 +64,12 @@ def solve(g: Graph, params: SolveParams = SolveParams()) -> SolveResult:
     precede_shortcuts(seq, p)
     solve_residual(seq.residual, m.cells, p)
     assemble(seq, m.cells, p)
-    # the graph is connected, so every 1..n cell holds a distance
     m.cells[1:, 1:] //= scale
+    # the decode also divided the absent ids' UNREACHED cells
+    absent = [v for v in range(1, n + 1) if v not in g.adj]
+    m.cells[absent, 1:] = UNREACHED
+    m.cells[1:, absent] = UNREACHED
+    m.cells[absent, absent] = 0
     return SolveResult(
         distances=m,
         precedence=p,

@@ -228,17 +228,53 @@ def test_restore_degree_one_vertex_extends_row():
     assert p.get(3, 4) == 1
 
 
-def test_restore_rejects_absent_neighbor():
-    # the replay runs the records backwards: 2 comes back first, naming 3,
-    # which is neither in the residual nor restored yet
+@pytest.mark.parametrize("edges, named", [
+    ([(3, 1)], 3),                  # restored after 2
+    ([(4, 1)], 4),                  # never present
+    ([(1, 1), (3, 1), (4, 1)], 3),  # both: 4 sits later in the restore order
+], ids=["restored_later", "never_present", "two_absent"])
+def test_restore_rejects_absent_neighbor(edges, named):
+    # the replay runs the records backwards: 2 comes back first, naming a
+    # vertex that is neither in the residual nor restored yet; the message
+    # names the lowest such id
+    rec3 = RemovalRecord(vertex=3, incident_edges=[(1, 1)])
+    rec2 = RemovalRecord(vertex=2, incident_edges=edges)
+    d, p = new_d(4), PrecedenceMatrix(4)
+    with pytest.raises(ValueError, match=f"2 names absent neighbor {named}$"):
+        assemble(sequence(4, {1}, [rec3, rec2]), d, p)
+    assert np.array_equal(d, new_d(4)) and not p.cells.any()
+
+
+def test_restore_accepts_a_neighbor_restored_before_it():
     rec3 = RemovalRecord(vertex=3, incident_edges=[(1, 1)])
     rec2 = RemovalRecord(vertex=2, incident_edges=[(3, 1)])
-    with pytest.raises(ValueError, match="2 names absent neighbor 3"):
-        assemble(sequence(3, {1}, [rec3, rec2]), new_d(3), PrecedenceMatrix(3))
-    # in the other order 3 is present when 2 comes back
     d = new_d(3)
     assemble(sequence(3, {1}, [rec2, rec3]), d, PrecedenceMatrix(3))
     assert list(d[2, 1:]) == [2, 0, 1]
+
+
+def test_restore_keeps_a_tight_shortcut_entry_over_a_lower_neighbor():
+    # G_0: path 1-2-3 of unit edges, plus 1-4 (1), 4-5 (2), 5-3 (1).
+    # Removing 5 writes the shortcut 4-3 of weight 3 with P entries 5;
+    # removing 4 then needs no shortcut (1-2-3 is shorter than 1-4-3).
+    # Restoring 4, the shortcut ties the path through neighbor 1 (1 + 2),
+    # and the first tight neighbor is 1, yet P[4][3] and P[3][4] keep 5.
+    rec5 = RemovalRecord(vertex=5, incident_edges=[(3, 1), (4, 2)],
+                         mutations=[(3, 4, INF, 3)])
+    rec4 = RemovalRecord(vertex=4, incident_edges=[(1, 1), (3, 3)])
+    seq = sequence(5, {1, 2, 3}, [rec5, rec4])
+    d, p = new_d(5), PrecedenceMatrix(5)
+    precede_shortcuts(seq, p)
+    assert (p.get(4, 3), p.get(3, 4)) == (5, 5)
+    for i, j, dist in [(1, 2, 1), (1, 3, 2), (2, 3, 1)]:
+        d[i, j] = d[j, i] = dist
+    p.set(1, 3, 2)
+    p.set(3, 1, 2)
+    assemble(seq, d, p)
+    assert list(d[4, 1:]) == [1, 2, 3, 0, 2]
+    assert (p.get(4, 3), p.get(3, 4)) == (5, 5)   # the shortcut's stored entries
+    assert (p.get(4, 2), p.get(2, 4)) == (1, 1)   # through the first tight neighbor
+    assert (p.get(4, 1), p.get(1, 4)) == (UNSET, UNSET)
 
 
 def test_restore_refuses_an_unreached_residual_pair_before_writing():

@@ -274,7 +274,7 @@ def test_subgraph_roundtrip(tmp_path):
     assert rc == 0
     sub = parse_dimacs(out.read_text())
     assert sub.n_original == 40
-    assert sub.is_connected()
+    assert sub.unreachable_pair() is None
 
 
 def test_subgraph_deterministic(tmp_path):

@@ -81,6 +81,17 @@ def test_edge_delta_is_pure():
     assert {v: dict(nbrs) for v, nbrs in g.adj.items()} == before
 
 
+@pytest.mark.parametrize("v", [5, 7], ids=["removed", "never_present"])
+@pytest.mark.parametrize("op", [edge_delta, remove_and_preserve])
+def test_absent_vertex_refused_with_graph_error(op, v):
+    g = path_graph([1, 1, 1, 1])
+    g.remove_vertex(5)
+    before = {u: dict(nbrs) for u, nbrs in g.adj.items()}
+    with pytest.raises(GraphError, match=f"vertex {v} not present"):
+        op(g, v)
+    assert {u: dict(nbrs) for u, nbrs in g.adj.items()} == before and g.m == 3
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_edge_delta_matches_realized_removal(seed):
     rng = random.Random(seed)

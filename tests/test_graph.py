@@ -68,13 +68,13 @@ def test_remove_vertex_triangle_keeps_far_edge():
     assert g.m == 1
 
 
-def test_is_connected():
-    assert path_graph([1, 2]).is_connected()
+def test_unreachable_pair():
+    assert path_graph([1, 2]).unreachable_pair() is None
     g = Graph(4)
     g.set_edge(1, 2, 1)
     g.set_edge(3, 4, 1)
-    assert not g.is_connected()
-    assert Graph(1).is_connected()
+    assert g.unreachable_pair() == (1, 3)
+    assert Graph(1).unreachable_pair() is None
 
 
 def test_symmetry_invariant_random():
@@ -118,7 +118,7 @@ def test_subgraph_connected_and_sized(size, seed):
     g = random_connected_graph(40, 11)
     sub, mapping = extract_connected_subgraph(g, size, seed=seed)
     assert sub.n_present == size
-    assert sub.is_connected()
+    assert sub.unreachable_pair() is None
     assert len(set(mapping)) == size
 
 

@@ -9,13 +9,14 @@ from graphshrink import (
     Graph,
     GraphError,
     SolveParams,
+    UNSET,
     apsp_dijkstra,
     first_bad_precedence,
     floyd_warshall,
     solve,
 )
 from graphshrink.graph import MAX_WEIGHT
-from graphshrink.matrices import read_distance_matrix, write_distance_matrix
+from graphshrink.matrices import UNREACHED, read_distance_matrix, write_distance_matrix
 
 
 def test_solve_refuses_when_twice_the_encoded_sum_reaches_2_63(monkeypatch):
@@ -30,6 +31,21 @@ def test_solve_refuses_when_twice_the_encoded_sum_reaches_2_63(monkeypatch):
             solve(path_graph([2**59, 2**59]))
     result = solve(path_graph([2**59, 2**59 - 1]))
     assert result.distances.cells[1, 3] == 2**60 - 1
+
+
+@pytest.mark.parametrize("params", [SolveParams(), SolveParams(d_max=1, n_min=2)],
+                         ids=["full", "d_max=1 n_min=2"])
+def test_solve_leaves_vertices_removed_before_it_unreached(params):
+    # path 1-2-3-4-5 with 5 removed: its row and column have no distance
+    g = path_graph([1, 2, 3, 4])
+    g.remove_vertex(5)
+    result = solve(g, params)
+    d = result.distances.cells
+    assert np.array_equal(d, apsp_dijkstra(g)[0].cells)
+    assert np.array_equal(d, floyd_warshall(g).cells)
+    assert (d[5, :5] == UNREACHED).all() and d[5, 5] == 0
+    p = result.precedence.cells
+    assert (p[5] == UNSET).all() and (p[:, 5] == UNSET).all()
 
 
 def test_solve_refuses_a_disconnected_graph_before_allocating(monkeypatch):
