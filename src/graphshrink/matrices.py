@@ -10,7 +10,14 @@ value (an infinite distance or an UNSET predecessor).  Both directions run
 numpy over blocks of rows, never Python per cell.  The writer splits each
 cell into base-10**4 chunks and gathers one 4-byte ASCII word per chunk
 from a table, NUL-padding the leading chunk, INF and the separators; one
-bytes.translate then drops every NUL.  It refuses negative cells.
+bytes.translate then drops every NUL.  It refuses negative cells.  The
+reader encodes a block's lines as one ASCII byte string and refuses it when
+a byte other than a digit, I, N, F, a blank or a newline is left.  Tokens
+start and end where the bytes change between separator (<= 32) and not;
+each line must hold `order` of them.  A cell is summed from one gather per
+digit column, counted back from its token's end, and a token holding a
+letter must be exactly INF, the missing value.  A refused block is parsed
+again line by line to name the first bad line.
 """
 
 from __future__ import annotations
@@ -68,7 +75,6 @@ class PrecedenceMatrix:
 _BLOCK_CELLS = 1 << 16  # cells in the block of rows held at a time
 _CHUNK = 10_000  # cells are written in base-10**4 chunks, one 4-byte word each
 _NUL, _INF, _SP, _NL = range(2 * _CHUNK, 2 * _CHUNK + 4)  # word indices past the chunks
-_ROW_CHARS = str.maketrans(dict.fromkeys("0123456789INF \t"))  # translate drops these
 _LINE = re.compile(r"^.*$", re.MULTILINE)
 _ORDER = re.compile(r"#\s*n\s+([0-9]+)")
 
@@ -136,27 +142,56 @@ def write_precedence_matrix(p: PrecedenceMatrix, out: IO[str]) -> None:
     _write_cells(p.cells, p.order, "precedence", out, UNSET)
 
 
-def _parse(lines: list[str], dest: np.ndarray):
-    """`lines` as int64 cells shaped like `dest`, INF as -1; None when a
-    cell is not digits or INF or reaches dest's dtype maximum."""
-    if "".join(lines).translate(_ROW_CHARS):
-        return None
-    try:
-        block = np.loadtxt([line.replace("INF", "-1") for line in lines], dtype=np.int64, ndmin=2)
-    except ValueError:
-        return None
-    limit = np.iinfo(dest.dtype).max
-    return block if block.shape == dest.shape and ((block >= -1) & (block < limit)).all() else None
+def _parse(lines: list[str], dest: np.ndarray, missing) -> bool:
+    """Parse `lines` into the cells `dest`, INF as `missing`; False, with
+    dest left as it was, when a line does not hold dest.shape[1] cells that
+    are each INF or digits below dest's dtype maximum."""
+    data = ("\n" + "\n".join(lines) + "\n").encode("ascii", "replace")  # non-ASCII: "?"
+    letters = data.translate(None, b"0123456789 \t\n")
+    if letters.translate(None, b"INF"):
+        return False
+    raw = np.frombuffer(data, np.uint8)
+    sep = raw <= 32
+    # data opens and closes with a separator, so the edges alternate: a
+    # token's first byte, then the byte after its last
+    starts, ends = (np.flatnonzero(sep[1:] != sep[:-1]) + 1).reshape(-1, 2).T
+    newlines = np.cumsum([0] + [len(line) + 1 for line in lines])
+    if (np.diff(np.searchsorted(starts, newlines)) != dest.shape[1]).any():
+        return False
+    lengths = ends - starts
+    width = int(lengths.max())
+    if width > 19:  # a digit before a token's last 19 must be a leading zero
+        nonzero = np.cumsum(raw != ord("0"))
+        if (nonzero[np.maximum(ends - 19, starts) - 1] != nonzero[starts - 1]).any():
+            return False
+    # one gather per digit column, counted back from each token's end
+    kind = np.uint64 if width >= 19 else np.int64  # 19 digits stay below 2**64, not 2**63
+    zero, last = np.uint8(ord("0")), ends - 1
+    values = (raw[last] - zero).astype(kind)
+    for k in range(1, min(width, 19)):
+        digit = raw[last - k] - zero
+        digit *= lengths > k
+        values += digit * kind(10 ** k)
+    if values.max() >= np.iinfo(dest.dtype).max:
+        return False
+    if letters:  # every token holding a letter must be exactly INF
+        three = np.flatnonzero(lengths == 3)
+        at = starts[three]
+        inf = three[(raw[at] == ord("I")) & (raw[at + 1] == ord("N")) & (raw[at + 2] == ord("F"))]
+        if 3 * len(inf) != len(letters):
+            return False
+        values[inf] = missing
+    dest[...] = values.reshape(dest.shape)
+    return True
 
 
 def _store_rows(dest: np.ndarray, rows: list[tuple[int, str]], missing) -> None:
     """Parse (line number, line) `rows` into the cells `dest`."""
-    block = _parse([line for _, line in rows], dest)
-    if block is None:
-        lineno = next((k for k, line in rows if _parse([line], dest[:1]) is None), rows[-1][0])
+    if not _parse([line for _, line in rows], dest, missing):
+        lineno = next((k for k, line in rows if not _parse([line], dest[:1], missing)),
+                      rows[-1][0])
         raise ValueError(f"line {lineno}: expected {dest.shape[1]} cells, each INF or digits "
                          f"below {np.iinfo(dest.dtype).max} (malformed or out of range)")
-    dest[...] = np.where(block < 0, missing, block)
 
 
 def _read_cells(text: str, make, missing):

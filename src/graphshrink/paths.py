@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .graph import INF, Graph
-from .matrices import UNSET, DistanceMatrix, PrecedenceMatrix
+from .matrices import UNREACHED, UNSET, DistanceMatrix, PrecedenceMatrix
 
 #: Cells in one row block of first_bad_precedence (1 MiB per int64 array).
 _CHECK_CELLS = 1 << 17
@@ -61,9 +61,11 @@ def first_bad_precedence(g0: Graph, d: DistanceMatrix,
     tight edge of g0, as (i, j, q); None when every cell passes.
 
     The last hop q is P[i][j], or i when unset.  It passes when (q, j) is an
-    edge of g0 and D[i][q] + w(q, j) == D[i][j].  Edge weights are looked up
-    in the sorted keys q * (n + 1) + j, one row block at a time, so memory
-    stays O(m + _CHECK_CELLS).  The test is local: a zero-weight cycle of
+    edge of g0 and D[i][q] + w(q, j) == D[i][j].  A pair with no path (D is
+    UNREACHED, as for a vertex removed before the solve) passes exactly when
+    P is unset.  Edge weights are looked up in the sorted keys
+    q * (n + 1) + j, one row block at a time, so memory stays
+    O(m + _CHECK_CELLS).  The test is local: a zero-weight cycle of
     last hops passes it, which only reconstruct_path's walk detects.
     """
     n = g0.n_original
@@ -80,7 +82,8 @@ def first_bad_precedence(g0: Graph, d: DistanceMatrix,
     for lo in range(1, scale, step):
         rows = np.arange(lo, min(lo + step, scale))[:, None]
         last = p.cells[lo:lo + len(rows), 1:].astype(np.int64)
-        last = np.where(last == UNSET, rows, last)
+        unset = last == UNSET
+        last = np.where(unset, rows, last)
         # an id outside 1..n reads as q = 0, whose keys q * (n + 1) + j
         # match no edge
         q = np.where((last >= 1) & (last <= n), last, 0)
@@ -89,6 +92,7 @@ def first_bad_precedence(g0: Graph, d: DistanceMatrix,
         dist = d.cells[lo:lo + len(rows)]
         ok = (keys[at] == key) & (np.take_along_axis(dist, q, axis=1) + weights[at]
                                   == dist[:, 1:])
+        ok = np.where(dist[:, 1:] == UNREACHED, unset, ok)
         bad = np.flatnonzero(~ok & (rows != cols))
         if bad.size:
             i, j = divmod(int(bad[0]), n)

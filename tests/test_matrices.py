@@ -1,4 +1,6 @@
 import io
+import random
+import re
 
 import numpy as np
 import pytest
@@ -28,6 +30,53 @@ def reference_write_cells(cells, order, kind, out, sentinel_value):
         row = cells[i, 1:]
         parts = ["INF" if v == sentinel_value else str(int(v)) for v in row]
         out.write(" ".join(parts) + "\n")
+
+
+def reference_read_cells(text, make, missing):
+    """The original np.loadtxt reader, kept as the reference for the block
+    tokenizer's cells and refusal messages."""
+    row_chars = str.maketrans(dict.fromkeys("0123456789INF \t"))
+
+    def parse(lines, dest):
+        if "".join(lines).translate(row_chars):
+            return None
+        try:
+            block = np.loadtxt([line.replace("INF", "-1") for line in lines],
+                               dtype=np.int64, ndmin=2)
+        except ValueError:
+            return None
+        limit = np.iinfo(dest.dtype).max
+        ok = block.shape == dest.shape and ((block >= -1) & (block < limit)).all()
+        return block if ok else None
+
+    def store(dest, rows):
+        block = parse([line for _, line in rows], dest)
+        if block is None:
+            lineno = next((k for k, line in rows if parse([line], dest[:1]) is None),
+                          rows[-1][0])
+            raise ValueError(f"line {lineno}: expected {dest.shape[1]} cells, each INF or "
+                             f"digits below {np.iinfo(dest.dtype).max} (malformed or out of "
+                             f"range)")
+        dest[...] = np.where(block < 0, missing, block)
+
+    m, rows, lineno = None, [], 0
+    for lineno, match in enumerate(re.finditer(r"^.*$", text, re.MULTILINE), 1):
+        line = match.group().strip()
+        header = re.fullmatch(r"#\s*n\s+([0-9]+)", line)
+        if header and m is None:
+            if 2 * int(header[1]) ** 2 > len(text):
+                raise ValueError(f"line {lineno}: the file is too short for order {header[1]}")
+            m, done = make(int(header[1])), 0
+        elif line and not line.startswith("#"):
+            if m is None or done + len(rows) == m.order:
+                raise ValueError(f"line {lineno}: row outside the '# n <order>' header's count")
+            rows.append((lineno, line))
+            if len(rows) * m.order >= matrices._BLOCK_CELLS or done + len(rows) == m.order:
+                store(m.cells[done + 1:done + 1 + len(rows), 1:], rows)
+                done, rows = done + len(rows), []
+    if m is None or done != m.order:
+        raise ValueError(f"line {lineno}: missing the '# n <order>' header or some of its rows")
+    return m
 
 
 def written(write, matrix) -> str:
@@ -102,9 +151,9 @@ def test_blocks_keep_bytes_and_bound_what_the_reader_parses(monkeypatch):
     # the last one short
     monkeypatch.setattr(matrices, "_BLOCK_CELLS", 64)
     parsed_rows = []
-    loadtxt = np.loadtxt
-    monkeypatch.setattr(np, "loadtxt",
-                        lambda lines, **kw: parsed_rows.append(len(lines)) or loadtxt(lines, **kw))
+    parse = matrices._parse
+    monkeypatch.setattr(matrices, "_parse",
+                        lambda lines, *args: parsed_rows.append(len(lines)) or parse(lines, *args))
     m, p = solved(random_connected_graph(13, 5))
     m.set(2, 9, np.inf)
     m.set(12, 3, 123456789)
@@ -210,8 +259,13 @@ GOOD_BODY = "# graphshrink distance matrix\n# n 3\n# ids 1 2 3\n0 1 2\n1 0 3\n2 
     # 2**63, in a row that is not the last of its block
     (GOOD_BODY.replace("1 0 3", "1 0 9223372036854775808"), 5),
     (GOOD_BODY.replace("1 0 3", "1 0 9223372036854775807"), 5),  # UNREACHED's digits
+    (GOOD_BODY.replace("1 0 3", "1 0 \u0663"), 5),             # ARABIC-INDIC DIGIT THREE
+    (GOOD_BODY.replace("1 0 3", "1 0 3\u00e9"), 5),
+    (GOOD_BODY.replace("1 0 3", "1 0\x003"), 5),
+    (GOOD_BODY.replace("1 0 3", "1 0\r3"), 5),
 ], ids=["no-header", "short-row", "long-row", "extra-row", "missing-row", "huge-order",
-        "inf", "nan", "1.5", "1e3", "-3", "+3", "NIF", "3INF", "INF3", "2**63", "2**63-1"])
+        "inf", "nan", "1.5", "1e3", "-3", "+3", "NIF", "3INF", "INF3", "2**63", "2**63-1",
+        "arabic-indic-3", "e-acute", "nul", "inner-cr"])
 def test_reader_rejects_malformed_input_naming_the_line(text, line):
     for read in (read_distance_matrix, read_precedence_matrix):
         with pytest.raises(ValueError, match=rf"^line {line}: "):
@@ -221,6 +275,80 @@ def test_reader_rejects_malformed_input_naming_the_line(text, line):
 def test_precedence_reader_rejects_ids_beyond_int32():
     with pytest.raises(ValueError, match="^line 3: .*out of range"):
         read_precedence_matrix("# n 2\nINF 1\n99999999999 INF\n")
+    with pytest.raises(ValueError, match="^line 2: .*below 2147483647 "):
+        read_precedence_matrix("# n 2\nINF 2147483647\n1 INF\n")
+    assert read_precedence_matrix("# n 2\nINF 2147483646\n1 INF\n").get(1, 2) == 2**31 - 2
+
+
+def test_reader_accepts_leading_zeros_and_crlf_but_not_the_maximum_behind_them():
+    m = read_distance_matrix("# n 2\r\n0 0000000000000000000042\r\n0009223372036854775806 0\r\n")
+    assert m.get(1, 2) == 42 and m.get(2, 1) == 2**63 - 2
+    p = read_precedence_matrix("# n 2\r\nINF 0000000000000000000002\r\n1 INF\r\n")
+    assert p.get(1, 2) == 2 and p.get(2, 2) == UNSET
+    with pytest.raises(ValueError, match="^line 2: .*below 9223372036854775807 "):
+        read_distance_matrix("# n 2\n0 0009223372036854775807\n1 0\n")
+
+
+#: cells at the int32 and int64 guards and past them, beside leading zeros
+FUZZ_CELLS = ["0", "7", "INF", "2147483646", "2147483647", "9223372036854775806",
+              "9223372036854775807", "9223372036854775808", "9999999999999999999",
+              "18446744073709551616", "0009223372036854775806"]
+FUZZ_BLANKS = [" ", "\t", "  ", " \t ", "\t\t"]
+FUZZ_INSERTS = ["+", "-", ".", "e", "\u00e9", " ", "\t", "\n", "I", "N", "F", "0", "9"]
+
+
+def fuzz_text(rng: random.Random) -> str:
+    """A small matrix text of order 1-4, then up to three random edits."""
+    order = rng.randint(1, 4)
+
+    def cell():
+        pick = rng.random()
+        if pick < 0.15:
+            return rng.choice(FUZZ_CELLS)
+        if pick < 0.35:  # 19-22 digits, leading zeros included
+            value = rng.randrange(10 ** rng.choice([3, 9, 19]))
+            return "0" * rng.randint(0, 3) + str(value).zfill(19)
+        return str(rng.randrange(10 ** rng.randint(1, 6)))
+
+    lines = ["# graphshrink distance matrix", f"# n {order}",
+             "# ids " + " ".join(map(str, range(1, order + 1)))]
+    for _ in range(order):
+        if rng.random() < 0.1:
+            lines.append(rng.choice(["", "# a comment", " \t"]))
+        cells = [cell() for _ in range(order)]
+        row = "".join(c + rng.choice(FUZZ_BLANKS) for c in cells[:-1]) + cells[-1]
+        lines.append(rng.choice(["", " ", "\t"]) + row + rng.choice(["", " ", "\t "]))
+    text = "\n".join(lines) + "\n"
+    for _ in range(rng.randint(0, 3)):
+        at = rng.randrange(len(text))
+        if rng.random() < 0.7:
+            text = text[:at] + rng.choice(FUZZ_INSERTS) + text[at:]
+        else:
+            text = text[:at] + text[at + 1:]
+    return text
+
+
+def outcome(read, *args):
+    try:
+        m = read(*args)
+    except ValueError as error:
+        return str(error)
+    return m.order, m.cells.dtype, m.cells.tolist()
+
+
+@pytest.mark.parametrize("block_cells", [4, 1 << 16])
+def test_reader_matches_the_loadtxt_reference_on_mutated_texts(monkeypatch, block_cells):
+    monkeypatch.setattr(matrices, "_BLOCK_CELLS", block_cells)
+    rng = random.Random(14)
+    refused = 0
+    for _ in range(1500):
+        text = fuzz_text(rng)
+        for read, make, missing in [(read_distance_matrix, DistanceMatrix, UNREACHED),
+                                    (read_precedence_matrix, PrecedenceMatrix, UNSET)]:
+            want = outcome(reference_read_cells, text, make, missing)
+            assert outcome(read, text) == want, repr(text)
+            refused += isinstance(want, str)
+    assert 500 < refused < 2500  # both outcomes are well represented
 
 
 def test_distance_cells_up_to_the_int64_guard_survive_a_round_trip():

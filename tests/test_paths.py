@@ -10,6 +10,7 @@ from graphshrink import (
     path_weight,
     reconstruct_path,
     SolveParams,
+    apsp_dijkstra,
     first_bad_precedence,
     solve,
 )
@@ -118,6 +119,25 @@ def test_first_bad_precedence_names_each_kind_of_bad_cell():
     result = solve(tri)
     result.precedence.set(1, 3, 0)  # unset: the direct edge (1, 3), 5 > 2
     assert first_bad_precedence(tri, result.distances, result.precedence) == (1, 3, 1)
+
+
+@pytest.mark.parametrize("source", ["solve", "apsp_dijkstra"])
+def test_first_bad_precedence_passes_a_vertex_removed_before_the_solve(source):
+    # path 1-2-3-4-5 (weight 3) without 5: its pairs have no path and no
+    # last hop, so they pass while P stays unset
+    g = path_graph([3, 3, 3, 3])
+    g.remove_vertex(5)
+    if source == "solve":
+        result = solve(g)
+        d, p = result.distances, result.precedence
+    else:
+        d, p = apsp_dijkstra(g)
+    assert first_bad_precedence(g, d, p) is None
+    p.set(1, 5, 2)  # a last hop for a pair with no path
+    assert first_bad_precedence(g, d, p) == (1, 5, 2)
+    p.set(1, 5, 0)
+    p.set(5, 3, 4)  # (4, 3) is an edge of g, but 5 reaches nothing
+    assert first_bad_precedence(g, d, p) == (5, 3, 4)
 
 
 def test_first_bad_precedence_reports_the_first_cell_across_row_blocks(monkeypatch):
