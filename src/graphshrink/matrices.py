@@ -171,8 +171,8 @@ def _parse(lines: list[str], dest: np.ndarray, missing) -> bool:
     for k in range(1, min(width, 19)):
         digit = raw[last - k] - zero
         digit *= lengths > k
-        values += digit * kind(10 ** k)
-    if values.max() >= np.iinfo(dest.dtype).max:
+        values += np.multiply(digit, kind(10 ** k), dtype=kind)  # not uint8 under NumPy 1
+    if values.max() >= kind(np.iinfo(dest.dtype).max):
         return False
     if letters:  # every token holding a letter must be exactly INF
         three = np.flatnonzero(lengths == 3)

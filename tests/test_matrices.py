@@ -1,6 +1,5 @@
 import io
 import random
-import re
 
 import numpy as np
 import pytest
@@ -32,9 +31,10 @@ def reference_write_cells(cells, order, kind, out, sentinel_value):
         out.write(" ".join(parts) + "\n")
 
 
-def reference_read_cells(text, make, missing):
-    """The original np.loadtxt reader, kept as the reference for the block
-    tokenizer's cells and refusal messages."""
+def reference_store_rows(dest, rows, missing):
+    """The original np.loadtxt block parser, in place of matrices._store_rows,
+    kept as the reference for the block tokenizer's cells and refusal
+    messages."""
     row_chars = str.maketrans(dict.fromkeys("0123456789INF \t"))
 
     def parse(lines, dest):
@@ -49,34 +49,12 @@ def reference_read_cells(text, make, missing):
         ok = block.shape == dest.shape and ((block >= -1) & (block < limit)).all()
         return block if ok else None
 
-    def store(dest, rows):
-        block = parse([line for _, line in rows], dest)
-        if block is None:
-            lineno = next((k for k, line in rows if parse([line], dest[:1]) is None),
-                          rows[-1][0])
-            raise ValueError(f"line {lineno}: expected {dest.shape[1]} cells, each INF or "
-                             f"digits below {np.iinfo(dest.dtype).max} (malformed or out of "
-                             f"range)")
-        dest[...] = np.where(block < 0, missing, block)
-
-    m, rows, lineno = None, [], 0
-    for lineno, match in enumerate(re.finditer(r"^.*$", text, re.MULTILINE), 1):
-        line = match.group().strip()
-        header = re.fullmatch(r"#\s*n\s+([0-9]+)", line)
-        if header and m is None:
-            if 2 * int(header[1]) ** 2 > len(text):
-                raise ValueError(f"line {lineno}: the file is too short for order {header[1]}")
-            m, done = make(int(header[1])), 0
-        elif line and not line.startswith("#"):
-            if m is None or done + len(rows) == m.order:
-                raise ValueError(f"line {lineno}: row outside the '# n <order>' header's count")
-            rows.append((lineno, line))
-            if len(rows) * m.order >= matrices._BLOCK_CELLS or done + len(rows) == m.order:
-                store(m.cells[done + 1:done + 1 + len(rows), 1:], rows)
-                done, rows = done + len(rows), []
-    if m is None or done != m.order:
-        raise ValueError(f"line {lineno}: missing the '# n <order>' header or some of its rows")
-    return m
+    block = parse([line for _, line in rows], dest)
+    if block is None:
+        lineno = next((k for k, line in rows if parse([line], dest[:1]) is None), rows[-1][0])
+        raise ValueError(f"line {lineno}: expected {dest.shape[1]} cells, each INF or "
+                         f"digits below {np.iinfo(dest.dtype).max} (malformed or out of range)")
+    dest[...] = np.where(block < 0, missing, block)
 
 
 def written(write, matrix) -> str:
@@ -328,9 +306,9 @@ def fuzz_text(rng: random.Random) -> str:
     return text
 
 
-def outcome(read, *args):
+def outcome(read, text):
     try:
-        m = read(*args)
+        m = read(text)
     except ValueError as error:
         return str(error)
     return m.order, m.cells.dtype, m.cells.tolist()
@@ -339,13 +317,15 @@ def outcome(read, *args):
 @pytest.mark.parametrize("block_cells", [4, 1 << 16])
 def test_reader_matches_the_loadtxt_reference_on_mutated_texts(monkeypatch, block_cells):
     monkeypatch.setattr(matrices, "_BLOCK_CELLS", block_cells)
+    store = matrices._store_rows
     rng = random.Random(14)
     refused = 0
     for _ in range(1500):
         text = fuzz_text(rng)
-        for read, make, missing in [(read_distance_matrix, DistanceMatrix, UNREACHED),
-                                    (read_precedence_matrix, PrecedenceMatrix, UNSET)]:
-            want = outcome(reference_read_cells, text, make, missing)
+        for read in [read_distance_matrix, read_precedence_matrix]:
+            monkeypatch.setattr(matrices, "_store_rows", reference_store_rows)
+            want = outcome(read, text)
+            monkeypatch.setattr(matrices, "_store_rows", store)
             assert outcome(read, text) == want, repr(text)
             refused += isinstance(want, str)
     assert 500 < refused < 2500  # both outcomes are well represented
