@@ -16,25 +16,26 @@ class PathError(ValueError):
 
 
 def reconstruct_path(p: PrecedenceMatrix, g0: Graph, i: int, j: int) -> list[int]:
-    """Vertex sequence of the shortest i -> j path, built back to front.
+    """Vertex sequence of the shortest i -> j path, as plain ints, built back
+    to front from row i of P, which is read once.
 
     An unset entry means the last hop is the direct edge from i.  The walk
-    is iterative and guarded, so a corrupt matrix raises instead of looping.
+    is iterative and stops on a repeated vertex or a non-edge, so a corrupt
+    matrix raises instead of looping.
     """
     if i == j:
         raise PathError("reconstruct_path requires i != j")
+    row = memoryview(p.cells[i])  # items read as Python ints
     path = [j]
     seen = {j}
     cur = j
     while cur != i:
-        q = p.get(i, cur)
+        q = row[cur]
         pred = q if q != UNSET else i
         if pred in seen:
             raise PathError(f"predecessor cycle at vertex {pred} for pair ({i},{j})")
         if pred not in g0.adj or cur not in g0.adj[pred]:
             raise PathError(f"consecutive pair ({pred},{cur}) not adjacent for pair ({i},{j})")
-        if len(path) > g0.n_original:
-            raise PathError(f"path for pair ({i},{j}) exceeds {g0.n_original} vertices")
         path.append(pred)
         seen.add(pred)
         cur = pred

@@ -1,10 +1,17 @@
+import io
+
 import numpy as np
 import pytest
-from conftest import cycle_graph, grid_graph, random_connected_graph, triangle_graph
+from conftest import cycle_graph, grid_graph, path_graph, random_connected_graph, triangle_graph
 
-from graphshrink import cli, parse_dimacs, solve, write_dimacs
+from graphshrink import UNBOUNDED, SolveParams, cli, parse_dimacs, solve, write_dimacs
 from graphshrink.cli import build_parser, main
-from graphshrink.matrices import read_distance_matrix, read_precedence_matrix, write_distance_matrix
+from graphshrink.matrices import (
+    read_distance_matrix,
+    read_precedence_matrix,
+    write_distance_matrix,
+    write_precedence_matrix,
+)
 
 
 @pytest.fixture
@@ -44,6 +51,46 @@ def test_solve_reports_shortcuts(tmp_path, capsys):
     assert " shortcuts=1 " in capsys.readouterr().out
 
 
+def _solve_files(tmp_path, src, tag, *knobs):
+    """D and P bytes that `solve` writes for src under the given knob flags."""
+    out, pred = tmp_path / f"dist_{tag}.txt", tmp_path / f"pred_{tag}.txt"
+    assert main(["solve", "--input", str(src), *knobs, "--out", str(out),
+                 "--pred", str(pred)]) == 0
+    return out.read_bytes(), pred.read_bytes()
+
+
+def test_solve_knob_flags_write_the_bounded_solve(tmp_path, capsys):
+    g = grid_graph(8)
+    src = tmp_path / "grid8.gr"
+    src.write_text(write_dimacs(g))
+    written = _solve_files(tmp_path, src, "bounded", "--dmax", "3", "--imax", "0")
+    result = solve(g, SolveParams(d_max=3, i_max=0))
+    d, p = io.StringIO(), io.StringIO()
+    write_distance_matrix(result.distances, d)
+    write_precedence_matrix(result.precedence, p)
+    assert written == (d.getvalue().encode(), p.getvalue().encode())
+    # full contraction leaves one vertex; the bounded knobs leave 39
+    assert result.residual_order > 1
+    assert f" residual_order={result.residual_order} " in capsys.readouterr().out
+
+
+def test_dmax_spelled_inf_solves_as_the_default(tmp_path, random_file):
+    default = _solve_files(tmp_path, random_file, "default")
+    for spelling in ("inf", "INFINITY"):
+        args = build_parser().parse_args(["solve", "--input", "g.gr", "--dmax", spelling])
+        assert args.dmax == UNBOUNDED
+        assert _solve_files(tmp_path, random_file, spelling, "--dmax", spelling) == default
+
+
+@pytest.mark.parametrize("flag, message", [("--dmax", "d_max must be >= 1 or UNBOUNDED, got 0"),
+                                           ("--nmin", "n_min must be >= 1, got 0")],
+                         ids=["dmax", "nmin"])
+def test_solve_refuses_a_knob_below_one(triangle_file, capsys, flag, message):
+    assert main(["solve", "--input", str(triangle_file), flag, "0"]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error: {message}\n"
+
+
 def test_solve_without_outputs_reports_zero_write_time(triangle_file, capsys):
     assert main(["solve", "--input", str(triangle_file)]) == 0
     assert capsys.readouterr().out.rstrip().endswith("write_seconds=0.000")
@@ -80,6 +127,12 @@ def test_verify_missing_expected_file_is_an_error_line(tmp_path, triangle_file, 
     assert main(["verify", "--input", str(triangle_file), "--expected", str(missing)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(missing) in err and "Traceback" not in err
+
+
+def test_solve_missing_input_file_is_an_error_line(tmp_path, capsys):
+    missing = tmp_path / "missing.gr"
+    assert main(["solve", "--input", str(missing)]) == 1
+    assert capsys.readouterr().err == f"error: input file not found: {missing}\n"
 
 
 def test_solve_input_directory_is_an_error_line(tmp_path, capsys):
@@ -174,6 +227,14 @@ def test_verify_corrupted_expected_matrix_names_cell(tmp_path, triangle_file, ca
     assert "(1,3)" in capsys.readouterr().err
 
 
+def test_verify_refuses_an_expected_matrix_of_another_order(tmp_path, triangle_file, capsys):
+    expected = tmp_path / "expected.txt"
+    with open(expected, "w") as fh:
+        write_distance_matrix(solve(path_graph([1, 1, 1])).distances, fh)
+    assert main(["verify", "--input", str(triangle_file), "--expected", str(expected)]) == 1
+    assert capsys.readouterr().err == "error: expected matrix order 4 != n 3\n"
+
+
 ORACLES = ["expected", "dijkstra", "floyd_warshall"]
 
 
@@ -218,6 +279,19 @@ def test_verify_names_the_bad_precedence_cell(triangle_file, monkeypatch, capsys
             in capsys.readouterr().err)
 
 
+def test_verify_names_a_walked_path_heavier_than_its_distance(triangle_file, monkeypatch,
+                                                             capsys):
+    def corrupted_solve(g, params):
+        result = solve(g, params)
+        result.precedence.set(1, 3, 0)  # the walk takes the direct edge (1, 3), weight 5
+        return result
+
+    monkeypatch.setattr(cli, "solve", corrupted_solve)
+    monkeypatch.setattr(cli, "first_bad_precedence", lambda g, d, p: None)
+    assert main(["verify", "--input", str(triangle_file)]) == 1
+    assert capsys.readouterr().err == "FAIL: path (1,3) weighs 5, matrix says 2\n"
+
+
 @pytest.mark.parametrize("argv", [["stats", "--dmax", "3"], ["stats", "--seed", "2"],
                                   ["subgraph", "--size", "2", "--nmin", "3"],
                                   ["solve", "--seed", "2"], ["bench", "--seed", "2"]])
@@ -250,11 +324,26 @@ def test_bench_writes_report(tmp_path, random_file, capsys):
                "--report", str(report)])
     assert rc == 0
     lines = report.read_text().strip().splitlines()
-    assert lines[0].startswith("instance,n,m,pa_seconds")
+    assert lines[0] == ("instance,n,m,pa_seconds,db_seconds,speedup,removals,"
+                        "residual_order,max_removed_degree,matrices_equal")
+    assert capsys.readouterr().out == lines[1] + "\n"
     row = lines[1].split(",")
     assert row[0] == "rand100"
     assert row[1] == "100"
     assert row[-1] == "True"
+
+
+def test_bench_reports_a_solve_that_disagrees_with_dijkstra(triangle_file, monkeypatch, capsys):
+    def corrupted_solve(g, params):
+        result = solve(g, params)
+        result.distances.set(1, 3, 99)
+        return result
+
+    monkeypatch.setattr(cli, "solve", corrupted_solve)
+    assert main(["bench", "--input", str(triangle_file), "--repeats", "1"]) == 1
+    out = capsys.readouterr()
+    assert out.out.startswith("triangle,3,3,") and out.out.endswith(",False\n")
+    assert out.err == "FAIL: PA and DB matrices differ\n"
 
 
 def test_bench_appends_rows(tmp_path, triangle_file):
@@ -275,6 +364,17 @@ def test_subgraph_roundtrip(tmp_path):
     sub = parse_dimacs(out.read_text())
     assert sub.n_original == 40
     assert sub.unreachable_pair() is None
+
+
+def test_subgraph_without_out_prints_the_dimacs_text(tmp_path, capsys):
+    src = tmp_path / "grid.gr"
+    src.write_text(write_dimacs(grid_graph(side=10)))
+    out = tmp_path / "sub.gr"
+    argv = ["subgraph", "--input", str(src), "--size", "40", "--seed", "2"]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(argv) == 0
+    assert capsys.readouterr().out == out.read_text()
 
 
 def test_subgraph_deterministic(tmp_path):

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from conftest import random_connected_graph
 
@@ -82,6 +84,9 @@ def test_parse_rejects_malformed(text):
     ("p sp -2 1", "line 1: malformed problem line"),
     ("c ok\np sp \u0662 1", "line 2: malformed line"),
     ("p sp 2 1\na 1 2 -3", "line 2: negative weight -3"),
+    ("p sp 0 0", "line 1: vertex count must be positive"),
+    pytest.param("p sp " + "9" * (sys.get_int_max_str_digits() + 1) + " 1",
+                 "line 1: malformed problem line", id="count-beyond-int-digits"),
 ])
 def test_parse_accepts_only_plain_decimal_integers(text, message):
     for given in (text, text.encode("utf-8")):

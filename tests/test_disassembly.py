@@ -74,6 +74,15 @@ def test_edge_delta_isolated_rejected():
         edge_delta(g, 1)
 
 
+def test_remove_and_preserve_isolated_rejected():
+    g = Graph(2)
+    g.set_edge(1, 2, 1)
+    g.remove_vertex(2)
+    with pytest.raises(GraphError, match="^cannot remove isolated vertex 1$"):
+        remove_and_preserve(g, 1)
+    assert g.adj == {1: {}}
+
+
 def test_edge_delta_is_pure():
     g = triangle_graph()
     before = {v: dict(nbrs) for v, nbrs in g.adj.items()}

@@ -75,6 +75,15 @@ def test_unreachable_pair():
     g.set_edge(3, 4, 1)
     assert g.unreachable_pair() == (1, 3)
     assert Graph(1).unreachable_pair() is None
+    g = Graph(1)
+    g.remove_vertex(1)
+    with pytest.raises(GraphError, match="^connectivity undefined on an empty graph$"):
+        g.unreachable_pair()
+
+
+def test_order_below_one_refused():
+    with pytest.raises(GraphError, match="^graph order must be >= 1, got 0$"):
+        Graph(0)
 
 
 def test_symmetry_invariant_random():

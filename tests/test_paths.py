@@ -5,6 +5,7 @@ from conftest import grid_graph, path_graph, random_connected_graph, triangle_gr
 
 from graphshrink import (
     INF,
+    UNSET,
     PathError,
     PrecedenceMatrix,
     path_weight,
@@ -92,6 +93,94 @@ def test_soundness_on_random_instances(seed):
         assert len(path) <= n
         assert len(set(path)) == len(path)
         assert path_weight(g, path) == result.distances.get(i, j)
+
+
+# -- the walk against its per-hop reference ---------------------------------
+
+def reference_reconstruct_path(p, g0, i, j):
+    """The earlier walk: one PrecedenceMatrix.get per hop, and a length guard."""
+    if i == j:
+        raise PathError("reconstruct_path requires i != j")
+    path = [j]
+    seen = {j}
+    cur = j
+    while cur != i:
+        q = p.get(i, cur)
+        pred = q if q != UNSET else i
+        if pred in seen:
+            raise PathError(f"predecessor cycle at vertex {pred} for pair ({i},{j})")
+        if pred not in g0.adj or cur not in g0.adj[pred]:
+            raise PathError(f"consecutive pair ({pred},{cur}) not adjacent for pair ({i},{j})")
+        if len(path) > g0.n_original:
+            raise PathError(f"path for pair ({i},{j}) exceeds {g0.n_original} vertices")
+        path.append(pred)
+        seen.add(pred)
+        cur = pred
+    path.reverse()
+    return path
+
+
+def walk_outcome(walk, p, g, i, j):
+    try:
+        return walk(p, g, i, j)
+    except PathError as exc:
+        return f"PathError: {exc}"
+
+
+def removed_tail_path_graph():
+    # path 1-2-3-4-5 without 5, removed before the solve
+    g = path_graph([3, 3, 3, 3])
+    g.remove_vertex(5)
+    return g
+
+
+@pytest.mark.parametrize("g, params", [
+    (triangle_graph(), SolveParams()),
+    (grid_graph(8), SolveParams()),
+    (grid_graph(8), SolveParams(d_max=3, i_max=0)),
+    (random_connected_graph(60, 4, wmax=2), SolveParams()),
+    (removed_tail_path_graph(), SolveParams()),
+], ids=["triangle", "grid8-full", "grid8-bounded", "random60", "path-without-5"])
+def test_walk_matches_the_reference_on_every_pair(g, params):
+    p = solve(g, params).precedence
+    n = g.n_original
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            got = walk_outcome(reconstruct_path, p, g, i, j)
+            assert got == walk_outcome(reference_reconstruct_path, p, g, i, j), (i, j)
+            assert isinstance(got, str) or all(type(v) is int for v in got), (i, j)
+
+
+@pytest.mark.parametrize("g, pair, cells, message", [
+    # 4's last hop is 3 and 3's is 4
+    (path_graph([1, 1, 1]), (1, 4), [(1, 4, 3), (1, 3, 4)],
+     "predecessor cycle at vertex 4 for pair (1,4)"),
+    # 4's last hop is 2, which is not adjacent to 4
+    (path_graph([1, 1, 1]), (1, 4), [(1, 4, 2)],
+     "consecutive pair (2,4) not adjacent for pair (1,4)"),
+    # ids beyond n = 4 and below 1
+    (path_graph([1, 1, 1]), (1, 4), [(1, 4, 9)],
+     "consecutive pair (9,4) not adjacent for pair (1,4)"),
+    (path_graph([1, 1, 1]), (1, 4), [(1, 4, -1)],
+     "consecutive pair (-1,4) not adjacent for pair (1,4)"),
+    # unset: the direct edge (1, 4), which is absent
+    (path_graph([1, 1, 1]), (1, 4), [(1, 4, UNSET)],
+     "consecutive pair (1,4) not adjacent for pair (1,4)"),
+    # the solve leaves the cells of a vertex removed before it unset
+    (removed_tail_path_graph(), (1, 5), [],
+     "consecutive pair (1,5) not adjacent for pair (1,5)"),
+    (removed_tail_path_graph(), (5, 1), [],
+     "consecutive pair (5,1) not adjacent for pair (5,1)"),
+], ids=["cycle", "non-adjacent", "beyond-n", "negative", "unset", "removed-target",
+        "removed-source"])
+def test_walk_refuses_a_corrupt_cell_as_the_reference_does(g, pair, cells, message):
+    p = solve(g).precedence
+    for i, j, q in cells:
+        p.set(i, j, q)
+    for walk in (reconstruct_path, reference_reconstruct_path):
+        with pytest.raises(PathError) as exc:
+            walk(p, g, *pair)
+        assert str(exc.value) == message
 
 
 # -- first_bad_precedence: every cell's last hop against the graph ----------
