@@ -212,10 +212,8 @@ def test_first_bad_precedence_names_each_kind_of_bad_cell():
 
 @pytest.mark.parametrize("source", ["solve", "apsp_dijkstra"])
 def test_first_bad_precedence_passes_a_vertex_removed_before_the_solve(source):
-    # path 1-2-3-4-5 (weight 3) without 5: its pairs have no path and no
-    # last hop, so they pass while P stays unset
-    g = path_graph([3, 3, 3, 3])
-    g.remove_vertex(5)
+    # 5's pairs have no path and no last hop, so they pass while P stays unset
+    g = removed_tail_path_graph()
     if source == "solve":
         result = solve(g)
         d, p = result.distances, result.precedence
