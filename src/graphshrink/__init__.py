@@ -1,13 +1,11 @@
 """All-pairs shortest paths on sparse undirected graphs via graph contraction."""
 
-from .assembly import assemble, precede_shortcuts
 from .baseline import apsp_dijkstra, dijkstra, floyd_warshall
 from .disassembly import (
     UNBOUNDED,
     RemovalRecord,
     ShrinkSequence,
     SolveParams,
-    best_alternative_two_hop,
     disassemble,
     edge_delta,
     remove_and_preserve,
@@ -15,7 +13,6 @@ from .disassembly import (
 from .dimacs import DimacsError, parse_dimacs, write_dimacs
 from .graph import INF, Graph, GraphError, GraphStats, extract_connected_subgraph
 from .matrices import UNSET, DistanceMatrix, PrecedenceMatrix
-from .microsolve import solve_residual
 from .paths import PathError, first_bad_precedence, path_weight, reconstruct_path
 from .solver import SolveResult, solve
 
@@ -35,8 +32,6 @@ __all__ = [
     "SolveParams",
     "SolveResult",
     "apsp_dijkstra",
-    "assemble",
-    "best_alternative_two_hop",
     "dijkstra",
     "disassemble",
     "edge_delta",
@@ -45,10 +40,8 @@ __all__ = [
     "floyd_warshall",
     "parse_dimacs",
     "path_weight",
-    "precede_shortcuts",
     "reconstruct_path",
     "remove_and_preserve",
     "solve",
-    "solve_residual",
     "write_dimacs",
 ]

@@ -50,6 +50,12 @@ def _params(args) -> SolveParams:
     return SolveParams(d_max=args.dmax, i_max=args.imax, n_min=args.nmin)
 
 
+def _check_output_dirs(*paths) -> None:
+    for out in paths:
+        if out and not Path(out).parent.is_dir():
+            raise CliError(f"output directory not found: {Path(out).parent}")
+
+
 def _first_mismatch(a: np.ndarray, b: np.ndarray):
     diff = np.argwhere(a[1:, 1:] != b[1:, 1:])
     if diff.size == 0:
@@ -62,9 +68,7 @@ def _first_mismatch(a: np.ndarray, b: np.ndarray):
 
 
 def cmd_solve(args) -> int:
-    for out in (args.out, args.pred):
-        if out and not Path(out).parent.is_dir():
-            raise CliError(f"output directory not found: {Path(out).parent}")
+    _check_output_dirs(args.out, args.pred)
     g = _load_graph(args)
     t0 = time.perf_counter()
     result = solve(g, _params(args))
@@ -142,6 +146,7 @@ def cmd_verify(args) -> int:
 def cmd_bench(args) -> int:
     if args.repeats < 1:
         raise CliError(f"--repeats must be at least 1, got {args.repeats}")
+    _check_output_dirs(args.report)
     g = _load_graph(args)
     params = _params(args)
 

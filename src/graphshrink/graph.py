@@ -16,8 +16,9 @@ from typing import Iterator
 
 INF = float("inf")
 
-#: Largest edge weight accepted on input.  Sums along simple paths of any
-#: realistic length then stay well inside exact 64-bit / float64 range.
+#: Largest edge weight accepted in a DIMACS file.  It does not by itself
+#: keep distances inside int64: solve refuses a graph whose encoded edge
+#: weights (w * (n + 1) + 1), summed and doubled, reach 2**63.
 MAX_WEIGHT = 2**32 - 1
 
 

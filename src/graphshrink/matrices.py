@@ -51,9 +51,6 @@ class DistanceMatrix:
         v = int(self.cells[i, j])
         return INF if v == UNREACHED else v
 
-    def set(self, i: int, j: int, value) -> None:
-        self.cells[i, j] = UNREACHED if value == INF else value
-
 
 class PrecedenceMatrix:
     __slots__ = ("order", "cells")
@@ -61,13 +58,6 @@ class PrecedenceMatrix:
     def __init__(self, order: int):
         self.order = order
         self.cells = np.zeros((order + 1, order + 1), dtype=np.int32)
-
-    def get(self, i: int, j: int) -> int:
-        """Predecessor id, or UNSET (0)."""
-        return int(self.cells[i, j])
-
-    def set(self, i: int, j: int, value: int) -> None:
-        self.cells[i, j] = value
 
 
 # -- text serialization --------------------------------------------------

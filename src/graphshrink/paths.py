@@ -21,10 +21,13 @@ def reconstruct_path(p: PrecedenceMatrix, g0: Graph, i: int, j: int) -> list[int
 
     An unset entry means the last hop is the direct edge from i.  The walk
     is iterative and stops on a repeated vertex or a non-edge, so a corrupt
-    matrix raises instead of looping.
+    matrix raises instead of looping.  An id outside 1..n is refused before
+    the walk.
     """
     if i == j:
         raise PathError("reconstruct_path requires i != j")
+    if not (1 <= i <= p.order and 1 <= j <= p.order):
+        raise PathError(f"pair ({i},{j}) has an id outside 1..{p.order}")
     row = memoryview(p.cells[i])  # items read as Python ints
     path = [j]
     seen = {j}

@@ -2,7 +2,8 @@ import random
 
 import numpy as np
 
-from graphshrink import UNSET, Graph, PrecedenceMatrix, apsp_dijkstra, disassemble, precede_shortcuts
+from graphshrink import UNSET, Graph, PrecedenceMatrix, apsp_dijkstra, disassemble
+from graphshrink.assembly import precede_shortcuts
 
 
 def contract(g: Graph, params):

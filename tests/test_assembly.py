@@ -18,13 +18,12 @@ from graphshrink import (
     ShrinkSequence,
     SolveParams,
     UNSET,
-    assemble,
     disassemble,
     floyd_warshall,
-    precede_shortcuts,
     remove_and_preserve,
     solve,
 )
+from graphshrink.assembly import assemble, precede_shortcuts
 from graphshrink.microsolve import UNREACHED
 
 
@@ -172,8 +171,8 @@ def test_precede_shortcuts_triangle():
     rec = remove_and_preserve(g, 2)
     p = PrecedenceMatrix(3)
     precede_shortcuts(ShrinkSequence([rec], g), p)
-    assert p.get(1, 3) == 2
-    assert p.get(3, 1) == 2
+    assert int(p.cells[1, 3]) == 2
+    assert int(p.cells[3, 1]) == 2
     assert np.count_nonzero(p.cells) == 2
 
 
@@ -186,13 +185,13 @@ def test_precede_shortcuts_chains_through_an_earlier_shortcut():
     assert [r.mutations for r in records] == [[(1, 3, INF, 2)], [(1, 4, INF, 3)]]
     p = PrecedenceMatrix(4)
     precede_shortcuts(ShrinkSequence(records, g), p)
-    assert (p.get(1, 3), p.get(3, 1)) == (2, 2)
-    assert p.get(1, 4) == 3  # P[3][4] is unset: the edge (3, 4) is original
-    assert p.get(4, 1) == 2
+    assert (int(p.cells[1, 3]), int(p.cells[3, 1])) == (2, 2)
+    assert int(p.cells[1, 4]) == 3  # P[3][4] is unset: the edge (3, 4) is original
+    assert int(p.cells[4, 1]) == 2
     # in the other order the chain is not there yet
     reordered = PrecedenceMatrix(4)
     precede_shortcuts(ShrinkSequence(records[::-1], g), reordered)
-    assert reordered.get(4, 1) == 3
+    assert int(reordered.cells[4, 1]) == 3
 
 
 # -- restore steps on hand-built sequences ----------------------------------
@@ -205,8 +204,8 @@ def test_restore_triangle_middle_vertex():
     assemble(sequence(3, {1, 3}, [rec]), d, p)
     assert d[2, 1] == d[1, 2] == 1
     assert d[2, 3] == d[3, 2] == 1
-    assert p.get(2, 1) == UNSET  # direct recorded edge attains the minimum
-    assert p.get(2, 3) == UNSET
+    assert int(p.cells[2, 1]) == UNSET  # direct recorded edge attains the minimum
+    assert int(p.cells[2, 3]) == UNSET
 
 
 def test_restore_degree_one_vertex_extends_row():
@@ -215,17 +214,17 @@ def test_restore_degree_one_vertex_extends_row():
     p = PrecedenceMatrix(4)
     for i, j, dist in [(1, 2, 3), (1, 3, 7), (2, 3, 4)]:
         d[i, j] = d[j, i] = dist
-    p.set(1, 3, 2)  # 1 -> 2 -> 3
-    p.set(3, 1, 2)
+    p.cells[1, 3] = 2  # 1 -> 2 -> 3
+    p.cells[3, 1] = 2
     rec = RemovalRecord(vertex=4, incident_edges=[(1, 5)])
     assemble(sequence(4, {1, 2, 3}, [rec]), d, p)
     assert list(d[4, 1:]) == [5, 8, 12, 0]
     assert np.array_equal(d, d.T)
-    assert p.get(4, 1) == UNSET
-    assert p.get(4, 2) == 1       # P[1][2] unset, so the argmin neighbor
-    assert p.get(4, 3) == 2       # P[1][3] carries through
-    assert p.get(2, 4) == 1       # last hop into 4 is the edge (1, 4)
-    assert p.get(3, 4) == 1
+    assert int(p.cells[4, 1]) == UNSET
+    assert int(p.cells[4, 2]) == 1       # P[1][2] unset, so the argmin neighbor
+    assert int(p.cells[4, 3]) == 2       # P[1][3] carries through
+    assert int(p.cells[2, 4]) == 1       # last hop into 4 is the edge (1, 4)
+    assert int(p.cells[3, 4]) == 1
 
 
 @pytest.mark.parametrize("edges, named", [
@@ -265,16 +264,16 @@ def test_restore_keeps_a_tight_shortcut_entry_over_a_lower_neighbor():
     seq = sequence(5, {1, 2, 3}, [rec5, rec4])
     d, p = new_d(5), PrecedenceMatrix(5)
     precede_shortcuts(seq, p)
-    assert (p.get(4, 3), p.get(3, 4)) == (5, 5)
+    assert (int(p.cells[4, 3]), int(p.cells[3, 4])) == (5, 5)
     for i, j, dist in [(1, 2, 1), (1, 3, 2), (2, 3, 1)]:
         d[i, j] = d[j, i] = dist
-    p.set(1, 3, 2)
-    p.set(3, 1, 2)
+    p.cells[1, 3] = 2
+    p.cells[3, 1] = 2
     assemble(seq, d, p)
     assert list(d[4, 1:]) == [1, 2, 3, 0, 2]
-    assert (p.get(4, 3), p.get(3, 4)) == (5, 5)   # the shortcut's stored entries
-    assert (p.get(4, 2), p.get(2, 4)) == (1, 1)   # through the first tight neighbor
-    assert (p.get(4, 1), p.get(1, 4)) == (UNSET, UNSET)
+    assert (int(p.cells[4, 3]), int(p.cells[3, 4])) == (5, 5)   # the shortcut's stored entries
+    assert (int(p.cells[4, 2]), int(p.cells[2, 4])) == (1, 1)   # through the first tight neighbor
+    assert (int(p.cells[4, 1]), int(p.cells[1, 4])) == (UNSET, UNSET)
 
 
 def test_restore_refuses_an_unreached_residual_pair_before_writing():

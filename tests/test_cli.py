@@ -37,7 +37,7 @@ def test_solve_writes_matrices(tmp_path, triangle_file, capsys):
     m = read_distance_matrix(out.read_text())
     assert m.get(1, 3) == 2
     p = read_precedence_matrix(pred.read_text())
-    assert p.get(1, 3) == 2
+    assert int(p.cells[1, 3]) == 2
     summary = capsys.readouterr().out
     assert "n=3" in summary and "removals=" in summary
     assert float(summary.split("write_seconds=")[1]) >= 0
@@ -119,6 +119,15 @@ def test_solve_refuses_a_missing_output_directory_before_solving(tmp_path, trian
     monkeypatch.setattr(cli, "solve", lambda *a: pytest.fail("solved before checking outputs"))
     missing = tmp_path / "missing" / "d.txt"
     assert main(["solve", "--input", str(triangle_file), flag, str(missing)]) == 1
+    assert capsys.readouterr().err == f"error: output directory not found: {missing.parent}\n"
+
+
+def test_bench_refuses_a_missing_report_directory_before_parsing(tmp_path, triangle_file,
+                                                                 monkeypatch, capsys):
+    monkeypatch.setattr(cli, "parse_dimacs", lambda *a: pytest.fail("parsed before checking"))
+    monkeypatch.setattr(cli, "solve", lambda *a: pytest.fail("solved before checking"))
+    missing = tmp_path / "missing" / "report.csv"
+    assert main(["bench", "--input", str(triangle_file), "--report", str(missing)]) == 1
     assert capsys.readouterr().err == f"error: output directory not found: {missing.parent}\n"
 
 
@@ -218,7 +227,7 @@ def test_verify_one_vertex_walks_no_path(tmp_path, capsys):
 
 def test_verify_corrupted_expected_matrix_names_cell(tmp_path, triangle_file, capsys):
     result = solve(triangle_graph())
-    result.distances.set(1, 3, 99)
+    result.distances.cells[1, 3] = 99
     expected = tmp_path / "expected.txt"
     with open(expected, "w") as fh:
         write_distance_matrix(result.distances, fh)
@@ -247,7 +256,7 @@ def test_verify_names_the_cell_each_oracle_disagrees_on(tmp_path, triangle_file,
 
     def corrupted_solve(g, params):
         result = solve(g, params)
-        result.distances.set(1, 3, 99)
+        result.distances.cells[1, 3] = 99
         return result
 
     def never_run(g):
@@ -270,7 +279,7 @@ def test_verify_names_the_cell_each_oracle_disagrees_on(tmp_path, triangle_file,
 def test_verify_names_the_bad_precedence_cell(triangle_file, monkeypatch, capsys):
     def corrupted_solve(g, params):
         result = solve(g, params)
-        result.precedence.set(1, 3, 0)  # the direct edge (1, 3) weighs 5
+        result.precedence.cells[1, 3] = 0  # the direct edge (1, 3) weighs 5
         return result
 
     monkeypatch.setattr(cli, "solve", corrupted_solve)
@@ -283,7 +292,7 @@ def test_verify_names_a_walked_path_heavier_than_its_distance(triangle_file, mon
                                                              capsys):
     def corrupted_solve(g, params):
         result = solve(g, params)
-        result.precedence.set(1, 3, 0)  # the walk takes the direct edge (1, 3), weight 5
+        result.precedence.cells[1, 3] = 0  # the walk takes the direct edge (1, 3), weight 5
         return result
 
     monkeypatch.setattr(cli, "solve", corrupted_solve)
@@ -336,7 +345,7 @@ def test_bench_writes_report(tmp_path, random_file, capsys):
 def test_bench_reports_a_solve_that_disagrees_with_dijkstra(triangle_file, monkeypatch, capsys):
     def corrupted_solve(g, params):
         result = solve(g, params)
-        result.distances.set(1, 3, 99)
+        result.distances.cells[1, 3] = 99
         return result
 
     monkeypatch.setattr(cli, "solve", corrupted_solve)

@@ -10,13 +10,13 @@ from graphshrink import (
     GraphError,
     SolveParams,
     UNBOUNDED,
-    best_alternative_two_hop,
     disassemble,
     disassembly,
     dijkstra,
     edge_delta,
     remove_and_preserve,
 )
+from graphshrink.disassembly import best_alternative_two_hop
 from graphshrink.graph import MAX_WEIGHT
 
 

@@ -67,9 +67,9 @@ def hand_built() -> tuple[DistanceMatrix, PrecedenceMatrix]:
     m, p = DistanceMatrix(5), PrecedenceMatrix(5)
     for i, j, w in [(1, 2, 7), (2, 1, 7), (1, 3, 0), (3, 1, 0),
                     (4, 5, MAX_WEIGHT * 14999), (5, 4, 10)]:
-        m.set(i, j, w)
-    p.set(1, 3, 2)
-    p.set(4, 5, 5)
+        m.cells[i, j] = w
+    p.cells[1, 3] = 2
+    p.cells[4, 5] = 5
     return m, p
 
 
@@ -133,8 +133,8 @@ def test_blocks_keep_bytes_and_bound_what_the_reader_parses(monkeypatch):
     monkeypatch.setattr(matrices, "_parse",
                         lambda lines, *args: parsed_rows.append(len(lines)) or parse(lines, *args))
     m, p = solved(random_connected_graph(13, 5))
-    m.set(2, 9, np.inf)
-    m.set(12, 3, 123456789)
+    m.cells[2, 9] = UNREACHED
+    m.cells[12, 3] = 123456789
     assert_same_bytes(m, p)
     assert np.array_equal(read_distance_matrix(written(write_distance_matrix, m)).cells, m.cells)
     assert np.array_equal(read_precedence_matrix(written(write_precedence_matrix, p)).cells,
@@ -212,7 +212,7 @@ def test_reader_accepts_blank_lines_tabs_and_comments():
     text = "# n 2\n\n# a comment\n0\t INF \n  \n3 0\n"
     m = read_distance_matrix(text)
     assert m.get(1, 2) == float("inf") and m.get(2, 1) == 3
-    assert read_precedence_matrix(text).get(1, 2) == UNSET
+    assert int(read_precedence_matrix(text).cells[1, 2]) == UNSET
 
 
 GOOD_BODY = "# graphshrink distance matrix\n# n 3\n# ids 1 2 3\n0 1 2\n1 0 3\n2 3 0\n"
@@ -255,14 +255,14 @@ def test_precedence_reader_rejects_ids_beyond_int32():
         read_precedence_matrix("# n 2\nINF 1\n99999999999 INF\n")
     with pytest.raises(ValueError, match="^line 2: .*below 2147483647 "):
         read_precedence_matrix("# n 2\nINF 2147483647\n1 INF\n")
-    assert read_precedence_matrix("# n 2\nINF 2147483646\n1 INF\n").get(1, 2) == 2**31 - 2
+    assert int(read_precedence_matrix("# n 2\nINF 2147483646\n1 INF\n").cells[1, 2]) == 2**31 - 2
 
 
 def test_reader_accepts_leading_zeros_and_crlf_but_not_the_maximum_behind_them():
     m = read_distance_matrix("# n 2\r\n0 0000000000000000000042\r\n0009223372036854775806 0\r\n")
     assert m.get(1, 2) == 42 and m.get(2, 1) == 2**63 - 2
     p = read_precedence_matrix("# n 2\r\nINF 0000000000000000000002\r\n1 INF\r\n")
-    assert p.get(1, 2) == 2 and p.get(2, 2) == UNSET
+    assert int(p.cells[1, 2]) == 2 and int(p.cells[2, 2]) == UNSET
     with pytest.raises(ValueError, match="^line 2: .*below 9223372036854775807 "):
         read_distance_matrix("# n 2\n0 0009223372036854775807\n1 0\n")
 
@@ -333,8 +333,8 @@ def test_reader_matches_the_loadtxt_reference_on_mutated_texts(monkeypatch, bloc
 
 def test_distance_cells_up_to_the_int64_guard_survive_a_round_trip():
     m = DistanceMatrix(2)
-    m.set(1, 2, 2**63 - 2)
-    m.set(2, 1, INF)
+    m.cells[1, 2] = 2**63 - 2
+    m.cells[2, 1] = UNREACHED
     text = written(write_distance_matrix, m)
     assert text.splitlines()[3:] == ["0 9223372036854775806", "INF 0"]
     back = read_distance_matrix(text)
@@ -345,6 +345,4 @@ def test_distance_cells_up_to_the_int64_guard_survive_a_round_trip():
 def test_distance_matrix_maps_inf_to_the_sentinel_both_ways():
     m = DistanceMatrix(2)
     assert m.cells.dtype == np.int64 and m.get(1, 2) == INF and m.get(1, 1) == 0
-    m.set(1, 2, 5)
-    m.set(1, 2, INF)
     assert m.cells[1, 2] == UNREACHED and m.get(1, 2) == INF

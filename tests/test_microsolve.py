@@ -22,12 +22,11 @@ from graphshrink import (
     UNSET,
     dijkstra,
     floyd_warshall,
-    precede_shortcuts,
     remove_and_preserve,
-    solve_residual,
 )
 from graphshrink import microsolve
-from graphshrink.microsolve import UNREACHED
+from graphshrink.assembly import precede_shortcuts
+from graphshrink.microsolve import UNREACHED, solve_residual
 
 
 def new_d(n):
@@ -74,13 +73,13 @@ def seed_solve_residual(g_r, m, p, scale=1, hop_cells=None):
         for j in present:
             if j == i:
                 continue
-            if p.get(i, j) != UNSET and g_r.adj[i].get(j, INF) <= dist[j]:
+            if int(p.cells[i, j]) != UNSET and g_r.adj[i].get(j, INF) <= dist[j]:
                 continue
             q = pred[j]
             if q is None or q == i:
                 continue
-            pqj = p.get(q, j)
-            p.set(i, j, pqj if pqj != UNSET else q)
+            pqj = int(p.cells[q, j])
+            p.cells[i, j] = pqj if pqj != UNSET else q
 
 
 def test_dijkstra_path():
@@ -120,7 +119,7 @@ def test_solve_residual_single_vertex_noop():
     p = PrecedenceMatrix(1)
     solve_residual(g, d, p)
     assert np.array_equal(d, new_d(1))
-    assert p.get(1, 1) == UNSET
+    assert int(p.cells[1, 1]) == UNSET
 
 
 def test_solve_residual_plain_edge():
@@ -130,8 +129,8 @@ def test_solve_residual_plain_edge():
     p = PrecedenceMatrix(2)
     solve_residual(g, d, p)
     assert d[1, 2] == d[2, 1] == 7
-    assert p.get(1, 2) == UNSET  # direct original edge
-    assert p.get(2, 1) == UNSET
+    assert int(p.cells[1, 2]) == UNSET  # direct original edge
+    assert int(p.cells[2, 1]) == UNSET
 
 
 def test_solve_residual_keeps_shortcut_history():
@@ -144,8 +143,8 @@ def test_solve_residual_keeps_shortcut_history():
     d = new_d(3)
     solve_residual(g, d, p)
     assert d[1, 3] == 2
-    assert p.get(1, 3) == 2
-    assert p.get(3, 1) == 2
+    assert int(p.cells[1, 3]) == 2
+    assert int(p.cells[3, 1]) == 2
 
 
 def test_solve_residual_overrides_long_direct_edge():
@@ -156,9 +155,9 @@ def test_solve_residual_overrides_long_direct_edge():
     p = PrecedenceMatrix(3)
     solve_residual(g, d, p)
     assert d[1, 3] == 2
-    assert p.get(1, 3) == 2
-    assert p.get(3, 1) == 2
-    assert p.get(1, 2) == UNSET
+    assert int(p.cells[1, 3]) == 2
+    assert int(p.cells[3, 1]) == 2
+    assert int(p.cells[1, 2]) == UNSET
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -264,7 +263,7 @@ def test_solve_residual_matches_seed_just_below_unreached():
     assert np.array_equal(d, d.T)
     p0 = PrecedenceMatrix(3)
     seed_solve_residual(g, float_m(3), p0)
-    assert np.array_equal(p.cells, p0.cells) and p.get(1, 3) == 2
+    assert np.array_equal(p.cells, p0.cells) and int(p.cells[1, 3]) == 2
 
 
 def test_solve_residual_refuses_int64_overflow_before_writing():
@@ -277,7 +276,7 @@ def test_solve_residual_refuses_int64_overflow_before_writing():
         with pytest.raises(ValueError, match="2\\*\\*63 - 1"):
             solve_residual(g, d, p)
         assert np.array_equal(d, new_d(3))
-        assert p.cells.sum() == 2 and p.get(1, 3) == 2
+        assert p.cells.sum() == 2 and int(p.cells[1, 3]) == 2
 
 
 def test_dijkstra_refuses_a_weight_sum_reaching_unreached():
@@ -365,7 +364,8 @@ def test_solve_residual_contracts_on_both_sides_of_a_doubled_sum_of_2_63():
         d, p = new_d(3), PrecedenceMatrix(3)
         solve_residual(g, d, p)
         w12, w23 = g.adj[1][2], g.adj[2][3]
-        assert d[1, 3] == d[3, 1] == w12 + w23 and p.get(1, 3) == 2 and p.get(3, 1) == 2
+        assert (d[1, 3] == d[3, 1] == w12 + w23 and int(p.cells[1, 3]) == 2
+                and int(p.cells[3, 1]) == 2)
 
 
 def test_solve_residual_refuses_a_wrapping_candidate():

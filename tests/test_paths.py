@@ -43,10 +43,18 @@ def test_same_endpoints_rejected():
         reconstruct_path(PrecedenceMatrix(2), g, 1, 1)
 
 
+@pytest.mark.parametrize("i, j", [(1, 4), (4, 1), (0, 2)])
+def test_an_id_outside_the_matrix_is_refused(i, j):
+    g = path_graph([1, 1])
+    result = solve(g)
+    with pytest.raises(PathError, match=rf"^pair \({i},{j}\) has an id outside 1\.\.3$"):
+        reconstruct_path(result.precedence, g, i, j)
+
+
 def test_corrupt_matrix_cycle_detected():
     g = path_graph([1, 1])
     p = PrecedenceMatrix(3)
-    p.set(1, 3, 3)  # j's own predecessor points back at j via itself
+    p.cells[1, 3] = 3  # j's own predecessor points back at j via itself
     with pytest.raises(PathError):
         reconstruct_path(p, g, 1, 3)
 
@@ -105,7 +113,7 @@ def reference_reconstruct_path(p, g0, i, j):
     seen = {j}
     cur = j
     while cur != i:
-        q = p.get(i, cur)
+        q = int(p.cells[i, cur])
         pred = q if q != UNSET else i
         if pred in seen:
             raise PathError(f"predecessor cycle at vertex {pred} for pair ({i},{j})")
@@ -176,7 +184,7 @@ def test_walk_matches_the_reference_on_every_pair(g, params):
 def test_walk_refuses_a_corrupt_cell_as_the_reference_does(g, pair, cells, message):
     p = solve(g).precedence
     for i, j, q in cells:
-        p.set(i, j, q)
+        p.cells[i, j] = q
     for walk in (reconstruct_path, reference_reconstruct_path):
         with pytest.raises(PathError) as exc:
             walk(p, g, *pair)
@@ -197,16 +205,16 @@ def test_first_bad_precedence_names_each_kind_of_bad_cell():
     g = path_graph([1, 1, 1])
     result = solve(g)
     d, p = result.distances, result.precedence
-    assert p.get(4, 1) == 2
-    p.set(4, 1, 3)  # (3, 1) is not an edge
+    assert int(p.cells[4, 1]) == 2
+    p.cells[4, 1] = 3  # (3, 1) is not an edge
     assert first_bad_precedence(g, d, p) == (4, 1, 3)
-    p.set(4, 1, 2)
-    p.set(1, 3, 9)  # no such vertex
+    p.cells[4, 1] = 2
+    p.cells[1, 3] = 9  # no such vertex
     assert first_bad_precedence(g, d, p) == (1, 3, 9)
-    p.set(1, 3, 2)
+    p.cells[1, 3] = 2
     tri = triangle_graph()
     result = solve(tri)
-    result.precedence.set(1, 3, 0)  # unset: the direct edge (1, 3), 5 > 2
+    result.precedence.cells[1, 3] = 0  # unset: the direct edge (1, 3), 5 > 2
     assert first_bad_precedence(tri, result.distances, result.precedence) == (1, 3, 1)
 
 
@@ -220,10 +228,10 @@ def test_first_bad_precedence_passes_a_vertex_removed_before_the_solve(source):
     else:
         d, p = apsp_dijkstra(g)
     assert first_bad_precedence(g, d, p) is None
-    p.set(1, 5, 2)  # a last hop for a pair with no path
+    p.cells[1, 5] = 2  # a last hop for a pair with no path
     assert first_bad_precedence(g, d, p) == (1, 5, 2)
-    p.set(1, 5, 0)
-    p.set(5, 3, 4)  # (4, 3) is an edge of g, but 5 reaches nothing
+    p.cells[1, 5] = 0
+    p.cells[5, 3] = 4  # (4, 3) is an edge of g, but 5 reaches nothing
     assert first_bad_precedence(g, d, p) == (5, 3, 4)
 
 
@@ -232,6 +240,6 @@ def test_first_bad_precedence_reports_the_first_cell_across_row_blocks(monkeypat
     result = solve(g)
     monkeypatch.setattr(paths, "_CHECK_CELLS", 4 * 36)  # 4 rows a block
     d, p = result.distances, result.precedence
-    p.set(30, 7, 31)
-    p.set(33, 2, 1)
+    p.cells[30, 7] = 31
+    p.cells[33, 2] = 1
     assert first_bad_precedence(g, d, p)[:2] == (30, 7)
