@@ -2,15 +2,27 @@
 reads them), then restore removed vertices in reverse order, extending D
 and P.
 
-The restore order (residual ids ascending, then the records' vertices in
-reverse) is built once, so the vertices present at each restore are a
-prefix of it.  Each restore is one pass over the restored vertex's row and
-column, and writes each of their cells once: its distance to every present
-vertex l is the minimum of (recorded edge weight + known distance) over its
-recorded incident edges, taken over one k x |present| candidate block, and
-the precedence entries come from the first tight neighbor in id order
-(incident_edges are sorted by neighbor id).  Where the recorded direct
-edge to l is itself tight, P keeps its stored entry for that edge.
+Both stages work on solve's restore-order layout.  Positions 1, 2, ... of
+D and P hold the ids of `restore_order`: the residual's ids ascending,
+then the records' vertices in reverse (solver.solve puts the ids removed
+before it after those).  Row and column 0 stay unused.  Cells are
+addressed by position, but P's values stay ids.  The vertices present at
+each restore are then a prefix of the positions, and the restored vertex
+sits right behind it.  So a restore gathers row slices and writes one
+contiguous row, and the matching column.
+
+Each restore writes each cell of its row and column once.  Its distance
+to every present vertex l is the minimum of (recorded edge weight + known
+distance) over its recorded incident edges, taken over one k x |present|
+candidate block.  The precedence entries come from the first tight
+neighbor in id order (incident_edges are sorted by neighbor id).  Where
+the recorded direct edge to l is itself tight, P keeps its stored entry
+for that edge.  Without a P the replay writes D only.
+
+`to_id_order` puts a laid-out matrix back in id order in place.  It
+gathers the columns of one block of rows at a time, then walks the row
+permutation's cycles through a one-row buffer, so its extra memory is one
+block plus one row.
 
 Distances are plain integers in the int64 matrix D.  Driven by the full
 pipeline they carry the solver's (weight, hops) encoding (see
@@ -22,7 +34,46 @@ from __future__ import annotations
 import numpy as np
 
 from .disassembly import ShrinkSequence
-from .matrices import UNSET, PrecedenceMatrix
+from .matrices import UNREACHED, UNSET, PrecedenceMatrix
+
+#: Cells of the block of rows whose columns to_id_order gathers at once.
+#: On grid_graph(48) 2**14 to 2**16 timed alike within noise, but over
+#: the 25 s grid-full benchmark loop of solves, CLI runs and reads, 2**15
+#: left the peak RSS 4 MB higher than 2**12 and 2**14 did.
+_BLOCK_CELLS = 1 << 14
+
+
+def restore_order(seq: ShrinkSequence) -> list[int]:
+    """The ids at positions 1, 2, ... of the layout: the residual's ids
+    ascending, then the records' vertices in reverse."""
+    return sorted(seq.residual.adj) + [rec.vertex for rec in reversed(seq.records)]
+
+
+def to_id_order(cells: np.ndarray, pos, scale: int = 1) -> None:
+    """Permute the square matrix `cells` in place so that cells[i, j]
+    becomes cells[pos[i], pos[j]]; `pos` is a permutation of its indices.
+    Every cell other than UNREACHED is floor-divided by `scale` on the way.
+    """
+    n, pos = len(cells), np.asarray(pos)
+    step = max(1, _BLOCK_CELLS // n)
+    for lo in range(0, n, step):
+        block = cells[lo:lo + step, pos]
+        if scale != 1:
+            np.floor_divide(block, scale, out=block, where=block != UNREACHED)
+        cells[lo:lo + step] = block
+    walk = pos.tolist()
+    for start in range(n):
+        if walk[start] in (start, -1):  # in place, or its cycle already walked
+            continue
+        row = cells[start].copy()
+        i = start
+        while walk[i] != start:
+            j = walk[i]
+            cells[i] = cells[j]
+            walk[i] = -1
+            i = j
+        cells[i] = row
+        walk[i] = -1
 
 
 def precede_shortcuts(seq: ShrinkSequence, p: PrecedenceMatrix) -> None:
@@ -31,20 +82,26 @@ def precede_shortcuts(seq: ShrinkSequence, p: PrecedenceMatrix) -> None:
     For each mutation (a, b) of removed vertex v, P[a][b] becomes P[v][b],
     or v when that is unset, and P[b][a] likewise: the a->b path now runs
     through v, or through whatever v's own contracted edge to b expands
-    to.
+    to.  P is in the restore-order layout.
     """
+    pos = [0] * len(p.cells)  # a list: reading a numpy array per mutation is slower
+    for k, v in enumerate(restore_order(seq), 1):
+        pos[v] = k
     cells = p.cells
     for rec in seq.records:
         v = rec.vertex
+        at_v = pos[v]
         for a, b, _, _ in rec.mutations:
-            pvb = cells[v, b]
-            cells[a, b] = pvb if pvb != UNSET else v
-            pva = cells[v, a]
-            cells[b, a] = pva if pva != UNSET else v
+            at_a, at_b = pos[a], pos[b]
+            pvb = cells[at_v, at_b]
+            cells[at_a, at_b] = pvb if pvb != UNSET else v
+            pva = cells[at_v, at_a]
+            cells[at_b, at_a] = pva if pva != UNSET else v
 
 
-def assemble(seq: ShrinkSequence, d: np.ndarray, p: PrecedenceMatrix) -> None:
-    """Replay the shrink sequence in reverse; afterwards D and P cover G_0.
+def assemble(seq: ShrinkSequence, d: np.ndarray, p: PrecedenceMatrix | None = None) -> None:
+    """Replay the shrink sequence in reverse; afterwards D, and P when
+    given, cover G_0.  Both are in the restore-order layout.
 
     D must hold every residual pair's distance.  Each restored pair takes P
     from its first tight neighbor x: P[x][l] (or x when unset) for the row,
@@ -55,35 +112,45 @@ def assemble(seq: ShrinkSequence, d: np.ndarray, p: PrecedenceMatrix) -> None:
     known distance wraps int64 (an UNREACHED cell, or raw weights summing
     past 2**62), before its row is written.
     """
-    p_cells = p.cells
-    order = np.array(sorted(seq.residual.adj) + [rec.vertex for rec in seq.records[::-1]],
-                     dtype=np.intp)
-    pos = np.full(d.shape[0], len(order), dtype=np.intp)  # never present: past the end
+    order = restore_order(seq)
+    pos = np.full(len(d), len(order), dtype=np.intp)  # never present: past the end
     pos[order] = np.arange(len(order))
+    # k, k - 1, ..., 1 for a record's k neighbors, in the narrowest dtype:
+    # the first tight one has the largest tight rank
+    most = seq.max_removed_degree
+    rank = np.arange(most, 0, -1, dtype=np.min_scalar_type(most))[:, None]
+    # 0-based positions from here on: the restored vertex sits at `count`
+    dv = d[1:, 1:]
+    pv = None if p is None else p.cells[1:, 1:]
+    columns = np.arange(len(order))
+    # each record's edges are read as the replay reaches it: one array of
+    # them all, alive through the replay, left the benchmark's random-full
+    # peak RSS 10 MB higher
     for count, rec in enumerate(reversed(seq.records), seq.residual.n_present):
-        i, ids = rec.vertex, order[:count]
         nbr_ids, enc = np.array(rec.incident_edges, dtype=np.int64).T
         nbr_pos = pos[nbr_ids]
-        absent = nbr_pos >= count
-        if absent.any():
-            raise ValueError(f"removal record for {i} names absent neighbor "
-                             f"{nbr_ids[absent.argmax()]}")
-        cand = enc[:, None] + d[nbr_ids[:, None], ids]
+        if nbr_pos.max() >= count:
+            raise ValueError(f"removal record for {rec.vertex} names absent neighbor "
+                             f"{nbr_ids[(nbr_pos >= count).argmax()]}")
+        cand = enc[:, None] + dv[nbr_pos, :count]
         dist = cand.min(axis=0)
         if dist.min() < 0:  # a recorded weight plus a distance wraps negative
-            raise ValueError(f"restoring {i} overflows int64: a residual pair it "
+            raise ValueError(f"restoring {rec.vertex} overflows int64: a residual pair it "
                              f"reaches through is unreached, or the weights are too large")
-        x = nbr_ids[(cand == dist).argmax(axis=0)]  # first tight neighbor in id order
-        pxl = p_cells[x, ids]                 # P[x(l)][l]: both present, final
-        row_val = np.where(pxl != UNSET, pxl, x)
-        pxi = p_cells[x, i]                   # P[x(l)][i]: stored entry for edge (x(l), i)
-        col_val = np.where(pxi != UNSET, pxi, x)
-        # pairs whose recorded direct edge attains the minimum keep whatever P
-        # holds: unset for an original edge, the intermediate for a shortcut
-        keep = nbr_pos[enc == dist[nbr_pos]]
-        row_val[keep] = p_cells[i, ids[keep]]
-        col_val[keep] = p_cells[ids[keep], i]
-        p_cells[i, ids] = row_val
-        p_cells[ids, i] = col_val
-        d[i, ids] = dist
-        d[ids, i] = dist
+        if pv is not None:
+            k = len(enc)
+            first = k - ((cand == dist) * rank[-k:]).max(axis=0)  # first tight neighbor in id order
+            x, at_x = nbr_ids[first], nbr_pos[first]
+            pxl = pv[at_x, columns[:count]]   # P[x(l)][l]: both present, final
+            row_val = np.where(pxl != UNSET, pxl, x)
+            pxi = pv[at_x, count]             # P[x(l)][i]: stored entry for edge (x(l), i)
+            col_val = np.where(pxi != UNSET, pxi, x)
+            # pairs whose recorded direct edge attains the minimum keep whatever P
+            # holds: unset for an original edge, the intermediate for a shortcut
+            keep = nbr_pos[enc == dist[nbr_pos]]
+            row_val[keep] = pv[count, keep]
+            col_val[keep] = pv[keep, count]
+            pv[count, :count] = row_val
+            pv[:count, count] = col_val
+        dv[count, :count] = dist
+        dv[:count, count] = dist

@@ -48,6 +48,9 @@ class DistanceMatrix:
         np.fill_diagonal(self.cells, 0)
 
     def get(self, i: int, j: int):
+        """The distance from i to j, or INF when there is no path."""
+        if not (1 <= i <= self.order and 1 <= j <= self.order):
+            raise IndexError(f"pair ({i},{j}) has an id outside 1..{self.order}")
         v = int(self.cells[i, j])
         return INF if v == UNREACHED else v
 

@@ -1,15 +1,26 @@
 """Full pipeline: contract, write the shortcuts' predecessors, solve the
 residual, replay removals in reverse, all on the int64 cells of the
-DistanceMatrix that solve returns."""
+DistanceMatrix that solve returns.
+
+solve owns the matrices' layout.  While the stages run, D and P are laid
+out in restore order (see assembly): the residual's ids ascending, then
+the records' vertices in reverse, then the ids removed before the solve.
+So the vertices present at each restore are a prefix of the positions.
+One in-place pass per matrix (assembly.to_id_order) then puts the cells
+back in id order, decoding D on the way.  It needs one block of rows and
+one row beyond the two matrices.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .assembly import assemble, precede_shortcuts
+import numpy as np
+
+from .assembly import assemble, precede_shortcuts, restore_order, to_id_order
 from .disassembly import ShrinkSequence, SolveParams, disassemble
 from .graph import Graph
-from .matrices import UNREACHED, DistanceMatrix, PrecedenceMatrix
+from .matrices import DistanceMatrix, PrecedenceMatrix
 from .microsolve import solve_residual
 
 
@@ -42,7 +53,8 @@ def solve(g: Graph, params: SolveParams = SolveParams()) -> SolveResult:
     matrices are allocated and refuses a disconnected graph with GraphError
     first.  Then precede_shortcuts writes the shortcuts' P entries, and the
     residual solve and assemble run on the returned DistanceMatrix's int64
-    cells holding encoded distances, decoded in place at the end.  Every
+    cells holding encoded distances.  The pass back to id order decodes
+    them; it skips UNREACHED cells, which only the removed ids hold.  Every
     candidate distance the stages form is at most twice the sum of the
     encoded edge weights, so a graph where that reaches 2**63 is refused
     with ValueError before the matrices are allocated.
@@ -61,15 +73,14 @@ def solve(g: Graph, params: SolveParams = SolveParams()) -> SolveResult:
     seq = disassemble(work, params)
     m = DistanceMatrix(n)
     p = PrecedenceMatrix(n)
+    removed = [v for v in range(1, n + 1) if v not in g.adj]
+    pos = np.empty(n + 1, dtype=np.intp)  # id -> position in the layout
+    pos[[0, *restore_order(seq), *removed]] = np.arange(n + 1)
     precede_shortcuts(seq, p)
     solve_residual(seq.residual, m.cells, p)
     assemble(seq, m.cells, p)
-    m.cells[1:, 1:] //= scale
-    # the decode also divided the absent ids' UNREACHED cells
-    absent = [v for v in range(1, n + 1) if v not in g.adj]
-    m.cells[absent, 1:] = UNREACHED
-    m.cells[1:, absent] = UNREACHED
-    m.cells[absent, absent] = 0
+    to_id_order(m.cells, pos, scale)
+    to_id_order(p.cells, pos)
     return SolveResult(
         distances=m,
         precedence=p,

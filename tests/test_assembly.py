@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 from conftest import (
+    assemble_by_id,
     contract,
     grid_graph,
+    laid_out,
     path_graph,
+    precede_shortcuts_by_id,
     random_connected_graph,
     reference_solve_residual,
+    solve_residual_by_id,
     triangle_graph,
 )
 
@@ -23,7 +27,8 @@ from graphshrink import (
     remove_and_preserve,
     solve,
 )
-from graphshrink.assembly import assemble, precede_shortcuts
+from graphshrink import assembly
+from graphshrink.assembly import assemble, restore_order, to_id_order
 from graphshrink.microsolve import UNREACHED
 
 
@@ -53,7 +58,7 @@ def residual_solved(g, params):
     which solve_residual refuses)."""
     seq, p = contract(g.copy(), params)
     d = new_d(g.n_original)
-    reference_solve_residual(seq.residual, d, p)
+    solve_residual_by_id(seq.residual, d, p, reference_solve_residual)
     return seq, d, p
 
 
@@ -62,7 +67,7 @@ def restores(seq, d, p):
     every suffix records[t:] replayed from copies of the post-residual D, P."""
     for t in range(len(seq.records) - 1, -1, -1):
         d_t, p_t = d.copy(), copy_p(p)
-        assemble(ShrinkSequence(seq.records[t:], seq.residual), d_t, p_t)
+        assemble_by_id(ShrinkSequence(seq.records[t:], seq.residual), d_t, p_t)
         yield seq.records[t].vertex, d_t, p_t
 
 
@@ -157,7 +162,7 @@ def assert_matches_seed(g, params, encode):
     m0, p0 = np.where(d == UNREACHED, np.inf, d // scale), copy_p(p)
     h0 = d % scale
     seed_assemble(seq, m0, p0, scale, h0)
-    assemble(seq, d, p)
+    assemble_by_id(seq, d, p)
     assert np.array_equal((d[1:, 1:] // scale).astype(np.float64), m0[1:, 1:])
     assert np.array_equal(d[1:, 1:] % scale, h0[1:, 1:])
     assert np.array_equal(p.cells, p0.cells)
@@ -170,7 +175,7 @@ def test_precede_shortcuts_triangle():
     g = triangle_graph()
     rec = remove_and_preserve(g, 2)
     p = PrecedenceMatrix(3)
-    precede_shortcuts(ShrinkSequence([rec], g), p)
+    precede_shortcuts_by_id(ShrinkSequence([rec], g), p)
     assert int(p.cells[1, 3]) == 2
     assert int(p.cells[3, 1]) == 2
     assert np.count_nonzero(p.cells) == 2
@@ -184,13 +189,13 @@ def test_precede_shortcuts_chains_through_an_earlier_shortcut():
     records = [remove_and_preserve(g, 2), remove_and_preserve(g, 3)]
     assert [r.mutations for r in records] == [[(1, 3, INF, 2)], [(1, 4, INF, 3)]]
     p = PrecedenceMatrix(4)
-    precede_shortcuts(ShrinkSequence(records, g), p)
+    precede_shortcuts_by_id(ShrinkSequence(records, g), p)
     assert (int(p.cells[1, 3]), int(p.cells[3, 1])) == (2, 2)
     assert int(p.cells[1, 4]) == 3  # P[3][4] is unset: the edge (3, 4) is original
     assert int(p.cells[4, 1]) == 2
     # in the other order the chain is not there yet
     reordered = PrecedenceMatrix(4)
-    precede_shortcuts(ShrinkSequence(records[::-1], g), reordered)
+    precede_shortcuts_by_id(ShrinkSequence(records[::-1], g), reordered)
     assert int(reordered.cells[4, 1]) == 3
 
 
@@ -201,7 +206,7 @@ def test_restore_triangle_middle_vertex():
     p = PrecedenceMatrix(3)
     d[1, 3] = d[3, 1] = 2
     rec = RemovalRecord(vertex=2, incident_edges=[(1, 1), (3, 1)])
-    assemble(sequence(3, {1, 3}, [rec]), d, p)
+    assemble_by_id(sequence(3, {1, 3}, [rec]), d, p)
     assert d[2, 1] == d[1, 2] == 1
     assert d[2, 3] == d[3, 2] == 1
     assert int(p.cells[2, 1]) == UNSET  # direct recorded edge attains the minimum
@@ -217,7 +222,7 @@ def test_restore_degree_one_vertex_extends_row():
     p.cells[1, 3] = 2  # 1 -> 2 -> 3
     p.cells[3, 1] = 2
     rec = RemovalRecord(vertex=4, incident_edges=[(1, 5)])
-    assemble(sequence(4, {1, 2, 3}, [rec]), d, p)
+    assemble_by_id(sequence(4, {1, 2, 3}, [rec]), d, p)
     assert list(d[4, 1:]) == [5, 8, 12, 0]
     assert np.array_equal(d, d.T)
     assert int(p.cells[4, 1]) == UNSET
@@ -240,7 +245,7 @@ def test_restore_rejects_absent_neighbor(edges, named):
     rec2 = RemovalRecord(vertex=2, incident_edges=edges)
     d, p = new_d(4), PrecedenceMatrix(4)
     with pytest.raises(ValueError, match=f"2 names absent neighbor {named}$"):
-        assemble(sequence(4, {1}, [rec3, rec2]), d, p)
+        assemble_by_id(sequence(4, {1}, [rec3, rec2]), d, p)
     assert np.array_equal(d, new_d(4)) and not p.cells.any()
 
 
@@ -248,7 +253,7 @@ def test_restore_accepts_a_neighbor_restored_before_it():
     rec3 = RemovalRecord(vertex=3, incident_edges=[(1, 1)])
     rec2 = RemovalRecord(vertex=2, incident_edges=[(3, 1)])
     d = new_d(3)
-    assemble(sequence(3, {1}, [rec2, rec3]), d, PrecedenceMatrix(3))
+    assemble_by_id(sequence(3, {1}, [rec2, rec3]), d, PrecedenceMatrix(3))
     assert list(d[2, 1:]) == [2, 0, 1]
 
 
@@ -263,13 +268,13 @@ def test_restore_keeps_a_tight_shortcut_entry_over_a_lower_neighbor():
     rec4 = RemovalRecord(vertex=4, incident_edges=[(1, 1), (3, 3)])
     seq = sequence(5, {1, 2, 3}, [rec5, rec4])
     d, p = new_d(5), PrecedenceMatrix(5)
-    precede_shortcuts(seq, p)
+    precede_shortcuts_by_id(seq, p)
     assert (int(p.cells[4, 3]), int(p.cells[3, 4])) == (5, 5)
     for i, j, dist in [(1, 2, 1), (1, 3, 2), (2, 3, 1)]:
         d[i, j] = d[j, i] = dist
     p.cells[1, 3] = 2
     p.cells[3, 1] = 2
-    assemble(seq, d, p)
+    assemble_by_id(seq, d, p)
     assert list(d[4, 1:]) == [1, 2, 3, 0, 2]
     assert (int(p.cells[4, 3]), int(p.cells[3, 4])) == (5, 5)   # the shortcut's stored entries
     assert (int(p.cells[4, 2]), int(p.cells[2, 4])) == (1, 1)   # through the first tight neighbor
@@ -282,7 +287,7 @@ def test_restore_refuses_an_unreached_residual_pair_before_writing():
     p.cells[...] = 7
     rec = RemovalRecord(vertex=3, incident_edges=[(1, 5)])
     with pytest.raises(ValueError, match="restoring 3 overflows int64"):
-        assemble(sequence(3, {1, 2}, [rec]), d, p)
+        assemble_by_id(sequence(3, {1, 2}, [rec]), d, p)
     assert np.array_equal(d, new_d(3)) and (p.cells == 7).all()
 
 
@@ -300,7 +305,7 @@ def test_restore_touches_only_own_row_and_column():
 def test_assemble_empty_records_is_noop():
     d = new_d(1)
     seq = disassemble(Graph(1), SolveParams())
-    assemble(seq, d, PrecedenceMatrix(1))
+    assemble_by_id(seq, d, PrecedenceMatrix(1))
     assert np.array_equal(d, new_d(1))
 
 
@@ -353,3 +358,62 @@ def test_assemble_matches_seed_on_raw_tied_weights(seed, params):
     # weights 0..3: zero-weight edges, many ties, and degree-1 restores
     seq = assert_matches_seed(random_connected_graph(150, seed, wmax=3), params, encode=False)
     assert any(len(rec.incident_edges) == 1 for rec in seq.records)
+
+
+# -- the restore-order layout ------------------------------------------------
+
+def permutations(n):
+    """Permutations of 0..n that fix 0: the identity, one n-cycle over
+    1..n, and n // 2 swaps of neighbors."""
+    swaps = np.arange(n + 1)
+    swaps[1:n // 2 * 2 + 1] = swaps[1:n // 2 * 2 + 1].reshape(-1, 2)[:, ::-1].ravel()
+    return {"identity": np.arange(n + 1), "one_cycle": np.r_[0, 2:n + 1, 1], "swaps": swaps}
+
+
+@pytest.mark.parametrize("shape", ["identity", "one_cycle", "swaps"])
+@pytest.mark.parametrize("n", [1, 6, 301])
+def test_to_id_order_matches_a_fancy_index(shape, n, monkeypatch):
+    monkeypatch.setattr(assembly, "_BLOCK_CELLS", 7 * (n + 1))  # several blocks, the last short
+    pos = permutations(n)[shape]
+    rng = np.random.default_rng(n)
+    d = rng.integers(0, 2**62, (n + 1, n + 1))
+    d[rng.random(d.shape) < 0.1] = UNREACHED
+    p = rng.integers(0, n + 1, (n + 1, n + 1), dtype=np.int32)
+    for cells, scale in [(d.copy(), 1), (d.copy(), n + 1), (p.copy(), 1)]:
+        expected = cells[np.ix_(pos, pos)]
+        expected[expected != UNREACHED] //= scale
+        to_id_order(cells, pos, scale)
+        assert np.array_equal(cells, expected)
+
+
+def test_to_id_order_on_a_corner_leaves_the_rest():
+    rng = np.random.default_rng(5)
+    d = rng.integers(0, 100, (9, 9))
+    before = d.copy()
+    pos = np.array([0, 3, 1, 4, 2])
+    to_id_order(d[:5, :5], pos)
+    assert np.array_equal(d[:5, :5], before[np.ix_(pos, pos)])
+    assert np.array_equal(d[5:], before[5:]) and np.array_equal(d[:, 5:], before[:, 5:])
+
+
+def test_restore_order_is_the_residual_then_the_records_reversed():
+    seq, _, _ = residual_solved(random_connected_graph(30, 21), SolveParams(n_min=8))
+    order = restore_order(seq)
+    assert order[:8] == sorted(seq.residual.adj)
+    assert order[8:] == [rec.vertex for rec in seq.records][::-1]
+
+
+@pytest.mark.parametrize("params", [SolveParams(), SolveParams(d_max=3, i_max=0)])
+def test_assemble_without_p_writes_the_same_d_and_no_p_cell(params):
+    work = grid_graph(16)
+    for nbrs in work.adj.values():
+        for v in nbrs:
+            nbrs[v] = nbrs[v] * 257 + 1
+    seq, d, p = residual_solved(work, params)
+    d_only, p_only = d.copy(), copy_p(p)
+    assemble_by_id(seq, d, p)
+    with laid_out(restore_order(seq), d_only, p_only) as (d_pos, p_pos):
+        entry = p_pos.cells.copy()
+        assemble(seq, d_pos)
+        assert np.array_equal(p_pos.cells, entry)
+    assert np.array_equal(d_only, d)

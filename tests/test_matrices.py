@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from conftest import grid_graph, random_connected_graph
+from conftest import grid_graph, path_graph, random_connected_graph
 
 import graphshrink.matrices as matrices
 from graphshrink import INF, solve
@@ -346,3 +346,12 @@ def test_distance_matrix_maps_inf_to_the_sentinel_both_ways():
     m = DistanceMatrix(2)
     assert m.cells.dtype == np.int64 and m.get(1, 2) == INF and m.get(1, 1) == 0
     assert m.cells[1, 2] == UNREACHED and m.get(1, 2) == INF
+
+
+@pytest.mark.parametrize("i, j", [(-1, 1), (1, 4), (0, 2), (3, 0), (4, 4)])
+def test_distance_get_refuses_an_id_outside_the_order(i, j):
+    # -1 would read row 3 and 0 the unused row, both without an error
+    m = solve(path_graph([3, 5])).distances
+    assert [m.get(1, k) for k in (1, 2, 3)] == [0, 3, 8] and m.get(3, 1) == 8
+    with pytest.raises(IndexError, match=fr"^pair \({i},{j}\) has an id outside 1\.\.3$"):
+        m.get(i, j)

@@ -6,8 +6,10 @@ from conftest import (
     contract,
     grid_graph,
     path_graph,
+    precede_shortcuts_by_id,
     random_connected_graph,
     reference_solve_residual,
+    solve_residual_by_id,
     triangle_graph,
 )
 
@@ -21,11 +23,12 @@ from graphshrink import (
     SolveParams,
     UNSET,
     dijkstra,
+    disassemble,
     floyd_warshall,
     remove_and_preserve,
 )
 from graphshrink import microsolve
-from graphshrink.assembly import precede_shortcuts
+from graphshrink.assembly import restore_order
 from graphshrink.microsolve import UNREACHED, solve_residual
 
 
@@ -117,7 +120,7 @@ def test_solve_residual_single_vertex_noop():
     g = Graph(1)
     d = new_d(1)
     p = PrecedenceMatrix(1)
-    solve_residual(g, d, p)
+    solve_residual_by_id(g, d, p)
     assert np.array_equal(d, new_d(1))
     assert int(p.cells[1, 1]) == UNSET
 
@@ -127,7 +130,7 @@ def test_solve_residual_plain_edge():
     g.set_edge(1, 2, 7)
     d = new_d(2)
     p = PrecedenceMatrix(2)
-    solve_residual(g, d, p)
+    solve_residual_by_id(g, d, p)
     assert d[1, 2] == d[2, 1] == 7
     assert int(p.cells[1, 2]) == UNSET  # direct original edge
     assert int(p.cells[2, 1]) == UNSET
@@ -138,10 +141,10 @@ def test_solve_residual_keeps_shortcut_history():
     # shortcut and its stored intermediate must survive the merge
     g = path_graph([1, 1])
     p = PrecedenceMatrix(3)
-    precede_shortcuts(ShrinkSequence([remove_and_preserve(g, 2)], g), p)
+    precede_shortcuts_by_id(ShrinkSequence([remove_and_preserve(g, 2)], g), p)
     assert g.adj[1][3] == 2
     d = new_d(3)
-    solve_residual(g, d, p)
+    solve_residual_by_id(g, d, p)
     assert d[1, 3] == 2
     assert int(p.cells[1, 3]) == 2
     assert int(p.cells[3, 1]) == 2
@@ -153,7 +156,7 @@ def test_solve_residual_overrides_long_direct_edge():
     g = triangle_graph()
     d = new_d(3)
     p = PrecedenceMatrix(3)
-    solve_residual(g, d, p)
+    solve_residual_by_id(g, d, p)
     assert d[1, 3] == 2
     assert int(p.cells[1, 3]) == 2
     assert int(p.cells[3, 1]) == 2
@@ -168,7 +171,7 @@ def test_solve_residual_distances_match_original(seed):
     fw = floyd_warshall(g0)
     seq, p = contract(g0.copy(), SolveParams(n_min=12))
     d = new_d(40)
-    solve_residual(seq.residual, d, p)
+    solve_residual_by_id(seq.residual, d, p)
     for i in seq.residual.adj:
         for j in seq.residual.adj:
             assert d[i, j] == fw.get(i, j)
@@ -199,7 +202,7 @@ def assert_matches_seed(g_r, p, scale, solve=solve_residual):
     seed_solve_residual(g_r, m0, p0, scale=scale, hop_cells=hops)
     d, p1 = new_d(n), PrecedenceMatrix(n)
     p1.cells[...] = p.cells
-    solve(g_r, d, p1)
+    solve_residual_by_id(g_r, d, p1, solve)
     # cells outside the residual block stay inf in the reference
     missing = ~np.isfinite(m0)
     expected = np.where(missing, 0, m0).astype(np.int64) * scale
@@ -224,7 +227,7 @@ def refused_untouched(g_r, p, error, match):
     d = new_d(g_r.n_original)
     cells = p.cells.copy()
     with pytest.raises(error, match=match):
-        solve_residual(g_r, d, p)
+        solve_residual_by_id(g_r, d, p)
     assert np.array_equal(d, new_d(g_r.n_original))
     assert np.array_equal(p.cells, cells)
 
@@ -258,7 +261,7 @@ def test_solve_residual_matches_seed_just_below_unreached():
     # the reference checks only P
     g = path_graph([2**62, 2**62 - 2])
     d, p = new_d(3), PrecedenceMatrix(3)
-    solve_residual(g, d, p)
+    solve_residual_by_id(g, d, p)
     assert d[1, 2] == 2**62 and d[2, 3] == 2**62 - 2 and d[1, 3] == d[3, 1] == 2**63 - 2
     assert np.array_equal(d, d.T)
     p0 = PrecedenceMatrix(3)
@@ -274,7 +277,7 @@ def test_solve_residual_refuses_int64_overflow_before_writing():
         p = PrecedenceMatrix(3)
         p.cells[1, 3] = 2
         with pytest.raises(ValueError, match="2\\*\\*63 - 1"):
-            solve_residual(g, d, p)
+            solve_residual_by_id(g, d, p)
         assert np.array_equal(d, new_d(3))
         assert p.cells.sum() == 2 and int(p.cells[1, 3]) == 2
 
@@ -316,20 +319,33 @@ def test_solve_residual_by_contraction_matches_seed_on_raw_positive_ties(seed, p
 
 def test_solve_residual_by_contraction_reads_p_as_it_was_on_entry(monkeypatch):
     # the residual's edges include shortcuts whose stored P[q][j] the merge
-    # expands; the inner stages may leave anything in the residual block
+    # expands, reading P live: the inner replay must write no P cell, so it
+    # is handed none
     g_r, p, scale = contracted(grid_graph(12), SolveParams(d_max=3, i_max=0), encode=True)
     ids = sorted(g_r.adj)
     assert (p.cells[np.ix_(ids, ids)] != UNSET).any()
     real_assemble = microsolve.assemble
+    calls = []
 
-    def scribbling_assemble(seq, d, p):
-        real_assemble(seq, d, p)
-        p.cells[np.ix_(ids, ids)] = ids[0]
+    def watched_assemble(seq, d, *rest, **named):
+        calls.append((rest, named))
+        real_assemble(seq, d, *rest, **named)
 
-    monkeypatch.setattr(microsolve, "assemble", scribbling_assemble)
+    monkeypatch.setattr(microsolve, "assemble", watched_assemble)
     edges_before = {v: dict(nbrs) for v, nbrs in g_r.adj.items()}
     assert_matches_seed(g_r, p, scale)
+    assert calls == [((), {})]
     assert g_r.adj == edges_before
+
+
+@pytest.mark.parametrize("side", [6, 12])
+def test_solve_residual_puts_back_an_inner_restore_order_unlike_id_order(side):
+    # the inner replay fills the corner in its own restore order; the pass
+    # back to ascending ids must precede the rule
+    g_r, p, scale = contracted(grid_graph(side), SolveParams(d_max=3, i_max=0), encode=True)
+    inner = restore_order(disassemble(g_r.copy(), SolveParams()))
+    assert inner != sorted(g_r.adj) and sorted(inner) == sorted(g_r.adj)
+    assert_matches_seed(g_r, p, scale)
 
 
 def test_solve_residual_by_contraction_across_source_blocks(monkeypatch):
@@ -362,7 +378,7 @@ def test_solve_residual_contracts_on_both_sides_of_a_doubled_sum_of_2_63():
     # twice 2**62 - 1 fits int64, twice 2**62 + 1 does not: both contract
     for g in (path_graph([2**61, 2**61 - 1]), path_graph([2**61, 2**61 + 1])):
         d, p = new_d(3), PrecedenceMatrix(3)
-        solve_residual(g, d, p)
+        solve_residual_by_id(g, d, p)
         w12, w23 = g.adj[1][2], g.adj[2][3]
         assert (d[1, 3] == d[3, 1] == w12 + w23 and int(p.cells[1, 3]) == 2
                 and int(p.cells[3, 1]) == 2)
@@ -380,8 +396,9 @@ def test_solve_residual_refuses_a_wrapping_candidate():
         for i, u in enumerate(clique):
             for v in clique[i + 1:]:
                 g.set_edge(u, v, 1)
-    with pytest.raises(ValueError, match="restoring 1 overflows int64"):
-        solve_residual(g, new_d(9), PrecedenceMatrix(9))
+    p = PrecedenceMatrix(9)
+    p.cells[1:, 1:] = 7  # stored entries the refusal must leave as they were
+    refused_untouched(g, p, ValueError, "restoring 1 overflows int64")
 
 
 def test_solve_residual_hop_encoded_takes_contraction():

@@ -1,5 +1,6 @@
 import hashlib
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -46,6 +47,31 @@ def test_solve_leaves_vertices_removed_before_it_unreached(params):
     assert (d[5, :5] == UNREACHED).all() and d[5, 5] == 0
     p = result.precedence.cells
     assert (p[5] == UNSET).all() and (p[:, 5] == UNSET).all()
+
+
+@pytest.mark.parametrize("params", [SolveParams(), SolveParams(d_max=3, i_max=0)],
+                         ids=["full", "bounded"])
+def test_solve_with_ids_removed_inside_the_range_equals_the_compact_solve(params):
+    # solve lays the removed ids out after every present one; its pass
+    # back to id order must leave them UNREACHED and UNSET and put every
+    # other cell where the solve of the same graph with ids 1..95 puts it
+    g = grid_graph(10, 0.2, 3)
+    removed = [1, 23, 45, 67, 100]
+    for v in removed:
+        g.remove_vertex(v)
+    kept = sorted(g.adj)
+    compact = Graph(len(kept))
+    for u, v, w in g.edges():
+        compact.set_edge(kept.index(u) + 1, kept.index(v) + 1, w)
+    result, reference = solve(g, params), solve(compact, params)
+    assert result.residual_order == (1 if params == SolveParams() else 48)
+    d, p = result.distances.cells, result.precedence.cells
+    assert np.array_equal(d, apsp_dijkstra(g)[0].cells)
+    block = np.ix_(kept, kept)
+    assert np.array_equal(d[block], reference.distances.cells[1:, 1:])
+    assert np.array_equal(p[block], np.array([0, *kept])[reference.precedence.cells[1:, 1:]])
+    assert (d[removed, 1:] == UNREACHED).sum() == (d[1:, removed] == UNREACHED).sum() == 5 * 99
+    assert (p[removed] == UNSET).all() and (p[:, removed] == UNSET).all()
 
 
 def test_solve_refuses_a_disconnected_graph_before_allocating(monkeypatch):
@@ -168,3 +194,20 @@ def test_shortcuts_counts_only_new_edges():
     result = solve(cycle_graph(5))
     assert result.sequence.records[0].mutations == [(2, 5, float("inf"), 14)]
     assert result.shortcuts == 1
+
+
+@pytest.mark.parametrize("side, params", [(32, SolveParams()), (32, SolveParams(d_max=3, i_max=0)),
+                                          (48, SolveParams())],
+                         ids=["grid32-full", "grid32-bounded", "grid48-full"])
+def test_solve_peaks_near_its_two_matrices(side, params):
+    # the layout is put back in id order in place: a copy of either matrix
+    # would take the peak past 1.7 times the two of them
+    g = grid_graph(side)
+    tracemalloc.start()
+    try:
+        result = solve(g, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    matrices = result.distances.cells.nbytes + result.precedence.cells.nbytes
+    assert peak <= 1.35 * matrices
