@@ -129,6 +129,8 @@ class Graph:
 
     def stats(self) -> GraphStats:
         n = len(self.adj)
+        if not n:
+            raise GraphError("stats undefined on an empty graph")
         max_deg = max((len(nbrs) for nbrs in self.adj.values()), default=0)
         return GraphStats(n=n, m=self.m, avg_degree=Fraction(2 * self.m, n), max_degree=max_deg)
 

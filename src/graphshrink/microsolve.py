@@ -1,32 +1,48 @@
 """Exact APSP on the residual graph and merge into the global matrices.
 
 The stage works on the [1, r] corner of solve's restore-order layout
-(see assembly): the residual's r ids ascending at positions 1..r.  The
-residual is solved by the pipeline itself.  A full ``disassemble`` of a
-copy of the residual, then a D-only ``assemble``, write its distances
-straight into that corner.  They are unique, so any exact method gives
-the same D.  On entry the corner holds only UNREACHED and a zero
-diagonal, the same in any order, so it is taken as laid out in the inner
-restore order and nothing has to move before the replay.  After it, one
-in-place pass (assembly.to_id_order, with one block of rows and one row
-of extra memory) puts the corner back in ascending id order.
+(see assembly): the residual's r ids ascending at positions 1..r.
 
-The predecessors are then read off those distances.  Give the k-th
-smallest present id position k.  With positive weights a binary-heap
-Dijkstra over ``(distance, position)`` pops vertices in strictly
-increasing order, and a later pop never improves an earlier vertex; so
-its predecessor of v from s is the *tight* neighbor u
-(``d[s,u] + w(u,v) == d[s,v]``) popped first, the one with the least
-``(d[s,u], position u)``.  As ``d[s,u] = d[s,v] - w(u,v)`` for a tight u,
-that is the first tight slot of v's row in (weight desc, position) order,
-self slot last: each row is padded to max_degree + 1 slots with v itself
-at weight 0, always tight but behind every real neighbor, so it is first
-only on the diagonal.  numpy finds it as one argmax per block of sources,
-read from the corner by row slices; ``_RULE_CELLS`` bounds the cells of
-the block's int64 ``dist[:, nbr]`` gather.  A zero weight breaks that
-argument (a tight neighbor may be popped after v), so residuals with one
-are refused, and so are disconnected ones, which the inner
-``disassemble`` refuses.
+Distances.  A copy of the residual is contracted again, but only down to
+a small core: the inner ``disassemble`` stops at _CORE_ORDER vertices, or
+where every vertex left has more than _CORE_DEGREE neighbors.  Past that
+point each removal costs about its degree squared and fills the rest of
+the core, so a dense min-plus Floyd-Warshall (close_core, which shares no
+code with baseline.floyd_warshall, the tests' oracle) closes the core's
+[1, c] corner in place.  The D-only ``assemble`` then replays the inner
+removals into the rest of the corner.  Distances are unique, so any exact
+method gives the same D.  On entry the corner holds only UNREACHED and a
+zero diagonal, the same in any order, so it is taken as laid out in the
+inner restore order and nothing has to move before the replay.  After
+it, one in-place pass (assembly.to_id_order, with one block of rows and
+one row of extra memory) puts the corner back in ascending id order.
+
+The core's no-path cell is _NO_PATH = 2**62 - 1, which exceeds every
+distance and stays below 2**63 when doubled, so ``a + b`` in the closure
+never wraps.  That holds when the residual's weights sum below it: every
+core distance is then below the sum.  A residual at or past it is
+contracted in full instead, the same call with a one-vertex core, so the
+inner replay's refusal of a wrapping candidate still applies there.
+
+Predecessors are then read off those distances.  Give the k-th smallest
+present id position k.  With positive weights a binary-heap Dijkstra over
+``(distance, position)`` pops vertices in strictly increasing order, and a
+later pop never improves an earlier vertex; so its predecessor of v from
+s is the *tight* neighbor u (``d[s,u] + w(u,v) == d[s,v]``) popped first,
+the one with the least ``(d[s,u], position u)``.  As ``d[s,u] = d[s,v] -
+w(u,v)`` for a tight u, that is the first tight slot of v's neighbors in
+(weight desc, position) order.  The rule is slot-major: for one block of
+sources it starts every target at its self slot (v itself, which stands
+for "no tight neighbor" and is the answer only on the diagonal), then
+walks the slots from the last to the first, overwriting each target whose
+slot is tight, so the first tight slot is left.  Slot t runs over whole
+rows when every target has a t-th neighbor, else over the targets that
+do, so no target visits a slot it lacks.  The rule tracks slot numbers:
+each slot's value, P[q][j] when set, else q, is read from P once, before
+any write.  ``_RULE_CELLS`` bounds the sources x r cells of one block.  A
+zero weight breaks the argument (a tight neighbor may be popped after
+v), so residuals with one are refused, and so are disconnected ones,
+which the inner ``disassemble`` refuses.
 """
 
 from __future__ import annotations
@@ -39,11 +55,40 @@ from .disassembly import SolveParams, disassemble
 from .graph import Graph
 from .matrices import UNREACHED, UNSET, PrecedenceMatrix
 
-#: Cells (sources x r x (max_degree + 1)) of the int64 gather in one block
-#: of the predecessor rule.  On grid_graph(32) and (48) under d_max=3,
-#: i_max=0, 2**13 to 2**17 timed alike within noise; 2**17 raised the peak
-#: RSS of a solve by 3.5 MB over 2**13, 2**15 by 0.8 MB.
-_RULE_CELLS = 1 << 15
+#: Cells (sources x r) of one block of the predecessor rule.  On
+#: grid_graph(32) under d_max=3, i_max=0, 2**13 to 2**16 timed alike
+#: within noise, and 2**12 about half again slower.  In the benchmark's
+#: loop of solves, 2**14 and 2**15 left the peak RSS 4 MB higher than
+#: 2**13, whose int64 blocks stay below 64 KiB.
+_RULE_CELLS = 1 << 13
+
+#: The inner contraction stops at _CORE_ORDER vertices, or where every
+#: vertex left has more than _CORE_DEGREE neighbors.  Measured under
+#: d_max=3, i_max=0 (see ROADMAP): on grid_graph(32) 128 beat 64 and 256; on
+#: random_connected_graph(4096, 3), where the degree stop leaves a core of
+#: about 1000, 64 beat 24, 32, 48, 96 and 128.
+_CORE_ORDER = 128
+_CORE_DEGREE = 64
+
+#: No-path cell of the min-plus core: above every distance it holds, and
+#: twice it still fits in int64.
+_NO_PATH = 2**62 - 1
+
+
+def close_core(core: Graph, dc: np.ndarray) -> None:
+    """Fill the square int64 `dc` with the distances of the connected
+    `core`, its ids ascending at indices 0, 1, ...: min-plus Floyd-Warshall
+    from its edges, _NO_PATH standing for a pair not joined yet.  The edge
+    weights must sum below _NO_PATH."""
+    at = {v: k for k, v in enumerate(sorted(core.adj))}
+    dc[...] = _NO_PATH
+    np.fill_diagonal(dc, 0)
+    for v, nbrs in core.adj.items():
+        dc[at[v], [at[u] for u in nbrs]] = list(nbrs.values())
+    via = np.empty(dc.shape, dc.dtype)
+    for k in range(len(dc)):
+        np.add(dc[:, k, None], dc[k], out=via)
+        np.minimum(dc, via, out=dc)
 
 
 def solve_residual(g_r: Graph, d: np.ndarray, p: PrecedenceMatrix) -> None:
@@ -61,11 +106,10 @@ def solve_residual(g_r: Graph, d: np.ndarray, p: PrecedenceMatrix) -> None:
     is the direct residual edge and the stored entry already applies; on
     the diagonal q is the self slot, so P[i][i] keeps its stored entry.
 
-    The merge reads stored P only on residual edges and the diagonal, and
-    reads the values P held on entry: the inner replay writes no P, and
-    where the merge writes P[q][j] for a shortest-path edge (q, j), q is
-    its own first tight slot, so it writes back the stored entry.  `g_r`
-    is left as it was.
+    The merge reads stored P only on residual edges, all before its first
+    write, and on each cell it writes, just before writing it; so it reads
+    the values P held on entry.  The inner replay writes no P.  `g_r` is
+    left as it was.
 
     Refused before any cell of `d` or P is written: edge weights summing
     to UNREACHED or more (ValueError: a shortest path uses each edge at
@@ -88,18 +132,36 @@ def solve_residual(g_r: Graph, d: np.ndarray, p: PrecedenceMatrix) -> None:
                          f"distances could overflow int64")
     if 0 in weights:
         raise ValueError("residual has a zero-weight edge: predecessors need positive weights")
-    seq = disassemble(g_r.copy(), SolveParams())
+    core = SolveParams(d_max=_CORE_DEGREE, n_min=_CORE_ORDER) if total < _NO_PATH else SolveParams()
+    seq = disassemble(g_r.copy(), core)
     ids = sorted(g_r.adj)
     pos = {v: k for k, v in enumerate(ids)}
     r = len(ids)
-    vid = np.array(ids, dtype=p.cells.dtype)
-    width = max(map(len, g_r.adj.values())) + 1
-    # slots as (-weight, position) ascending, then self slots (0, k) to the width
+    positions = np.arange(r)
+    # each target's real slots as (-weight, position) ascending
     rows = [sorted((-w, pos[u]) for u, w in g_r.adj[v].items()) for v in ids]
-    slots = np.array([row + [(0, k)] * (width - len(row)) for k, row in enumerate(rows)], np.int64)
-    wt, nbr = -slots[:, :, 0], slots[:, :, 1]
-
+    # slot t of every target that has one, last slot first: the targets (a
+    # full slice when all have it), their neighbors' positions, the
+    # weights, and the slots' numbers, counted on across slots
+    slots, numbered = [], 0
+    for t in range(max(map(len, rows)) - 1, -1, -1):
+        has = [k for k, row in enumerate(rows) if len(row) > t]
+        cells = np.array([rows[k][t] for k in has], np.int64)
+        targets = slice(None) if len(has) == r else np.array(has)
+        slots.append((targets, cells[:, 1], -cells[:, 0],
+                      np.arange(numbered, numbered + len(has))))
+        numbered += len(has)
+    # per slot number, self slots last: the neighbor, and what P[s][j]
+    # becomes when it is the first tight slot of j from a source s other
+    # than itself: the stored P[q][j] when set, q's id otherwise
+    nbr = np.concatenate([s[1] for s in slots] + [positions])
+    target = np.concatenate([positions[s[0]] for s in slots] + [positions])
     dc, pc = d[1:r + 1, 1:r + 1], p.cells[1:r + 1, 1:r + 1]
+    stored = pc[nbr, target]
+    value = np.where(stored != UNSET, stored, np.array(ids, dtype=stored.dtype)[nbr])
+
+    c = seq.residual.n_present
+    close_core(seq.residual, d[1:c + 1, 1:c + 1])
     try:
         assemble(seq, d)
     except ValueError:
@@ -109,15 +171,16 @@ def solve_residual(g_r: Graph, d: np.ndarray, p: PrecedenceMatrix) -> None:
     at = {v: k for k, v in enumerate(restore_order(seq), 1)}
     to_id_order(d[:r + 1, :r + 1], [0] + [at[v] for v in ids])
 
-    positions = np.arange(r)
-    step = max(1, _RULE_CELLS // (r * width))
+    step = max(1, _RULE_CELLS // r)
     for lo in range(0, r, step):
         dist = dc[lo:lo + step]
-        k = (dist[:, nbr] + wt == dist[:, :, None]).argmax(axis=2)
-        q = nbr[positions, k]
-        kept = pc[q, positions]  # P[q][j], as on entry
+        first = np.repeat(positions[None] + numbered, len(dist), axis=0)  # the self slots
+        for targets, nbr_t, wt, number in slots:
+            at_t = first[:, targets]  # a view for a full slot
+            np.copyto(at_t, number, where=dist.take(nbr_t, axis=1) + wt == dist[:, targets])
+            first[:, targets] = at_t
+        out = value.take(first)
         # a last hop from the source (the self slot on the diagonal) keeps
-        # its stored entry; any other expands to the stored P[q][j] when
-        # set, q itself otherwise
-        pc[lo:lo + step] = np.where((q == positions[lo:lo + step, None]) | (kept != UNSET),
-                                    kept, vid[q])
+        # its stored entry
+        np.copyto(out, pc[lo:lo + step], where=nbr.take(first) == positions[lo:lo + step, None])
+        pc[lo:lo + step] = out

@@ -82,6 +82,13 @@ def reference_solve_residual(g_r: Graph, d: np.ndarray, p: PrecedenceMatrix) -> 
                                                   np.array([0, *ids])[q]))
 
 
+def core_caps(r: int) -> tuple[int, int, int]:
+    """Core orders (microsolve._CORE_ORDER) that solve a residual of r > 1
+    vertices by its inner contraction alone, by contraction to a core of
+    about r / 2, and by the min-plus core alone."""
+    return 1, max(2, r // 2), r + 1
+
+
 def random_connected_graph(n: int, seed: int, wmax: int = 1000,
                            extra_factor: int = 2) -> Graph:
     """Random connected graph: shuffled spanning tree plus up to

@@ -1,15 +1,16 @@
 """Seeded differential fuzz: solve against floyd_warshall on many graph
 shapes and the whole knob grid, with every precedence cell checked, and
-every residual's solve checked against a reference built on apsp_dijkstra."""
+every residual's solve checked against a reference built on apsp_dijkstra,
+with the residual's inner core at three orders."""
 
 import random
 
 import numpy as np
 import pytest
-from conftest import grid_graph, random_connected_graph, reference_solve_residual
+from conftest import core_caps, grid_graph, random_connected_graph, reference_solve_residual
 
 from graphshrink import UNBOUNDED, Graph, SolveParams, first_bad_precedence, floyd_warshall, solve
-from graphshrink import solver
+from graphshrink import microsolve, solver
 from graphshrink.graph import MAX_WEIGHT
 
 
@@ -74,10 +75,20 @@ def test_solve_matches_floyd_warshall_and_every_precedence_cell_is_tight(
         result = solve(g, params)
         assert np.array_equal(result.distances.cells, floyd_warshall(g).cells)
         assert first_bad_precedence(g, result.distances, result.precedence) is None
-        if result.residual_order > 1:
-            # the residual solved by the baseline's Dijkstra gives the same bytes
+        r = result.residual_order
+        if r > 1:
+            # the residual solved by the baseline's Dijkstra gives the same
+            # bytes, and so does the residual's inner contraction alone, to
+            # a core of about half, and its min-plus core alone
             with monkeypatch.context() as m:
                 m.setattr(solver, "solve_residual", reference_solve_residual)
                 by_reference = solve(g, params)
             assert np.array_equal(by_reference.distances.cells, result.distances.cells)
             assert np.array_equal(by_reference.precedence.cells, result.precedence.cells)
+            for cap in core_caps(r):
+                with monkeypatch.context() as m:
+                    m.setattr(microsolve, "_CORE_ORDER", cap)
+                    by_core = solve(g, params)
+                assert np.array_equal(by_reference.distances.cells, by_core.distances.cells), cap
+                assert np.array_equal(by_reference.precedence.cells,
+                                      by_core.precedence.cells), cap

@@ -106,6 +106,14 @@ def test_stats_single_vertex():
     assert (st.n, st.m, st.max_degree) == (1, 0, 0)
 
 
+def test_stats_refused_on_an_empty_graph():
+    g = path_graph([1])
+    g.remove_vertex(1)
+    g.remove_vertex(2)
+    with pytest.raises(GraphError, match="^stats undefined on an empty graph$"):
+        g.stats()
+
+
 def test_subgraph_whole_graph():
     g = random_connected_graph(20, 1)
     sub, mapping = extract_connected_subgraph(g, 20, seed=5)

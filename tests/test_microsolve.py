@@ -1,9 +1,11 @@
 import heapq
+import random
 
 import numpy as np
 import pytest
 from conftest import (
     contract,
+    core_caps,
     grid_graph,
     path_graph,
     precede_shortcuts_by_id,
@@ -194,23 +196,28 @@ def contracted(g, params, encode):
 
 def assert_matches_seed(g_r, p, scale, solve=solve_residual):
     """Run the reference and `solve` from copies of P; the new `d` must
-    equal the reference's M * scale + hops, with INF as UNREACHED."""
+    equal the reference's M * scale + hops, with INF as UNREACHED.
+    solve_residual runs once with each of core_caps as its core order."""
     n = g_r.n_original
     m0, p0 = float_m(n), PrecedenceMatrix(n)
     p0.cells[...] = p.cells
     hops = np.zeros_like(m0, dtype=np.int64) if scale > 1 else None
     seed_solve_residual(g_r, m0, p0, scale=scale, hop_cells=hops)
-    d, p1 = new_d(n), PrecedenceMatrix(n)
-    p1.cells[...] = p.cells
-    solve_residual_by_id(g_r, d, p1, solve)
     # cells outside the residual block stay inf in the reference
     missing = ~np.isfinite(m0)
     expected = np.where(missing, 0, m0).astype(np.int64) * scale
     if hops is not None:
         expected += hops
     expected[missing] = UNREACHED
-    assert np.array_equal(d, expected)
-    assert np.array_equal(p0.cells, p1.cells)
+    caps = core_caps(g_r.n_present) if solve is solve_residual else [microsolve._CORE_ORDER]
+    for cap in caps:
+        d, p1 = new_d(n), PrecedenceMatrix(n)
+        p1.cells[...] = p.cells
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(microsolve, "_CORE_ORDER", cap)
+            solve_residual_by_id(g_r, d, p1, solve)
+        assert np.array_equal(d, expected), cap
+        assert np.array_equal(p0.cells, p1.cells), cap
     return d, p1
 
 
@@ -334,25 +341,33 @@ def test_solve_residual_by_contraction_reads_p_as_it_was_on_entry(monkeypatch):
     monkeypatch.setattr(microsolve, "assemble", watched_assemble)
     edges_before = {v: dict(nbrs) for v, nbrs in g_r.adj.items()}
     assert_matches_seed(g_r, p, scale)
-    assert calls == [((), {})]
+    assert calls == [((), {})] * len(core_caps(g_r.n_present))
     assert g_r.adj == edges_before
 
 
 @pytest.mark.parametrize("side", [6, 12])
-def test_solve_residual_puts_back_an_inner_restore_order_unlike_id_order(side):
+def test_solve_residual_puts_back_an_inner_restore_order_unlike_id_order(side, monkeypatch):
     # the inner replay fills the corner in its own restore order; the pass
     # back to ascending ids must precede the rule
     g_r, p, scale = contracted(grid_graph(side), SolveParams(d_max=3, i_max=0), encode=True)
-    inner = restore_order(disassemble(g_r.copy(), SolveParams()))
-    assert inner != sorted(g_r.adj) and sorted(inner) == sorted(g_r.adj)
+    solved = []
+
+    def watched_disassemble(g, params):
+        solved.append(disassemble(g, params))
+        return solved[-1]
+
+    monkeypatch.setattr(microsolve, "disassemble", watched_disassemble)
     assert_matches_seed(g_r, p, scale)
+    # the regimes with an inner contraction, not the core alone
+    for seq in solved[:2]:
+        inner = restore_order(seq)
+        assert seq.records and inner != sorted(g_r.adj) and sorted(inner) == sorted(g_r.adj)
 
 
 def test_solve_residual_by_contraction_across_source_blocks(monkeypatch):
     g_r, p, scale = contracted(grid_graph(12), SolveParams(d_max=3, i_max=0), encode=True)
     r = g_r.n_present
-    width = max(map(len, g_r.adj.values())) + 1  # with the self slot
-    monkeypatch.setattr(microsolve, "_RULE_CELLS", 5 * r * width + 1)  # 5 sources a block
+    monkeypatch.setattr(microsolve, "_RULE_CELLS", 5 * r + 4)  # 5 sources a block
     assert r > 2 * 5 and r % 5  # at least 3 blocks, the last one short
     assert_matches_seed(g_r, p, scale)
 
@@ -405,3 +420,65 @@ def test_solve_residual_hop_encoded_takes_contraction():
     g_r, p, scale = contracted(grid_graph(24), SolveParams(d_max=2, n_min=24 * 24 // 2),
                                encode=True)
     assert_matches_seed(g_r, p, scale)
+
+
+# -- the inner core: contraction, min-plus closure, or both -----------------
+
+def core_orders_against_reference(g_r, p, monkeypatch):
+    """Solve g_r with each of core_caps as the core order and compare D and
+    P with reference_solve_residual's; return the core order each reached."""
+    n = g_r.n_original
+    d0, p0 = new_d(n), PrecedenceMatrix(n)
+    p0.cells[...] = p.cells
+    solve_residual_by_id(g_r, d0, p0, reference_solve_residual)
+    reached = []
+    real_close = microsolve.close_core
+
+    def watched_close(core, dc):
+        reached.append(len(dc))
+        real_close(core, dc)
+
+    monkeypatch.setattr(microsolve, "close_core", watched_close)
+    for cap in core_caps(g_r.n_present):
+        monkeypatch.setattr(microsolve, "_CORE_ORDER", cap)
+        d, p1 = new_d(n), PrecedenceMatrix(n)
+        p1.cells[...] = p.cells
+        solve_residual_by_id(g_r, d, p1)
+        assert np.array_equal(d, d0), cap
+        assert np.array_equal(p1.cells, p0.cells), cap
+    return reached
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3, 5])
+def test_solve_residual_equals_the_reference_at_every_core_order(seed, monkeypatch):
+    # weights 1..4: many equal-length paths through the core and the replay
+    g = plus_one(random_connected_graph(150, seed, wmax=3))
+    g_r, p, _ = contracted(g, SolveParams(d_max=3, i_max=0), encode=False)
+    r = g_r.n_present
+    assert r > 20
+    assert core_orders_against_reference(g_r, p, monkeypatch) == [1, r // 2, r]
+
+
+def test_solve_residual_core_stopped_by_degree_equals_the_reference(monkeypatch):
+    # a clique of _CORE_DEGREE + 2 with trees hanging off it: the trees
+    # contract, and then every vertex left has too many neighbors
+    k = microsolve._CORE_DEGREE + 2
+    rng = random.Random(4)
+    g = Graph(k + 40)
+    for u in range(1, k + 1):
+        for v in range(u + 1, k + 1):
+            g.set_edge(u, v, rng.randint(1, 4))
+    for v in range(k + 1, k + 41):
+        g.set_edge(v, rng.randrange(1, v), rng.randint(1, 4))
+    reached = core_orders_against_reference(g, PrecedenceMatrix(k + 40), monkeypatch)
+    assert reached[0] == k
+
+
+@pytest.mark.parametrize("heavy, cores", [(2**61 - 4, [1, 2, 5]), (2**61 - 3, [1, 1, 1])])
+def test_solve_residual_closes_a_core_only_below_the_no_path_cell(heavy, cores, monkeypatch):
+    # weights summing to 2**62 - 2 take the min-plus core, whose no-path
+    # cell 2**62 - 1 stays above the distance 2**62 - 2 from 1 to 5;
+    # 2**62 - 1 contracts in full, to a one-vertex core, at any core order
+    g = path_graph([2**61, heavy, 1, 1])
+    assert sum(w for _, _, w in g.edges()) == 2**62 - 1 - (cores[-1] > 1)
+    assert core_orders_against_reference(g, PrecedenceMatrix(5), monkeypatch) == cores
