@@ -19,10 +19,16 @@ neighbor in id order (incident_edges are sorted by neighbor id).  Where
 the recorded direct edge to l is itself tight, P keeps its stored entry
 for that edge.  Without a P the replay writes D only.
 
+A replay is thousands of small restores, so each restore's fixed cost is
+kept low.  The records' neighbor ids, weights and positions become flat
+arrays once, before the replay, and each restore slices them.  P[x(l)][l]
+is read with one flat take from P's C-contiguous cells, and P[x][i] once
+per neighbor x, then spread over the row by the first-neighbor index.
+
 `to_id_order` puts a laid-out matrix back in id order in place.  It
-gathers the columns of one block of rows at a time, then walks the row
-permutation's cycles through a one-row buffer, so its extra memory is one
-block plus one row.
+gathers the columns of one block of rows at a time into one reused
+buffer, then walks the row permutation's cycles through a one-row buffer,
+so its extra memory is one block plus one row.
 
 Distances are plain integers in the int64 matrix D.  Driven by the full
 pipeline they carry the solver's (weight, hops) encoding (see
@@ -30,6 +36,8 @@ solver.solve), so "tight" is lexicographic in (weight, hops).
 """
 
 from __future__ import annotations
+
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -56,11 +64,15 @@ def to_id_order(cells: np.ndarray, pos, scale: int = 1) -> None:
     """
     n, pos = len(cells), np.asarray(pos)
     step = max(1, _BLOCK_CELLS // n)
+    buf = np.empty((step, n), cells.dtype)
     for lo in range(0, n, step):
-        block = cells[lo:lo + step, pos]
+        rows = cells[lo:lo + step]
+        # pos is a permutation, so no index clips; mode "raise" would
+        # gather into a temporary and copy that into buf
+        block = np.take(rows, pos, axis=1, out=buf[:len(rows)], mode="clip")
         if scale != 1:
             np.floor_divide(block, scale, out=block, where=block != UNREACHED)
-        cells[lo:lo + step] = block
+        rows[...] = block
     walk = pos.tolist()
     for start in range(n):
         if walk[start] in (start, -1):  # in place, or its cycle already walked
@@ -115,20 +127,32 @@ def assemble(seq: ShrinkSequence, d: np.ndarray, p: PrecedenceMatrix | None = No
     order = restore_order(seq)
     pos = np.full(len(d), len(order), dtype=np.intp)  # never present: past the end
     pos[order] = np.arange(len(order))
+    # every record's edges, in replay order, as flat arrays that each
+    # restore slices: 24 bytes an edge, 0.4 MB on the benchmark's
+    # random-full instance.  That workload's peak RSS reads 1 MB higher
+    # with them, but undoing only them, or only the flat P read below
+    # (which allocates nothing more), reads 0.6-0.8 MB below the old
+    # code: the peak follows the heap layout, not these arrays.
+    records = seq.records[::-1]
+    bounds = list(accumulate((len(rec.incident_edges) for rec in records), initial=0))
+    edges = np.fromiter(chain.from_iterable(chain.from_iterable(
+        rec.incident_edges for rec in records)), np.int64).reshape(-1, 2)
+    all_ids, all_enc = edges[:, 0], edges[:, 1]
+    all_pos = pos[all_ids]
     # k, k - 1, ..., 1 for a record's k neighbors, in the narrowest dtype:
     # the first tight one has the largest tight rank
     most = seq.max_removed_degree
     rank = np.arange(most, 0, -1, dtype=np.min_scalar_type(most))[:, None]
     # 0-based positions from here on: the restored vertex sits at `count`
     dv = d[1:, 1:]
-    pv = None if p is None else p.cells[1:, 1:]
-    columns = np.arange(len(order))
-    # each record's edges are read as the replay reaches it: one array of
-    # them all, alive through the replay, left the benchmark's random-full
-    # peak RSS 10 MB higher
-    for count, rec in enumerate(reversed(seq.records), seq.residual.n_present):
-        nbr_ids, enc = np.array(rec.incident_edges, dtype=np.int64).T
-        nbr_pos = pos[nbr_ids]
+    if p is not None:
+        pv = p.cells[1:, 1:]
+        # P[a][l] of positions a, l is flat[(a + 1) * stride + l + 1]
+        flat, stride = p.cells.ravel(), len(p.cells)
+        columns = np.arange(1, len(order) + 1)
+    for count, rec, lo, hi in zip(range(seq.residual.n_present, len(order)), records,
+                                  bounds, bounds[1:]):
+        nbr_ids, enc, nbr_pos = all_ids[lo:hi], all_enc[lo:hi], all_pos[lo:hi]
         if nbr_pos.max() >= count:
             raise ValueError(f"removal record for {rec.vertex} names absent neighbor "
                              f"{nbr_ids[(nbr_pos >= count).argmax()]}")
@@ -137,14 +161,15 @@ def assemble(seq: ShrinkSequence, d: np.ndarray, p: PrecedenceMatrix | None = No
         if dist.min() < 0:  # a recorded weight plus a distance wraps negative
             raise ValueError(f"restoring {rec.vertex} overflows int64: a residual pair it "
                              f"reaches through is unreached, or the weights are too large")
-        if pv is not None:
+        if p is not None:
             k = len(enc)
             first = k - ((cand == dist) * rank[-k:]).max(axis=0)  # first tight neighbor in id order
-            x, at_x = nbr_ids[first], nbr_pos[first]
-            pxl = pv[at_x, columns[:count]]   # P[x(l)][l]: both present, final
-            row_val = np.where(pxl != UNSET, pxl, x)
-            pxi = pv[at_x, count]             # P[x(l)][i]: stored entry for edge (x(l), i)
-            col_val = np.where(pxi != UNSET, pxi, x)
+            # P[x(l)][l]: both present, final
+            pxl = flat.take(((nbr_pos + 1) * stride).take(first) + columns[:count])
+            row_val = np.where(pxl != UNSET, pxl, nbr_ids.take(first))
+            # P[x][i], the stored entry for edge (x, i), per neighbor x
+            pxi = pv[nbr_pos, count]
+            col_val = np.where(pxi != UNSET, pxi, nbr_ids).take(first)
             # pairs whose recorded direct edge attains the minimum keep whatever P
             # holds: unset for an original edge, the intermediate for a shortcut
             keep = nbr_pos[enc == dist[nbr_pos]]

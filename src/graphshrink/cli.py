@@ -69,6 +69,8 @@ def _first_mismatch(a: np.ndarray, b: np.ndarray):
 
 def cmd_solve(args) -> int:
     _check_output_dirs(args.out, args.pred)
+    if args.out and args.pred and Path(args.out).resolve() == Path(args.pred).resolve():
+        raise CliError(f"--out and --pred name the same file: {args.out}")
     g = _load_graph(args)
     t0 = time.perf_counter()
     result = solve(g, _params(args))

@@ -18,16 +18,20 @@ decides depends only on the removed degree k:
   (best_alternative_two_hop).
 - From _BLOCK_DEGREE up, in one numpy block.  A is k x |H| int64, where H
   holds every neighbor of v's neighbors: A[a, h] = w(a, h), _BIG where
-  there is no edge, and v's column masked.  Over the pairs a < b,
-  s = w(v, a) + w(v, b) and cur = A[a, b]; only where s < cur is the
-  alternative min_h A[a, h] + A[b, h] formed, in chunks of at most
-  _ALT_CELLS cells.  The pair needs a mutation iff s < cur and s < alt.
+  there is no edge, and v's column masked.  H's columns are its ids in
+  ascending order, numbered through one array over the graph's ids: mark
+  the ids, read them back with flatnonzero, write each its column.
+  Over the pairs a < b, s = w(v, a) + w(v, b) and cur = A[a, b]; only
+  where s < cur is the alternative min_h A[a, h] + A[b, h] formed, in
+  chunks of at most _ALT_CELLS cells.  The pair needs a mutation iff
+  s < cur and s < alt.
 
 Both give the same mutations in the same order.  The block's fixed cost
 (gathering the rows, numbering H) outweighs its speed on small
-neighborhoods.  On grid_graph(48), 16 was the fastest threshold measured
-and no slower than the dicts alone, where 8 ran up to 30% slower; on
-random_connected_graph(1024, 11) it cut the disassembly about 4x.
+neighborhoods.  With H numbered as above, thresholds 8, 10, 12 and 16
+timed within noise on random_connected_graph(1024, 11), and 8 ran about
+25% slower than 16 on grid_graph(48), so 16 stays; on the random graph
+the block cut the disassembly about 4x against the dicts alone.
 
 The block runs only when every weight in it is below _BIG // 2: then s
 and every real alternative stay below _BIG, and _BIG + _BIG fits in
@@ -144,16 +148,22 @@ def _decide_block(g: Graph, v: int, nbrs: list[int]) -> list[Mutation] | None:
     # every w(v, a) is among vals: v is in each neighbor's row
     if vals.max() >= _BIG // 2:
         return None
-    # the neighbors join H so that column b exists even where no row holds b
-    cols, inv = np.unique(np.concatenate((keys, nbrs)), return_inverse=True)
+    # H's columns in ascending id order, numbered through one array over
+    # the ids; the neighbors join H so that column b exists even where no
+    # row holds b
+    at = np.zeros(g.n_original + 1, np.intp)
+    at[keys] = 1
+    at[nbrs] = 1
+    cols = np.flatnonzero(at)
+    at[cols] = np.arange(len(cols))
     w = np.full((k, len(cols)), _BIG, np.int64)
-    w[np.repeat(np.arange(k), lens), inv[:total]] = vals
-    vcol = int(np.searchsorted(cols, v))
+    w[np.repeat(np.arange(k), lens), at[keys]] = vals
+    vcol = at[v]
     wv = w[:, vcol].copy()
     w[:, vcol] = _BIG
     iu, ju = np.triu_indices(k, 1)
     s = wv[iu] + wv[ju]
-    cur = w[iu, inv[total:][ju]]
+    cur = w[iu, at[nbrs][ju]]
     need = s < cur
     cand = np.flatnonzero(need)
     step = max(1, _ALT_CELLS // len(cols))
@@ -206,9 +216,14 @@ def _apply_removal(g: Graph, v: int, mutations: list[Mutation]) -> RemovalRecord
     """Remove v after writing `mutations`, which _decide must have decided
     on g as it is now: deciding against a half-mutated graph would let an
     earlier shortcut suppress a later one and make the realized edge count
-    diverge from edge_delta."""
-    for a, b, _, s in mutations:
-        g.set_edge(a, b, s)
+    diverge from edge_delta.  The decided weights are valid edges between
+    present vertices, so they go straight into g.adj, and each new edge
+    (old weight INF) into g.m, without Graph.set_edge's checks."""
+    adj = g.adj
+    for a, b, old, s in mutations:
+        adj[a][b] = adj[b][a] = s
+        if old == INF:
+            g.m += 1
     return RemovalRecord(vertex=v, incident_edges=g.remove_vertex(v), mutations=mutations)
 
 

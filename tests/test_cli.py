@@ -122,6 +122,18 @@ def test_solve_refuses_a_missing_output_directory_before_solving(tmp_path, trian
     assert capsys.readouterr().err == f"error: output directory not found: {missing.parent}\n"
 
 
+@pytest.mark.parametrize("pred", ["d.txt", "./d.txt", "sub/../d.txt"])
+def test_solve_refuses_one_file_for_both_matrices_before_parsing(tmp_path, triangle_file,
+                                                                  monkeypatch, capsys, pred):
+    # both would be written, and the file would hold only P
+    monkeypatch.setattr(cli, "parse_dimacs", lambda *a: pytest.fail("parsed before checking"))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    assert main(["solve", "--input", str(triangle_file), "--out", "d.txt", "--pred", pred]) == 1
+    assert capsys.readouterr().err == "error: --out and --pred name the same file: d.txt\n"
+    assert not (tmp_path / "d.txt").exists()
+
+
 def test_bench_refuses_a_missing_report_directory_before_parsing(tmp_path, triangle_file,
                                                                  monkeypatch, capsys):
     monkeypatch.setattr(cli, "parse_dimacs", lambda *a: pytest.fail("parsed before checking"))

@@ -321,6 +321,23 @@ def _hashed(u, v):
     return (u * 7919 + v * 104729) % 13
 
 
+def _gapped(g, gone):
+    """g with the ids `gone` removed, as a caller may do before contracting."""
+    for v in gone:
+        g.remove_vertex(v)
+    return g
+
+
+def _hub(n, seed):
+    """Sparse random graph on 1..n with hub n // 2 joined to 1, n and every
+    third id, so its H holds both ends of the id range."""
+    g = random_connected_graph(n, seed)
+    for u in [1, n, *range(3, n, 3)]:
+        if u != n // 2:
+            g.set_edge(n // 2, u, 1 + u % 7)
+    return g
+
+
 DECISION_CASES = {
     "clique-distinct": clique_graph(20, _hashed),
     "clique-equal": clique_graph(20, lambda u, v: 3),
@@ -337,6 +354,11 @@ DECISION_CASES = {
                                     lambda u, v: MAX_WEIGHT - _hashed(u, v) % 3),
     **{f"random-{seed}": random_connected_graph(40 + 10 * seed, seed)
        for seed in range(6)},
+    # the block numbers H through an array over the ids 0..n_original:
+    # H spans both ends of that range, with gaps where ids were removed
+    "clique-gaps": _gapped(clique_graph(30, _hashed), [5, 17, 23]),
+    "hub-gaps": _gapped(_hub(60, 7), [2, 31, 59]),
+    "hub-zero": _gapped(reweighted(_hub(60, 8), lambda u, v: 0), [4, 40]),
 }
 
 
@@ -409,3 +431,43 @@ def test_weights_just_below_half_the_sentinel_stay_on_the_block_path(monkeypatch
     monkeypatch.setattr(disassembly, "_decide_dicts", _no_dicts)
     rec = remove_and_preserve(path_graph([weight, weight]), 2)
     assert rec.mutations == [(1, 3, INF, 2 * weight)]
+
+
+# -- the edge count after contraction ----------------------------------------
+
+def _edge_count(g):
+    return sum(map(len, g.adj.values())) // 2
+
+
+# chains, stars, cliques (their first removals decide on the block path),
+# zero and MAX_WEIGHT weights, and ids removed before the call
+EDGE_COUNT_CASES = {
+    "chain": lambda: path_graph([3, 1, 4, 1, 5, 9, 2, 6] * 4),
+    **{name: g.copy for name, g in DECISION_CASES.items()},
+}
+
+EDGE_COUNT_KNOBS = [SolveParams(d_max=d_max, i_max=i_max, n_min=n_min)
+                    for d_max in (1, 2, 3, UNBOUNDED)
+                    for i_max in (0, UNBOUNDED)
+                    for n_min in (1, 6)]
+
+
+@pytest.mark.parametrize("params", EDGE_COUNT_KNOBS,
+                         ids=lambda k: f"d{k.d_max}-i{k.i_max}-n{k.n_min}")
+@pytest.mark.parametrize("name", EDGE_COUNT_CASES)
+def test_disassemble_keeps_the_edge_count(name, params):
+    # removals write their shortcuts into g.adj directly and count the new
+    # edges into g.m themselves
+    g = EDGE_COUNT_CASES[name]()
+    disassemble(g, params)
+    assert g.m == _edge_count(g)
+
+
+@pytest.mark.parametrize("name", EDGE_COUNT_CASES)
+def test_remove_and_preserve_keeps_the_edge_count(name):
+    g0 = EDGE_COUNT_CASES[name]()
+    for v in sorted(g0.adj):
+        g = g0.copy()
+        rec = remove_and_preserve(g, v)
+        assert g.m == _edge_count(g) == g0.m + edge_delta(g0, v)
+        assert rec.mutations == disassembly._decide(g0, v, sorted(g0.adj[v]))
