@@ -122,7 +122,8 @@ def assemble(seq: ShrinkSequence, d: np.ndarray, p: PrecedenceMatrix | None = No
     the residual nor restored before it is refused with ValueError (naming
     the lowest such id), and so is a restore where a recorded weight plus a
     known distance wraps int64 (an UNREACHED cell, or raw weights summing
-    past 2**62), before its row is written.
+    past 2**62), before its row is written.  A record with no incident
+    edges is refused with ValueError before any cell is written.
     """
     order = restore_order(seq)
     pos = np.full(len(d), len(order), dtype=np.intp)  # never present: past the end
@@ -134,6 +135,9 @@ def assemble(seq: ShrinkSequence, d: np.ndarray, p: PrecedenceMatrix | None = No
     # (which allocates nothing more), reads 0.6-0.8 MB below the old
     # code: the peak follows the heap layout, not these arrays.
     records = seq.records[::-1]
+    bare = [rec.vertex for rec in records if not rec.incident_edges]
+    if bare:
+        raise ValueError(f"removal record for {bare[0]} has no incident edges")
     bounds = list(accumulate((len(rec.incident_edges) for rec in records), initial=0))
     edges = np.fromiter(chain.from_iterable(chain.from_iterable(
         rec.incident_edges for rec in records)), np.int64).reshape(-1, 2)

@@ -54,6 +54,8 @@ def _check_output_dirs(*paths) -> None:
     for out in paths:
         if out and not Path(out).parent.is_dir():
             raise CliError(f"output directory not found: {Path(out).parent}")
+        if out and Path(out).is_dir():
+            raise CliError(f"output path is a directory: {out}")
 
 
 def _first_mismatch(a: np.ndarray, b: np.ndarray):
@@ -194,6 +196,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_subgraph(args) -> int:
+    _check_output_dirs(args.out)
     g = _load_graph(args)
     sub, _ = extract_connected_subgraph(g, args.size, args.seed)
     text = write_dimacs(sub)

@@ -27,25 +27,30 @@ inner replay's refusal of a wrapping candidate still applies there.
 Predecessors are then read off those distances.  Give the k-th smallest
 present id position k.  With positive weights a binary-heap Dijkstra over
 ``(distance, position)`` pops vertices in strictly increasing order, and a
-later pop never improves an earlier vertex; so its predecessor of v from
-s is the *tight* neighbor u (``d[s,u] + w(u,v) == d[s,v]``) popped first,
+later pop never improves an earlier vertex; so its predecessor of v from s
+is the *tight* neighbor u (``d[s,u] + w(u,v) == d[s,v]``) popped first,
 the one with the least ``(d[s,u], position u)``.  As ``d[s,u] = d[s,v] -
 w(u,v)`` for a tight u, that is the first tight slot of v's neighbors in
-(weight desc, position) order.  The rule is slot-major: for one block of
-sources it starts every target at its self slot (v itself, which stands
-for "no tight neighbor" and is the answer only on the diagonal), then
-walks the slots from the last to the first, overwriting each target whose
-slot is tight, so the first tight slot is left.  Slot t runs over whole
-rows when every target has a t-th neighbor, else over the targets that
-do, so no target visits a slot it lacks.  The rule tracks slot numbers:
-each slot's value, P[q][j] when set, else q, is read from P once, before
-any write.  ``_RULE_CELLS`` bounds the sources x r cells of one block.  A
-zero weight breaks the argument (a tight neighbor may be popped after
-v), so residuals with one are refused, and so are disconnected ones,
-which the inner ``disassemble`` refuses.
+(weight desc, position) order.  D is symmetric, so d[s,u] is also d[u,s]:
+the rule runs one target v at a time, gathers the slices of v's neighbors'
+rows for a block of sources, adds the weights, compares them with v's own
+row, and picks the first tight slot as the one of largest rank, ranks
+falling from the first slot, as ``assemble`` picks its first tight
+neighbor (``argmax`` over the slots gives the same slot but took 12.6 of
+the 30 us a target cost at r = 921).  Each target's slots are sorted once,
+as flat arrays that each target slices, with each slot's value, P[q][v]
+when set, else q, read from P before any write.  The rule then writes P's
+column v; a last hop from the source itself keeps its stored entry, and so
+does the diagonal, where no slot is tight.  ``_RULE_CELLS`` bounds the
+slots x sources cells of one block, one source at least.  A zero weight
+breaks the argument (a tight neighbor may be popped after v), so residuals
+with one are refused, and so are disconnected ones, which the inner
+``disassemble`` refuses.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -55,11 +60,14 @@ from .disassembly import SolveParams, disassemble
 from .graph import Graph
 from .matrices import UNREACHED, UNSET, PrecedenceMatrix
 
-#: Cells (sources x r) of one block of the predecessor rule.  On
-#: grid_graph(32) under d_max=3, i_max=0, 2**13 to 2**16 timed alike
-#: within noise, and 2**12 about half again slower.  In the benchmark's
-#: loop of solves, 2**14 and 2**15 left the peak RSS 4 MB higher than
-#: 2**13, whose int64 blocks stay below 64 KiB.
+#: Cells (a target's slots x sources) of one block of the predecessor
+#: rule; a target with more slots than that runs one source a block.
+#: solve_residual under d_max=3, i_max=0, medians with 2**12 / 2**13 /
+#: 2**14 / 2**15: grid_graph(32, 0.05, 1), the benchmark's grid-bounded
+#: instance, 0.098 / 0.097 / 0.095 / 0.095 s (9 alternating runs, spread
+#: 0.065-0.106 s), alike: there every target fits one block from 2**13 on.
+#: grid_graph(64) 1.10 / 0.91 / 0.80 / 0.81 s (5 runs).  At 2**13 a
+#: block's int64 cells stay within 64 KiB.
 _RULE_CELLS = 1 << 13
 
 #: The inner contraction stops at _CORE_ORDER vertices, or where every
@@ -117,13 +125,12 @@ def solve_residual(g_r: Graph, d: np.ndarray, p: PrecedenceMatrix) -> None:
     the entry is expanded through any contraction structure on the
     residual edge (q, j): P[i][j] becomes P[q][j] when that edge is itself
     a shortcut (P[q][j] set), plain q otherwise.  When q == i the last hop
-    is the direct residual edge and the stored entry already applies; on
-    the diagonal q is the self slot, so P[i][i] keeps its stored entry.
+    is the direct residual edge and the stored entry already applies, and
+    P[i][i] keeps its stored entry too.
 
     The merge reads stored P only on residual edges, all before its first
-    write, and on each cell it writes, just before writing it; so it reads
-    the values P held on entry.  The inner replay writes no P.  `g_r` is
-    left as it was.
+    write, so it reads the values P held on entry; a cell it keeps it does
+    not write.  The inner replay writes no P.  `g_r` is left as it was.
 
     Refused before any cell of `d` or P is written: edge weights summing
     to UNREACHED or more (ValueError: a shortest path uses each edge at
@@ -152,26 +159,16 @@ def solve_residual(g_r: Graph, d: np.ndarray, p: PrecedenceMatrix) -> None:
     pos = {v: k for k, v in enumerate(ids)}
     r = len(ids)
     positions = np.arange(r)
-    # each target's real slots as (-weight, position) ascending
+    # every target's slots, (weight desc, position), as flat arrays that
+    # each target slices: the neighbor q's position, the weight, and what
+    # P[s][v] becomes when q is the first tight slot of v from a source s
+    # other than q: the stored P[q][v] when set, q's id otherwise
     rows = [sorted((-w, pos[u]) for u, w in g_r.adj[v].items()) for v in ids]
-    # slot t of every target that has one, last slot first: the targets (a
-    # full slice when all have it), their neighbors' positions, the
-    # weights, and the slots' numbers, counted on across slots
-    slots, numbered = [], 0
-    for t in range(max(map(len, rows)) - 1, -1, -1):
-        has = [k for k, row in enumerate(rows) if len(row) > t]
-        cells = np.array([rows[k][t] for k in has], np.int64)
-        targets = slice(None) if len(has) == r else np.array(has)
-        slots.append((targets, cells[:, 1], -cells[:, 0],
-                      np.arange(numbered, numbered + len(has))))
-        numbered += len(has)
-    # per slot number, self slots last: the neighbor, and what P[s][j]
-    # becomes when it is the first tight slot of j from a source s other
-    # than itself: the stored P[q][j] when set, q's id otherwise
-    nbr = np.concatenate([s[1] for s in slots] + [positions])
-    target = np.concatenate([positions[s[0]] for s in slots] + [positions])
+    bounds = list(accumulate(map(len, rows), initial=0))
+    slots = np.fromiter(chain.from_iterable(chain.from_iterable(rows)), np.int64).reshape(-1, 2)
+    nbr, wt = slots[:, 1], -slots[:, 0, None]
     dc, pc = d[1:r + 1, 1:r + 1], p.cells[1:r + 1, 1:r + 1]
-    stored = pc[nbr, target]
+    stored = pc[nbr, np.repeat(positions, np.diff(bounds))]
     value = np.where(stored != UNSET, stored, np.array(ids, dtype=stored.dtype)[nbr])
 
     c = seq.residual.n_present
@@ -185,16 +182,18 @@ def solve_residual(g_r: Graph, d: np.ndarray, p: PrecedenceMatrix) -> None:
     at = {v: k for k, v in enumerate(restore_order(seq), 1)}
     to_id_order(d[:r + 1, :r + 1], [0] + [at[v] for v in ids])
 
-    step = max(1, _RULE_CELLS // r)
-    for lo in range(0, r, step):
-        dist = dc[lo:lo + step]
-        first = np.repeat(positions[None] + numbered, len(dist), axis=0)  # the self slots
-        for targets, nbr_t, wt, number in slots:
-            at_t = first[:, targets]  # a view for a full slot
-            np.copyto(at_t, number, where=dist.take(nbr_t, axis=1) + wt == dist[:, targets])
-            first[:, targets] = at_t
-        out = value.take(first)
-        # a last hop from the source (the self slot on the diagonal) keeps
-        # its stored entry
-        np.copyto(out, pc[lo:lo + step], where=nbr.take(first) == positions[lo:lo + step, None])
-        pc[lo:lo + step] = out
+    # k, k - 1, ..., 1 for a target's k < r slots, in the narrowest dtype:
+    # the first tight slot has the largest tight rank
+    rank = np.arange(r - 1, 0, -1, dtype=np.min_scalar_type(r))[:, None]
+    for k, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        nbr_k, wt_k, value_k, rank_k = nbr[a:b], wt[a:b], value[a:b], rank[a - b:]
+        step = max(1, _RULE_CELLS // (b - a))
+        for lo in range(0, r, step):
+            # D is symmetric: row q's slice stands for column q's
+            tight = dc[nbr_k, lo:lo + step] + wt_k == dc[k, lo:lo + step]
+            # on the diagonal no slot is tight: first is then b - a, which the takes clip
+            first = b - a - (tight * rank_k).max(axis=0)
+            # a last hop from the source, and the diagonal, keep their stored entry
+            src = positions[lo:lo + step]
+            np.copyto(pc[lo:lo + step, k], value_k.take(first, mode="clip"),
+                      where=(nbr_k.take(first, mode="clip") != src) & (src != k))

@@ -249,6 +249,21 @@ def test_restore_rejects_absent_neighbor(edges, named):
     assert np.array_equal(d, new_d(4)) and not p.cells.any()
 
 
+@pytest.mark.parametrize("records", [
+    [RemovalRecord(vertex=2, incident_edges=[])],
+    # 3 is replayed after 2, whose row would be written first
+    [RemovalRecord(vertex=3, incident_edges=[]), RemovalRecord(vertex=2, incident_edges=[(1, 1)])],
+], ids=["alone", "replayed_last"])
+def test_restore_refuses_a_record_without_edges_before_writing(records):
+    n = len(records) + 1
+    d, p = new_d(n), PrecedenceMatrix(n)
+    p.cells[...] = 7
+    empty = next(rec.vertex for rec in records if not rec.incident_edges)
+    with pytest.raises(ValueError, match=f"removal record for {empty} has no incident edges"):
+        assemble_by_id(sequence(n, {1}, records), d, p)
+    assert np.array_equal(d, new_d(n)) and (p.cells == 7).all()
+
+
 def test_restore_accepts_a_neighbor_restored_before_it():
     rec3 = RemovalRecord(vertex=3, incident_edges=[(1, 1)])
     rec2 = RemovalRecord(vertex=2, incident_edges=[(3, 1)])

@@ -143,6 +143,24 @@ def test_bench_refuses_a_missing_report_directory_before_parsing(tmp_path, trian
     assert capsys.readouterr().err == f"error: output directory not found: {missing.parent}\n"
 
 
+@pytest.mark.parametrize("argv", [["solve", "--out"], ["solve", "--pred"], ["bench", "--report"]],
+                         ids=["solve_out", "solve_pred", "bench_report"])
+def test_refuses_a_directory_as_output_path_before_parsing(tmp_path, triangle_file,
+                                                            monkeypatch, capsys, argv):
+    monkeypatch.setattr(cli, "parse_dimacs", lambda *a: pytest.fail("parsed before checking"))
+    assert main([argv[0], "--input", str(triangle_file), *argv[1:], str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: output path is a directory: {tmp_path}\n"
+
+
+def test_subgraph_refuses_a_missing_output_directory_before_parsing(tmp_path, triangle_file,
+                                                                   monkeypatch, capsys):
+    monkeypatch.setattr(cli, "parse_dimacs", lambda *a: pytest.fail("parsed before checking"))
+    missing = tmp_path / "missing" / "x.gr"
+    argv = ["subgraph", "--input", str(triangle_file), "--size", "2", "--out", str(missing)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: output directory not found: {missing.parent}\n"
+
+
 def test_verify_missing_expected_file_is_an_error_line(tmp_path, triangle_file, capsys):
     missing = tmp_path / "missing.txt"
     assert main(["verify", "--input", str(triangle_file), "--expected", str(missing)]) == 1

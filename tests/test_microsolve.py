@@ -367,9 +367,21 @@ def test_solve_residual_puts_back_an_inner_restore_order_unlike_id_order(side, m
 def test_solve_residual_by_contraction_across_source_blocks(monkeypatch):
     g_r, p, scale = contracted(grid_graph(12), SolveParams(d_max=3, i_max=0), encode=True)
     r = g_r.n_present
-    monkeypatch.setattr(microsolve, "_RULE_CELLS", 5 * r + 4)  # 5 sources a block
-    assert r > 2 * 5 and r % 5  # at least 3 blocks, the last one short
+    monkeypatch.setattr(microsolve, "_RULE_CELLS", 35)
+    # a target with d slots runs 35 // d sources a block: at least 3 blocks
+    # for every target, the last one short
+    steps = {35 // len(nbrs) for nbrs in g_r.adj.values()}
+    assert steps == {5, 7, 8} and all(r > 2 * step and r % step for step in steps)
     assert_matches_seed(g_r, p, scale)
+
+
+def test_solve_residual_runs_one_source_a_block_for_a_hub(monkeypatch):
+    # every clique vertex has more slots than _RULE_CELLS allows cells
+    k = microsolve._CORE_DEGREE + 2
+    monkeypatch.setattr(microsolve, "_RULE_CELLS", k - 2)
+    g = clique_with_trees(k)
+    assert min(len(g.adj[v]) for v in range(1, k + 1)) == k - 1
+    core_orders_against_reference(g, PrecedenceMatrix(g.n_original), monkeypatch)
 
 
 def test_solve_residual_refuses_zero_weights_untouched():
@@ -459,10 +471,8 @@ def test_solve_residual_equals_the_reference_at_every_core_order(seed, monkeypat
     assert core_orders_against_reference(g_r, p, monkeypatch) == [1, r // 2, r]
 
 
-def test_solve_residual_core_stopped_by_degree_equals_the_reference(monkeypatch):
-    # a clique of _CORE_DEGREE + 2 with trees hanging off it: the trees
-    # contract, and then every vertex left has too many neighbors
-    k = microsolve._CORE_DEGREE + 2
+def clique_with_trees(k):
+    """A clique on 1..k with 40 tree vertices hanging off it, weights 1..4."""
     rng = random.Random(4)
     g = Graph(k + 40)
     for u in range(1, k + 1):
@@ -470,7 +480,15 @@ def test_solve_residual_core_stopped_by_degree_equals_the_reference(monkeypatch)
             g.set_edge(u, v, rng.randint(1, 4))
     for v in range(k + 1, k + 41):
         g.set_edge(v, rng.randrange(1, v), rng.randint(1, 4))
-    reached = core_orders_against_reference(g, PrecedenceMatrix(k + 40), monkeypatch)
+    return g
+
+
+def test_solve_residual_core_stopped_by_degree_equals_the_reference(monkeypatch):
+    # a clique of _CORE_DEGREE + 2 with trees hanging off it: the trees
+    # contract, and then every vertex left has too many neighbors
+    k = microsolve._CORE_DEGREE + 2
+    reached = core_orders_against_reference(clique_with_trees(k), PrecedenceMatrix(k + 40),
+                                            monkeypatch)
     assert reached[0] == k
 
 
