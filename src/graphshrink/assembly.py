@@ -59,10 +59,16 @@ def restore_order(seq: ShrinkSequence) -> list[int]:
 
 def to_id_order(cells: np.ndarray, pos, scale: int = 1) -> None:
     """Permute the square matrix `cells` in place so that cells[i, j]
-    becomes cells[pos[i], pos[j]]; `pos` is a permutation of its indices.
-    Every cell other than UNREACHED is floor-divided by `scale` on the way.
+    becomes cells[pos[i], pos[j]]; `pos` is a permutation of its indices,
+    and anything else is refused with ValueError before any write.  Every
+    cell other than UNREACHED is floor-divided by `scale` on the way.
     """
     n, pos = len(cells), np.asarray(pos)
+    # a permutation puts one index in each of bins 0..n-1; bin n takes the
+    # indices out of range
+    if len(pos) != n or not np.bincount(np.where((pos >= 0) & (pos < n), pos, n),
+                                        minlength=n + 1)[:n].all():
+        raise ValueError(f"to_id_order needs a permutation of 0..{n - 1}")
     step = max(1, _BLOCK_CELLS // n)
     buf = np.empty((step, n), cells.dtype)
     for lo in range(0, n, step):

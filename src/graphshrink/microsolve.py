@@ -17,12 +17,10 @@ inner restore order and nothing has to move before the replay.  After
 it, one in-place pass (assembly.to_id_order, with one block of rows and
 one row of extra memory) puts the corner back in ascending id order.
 
-The core's no-path cell is _NO_PATH = 2**62 - 1, which exceeds every
-distance and stays below 2**63 when doubled, so ``a + b`` in the closure
-never wraps.  That holds when the residual's weights sum below it: every
-core distance is then below the sum.  A residual at or past it is
-contracted in full instead, the same call with a one-vertex core, so the
-inner replay's refusal of a wrapping candidate still applies there.
+close_core runs on a uint64 view of the corner with UNREACHED (2**63 - 1)
+as the cell of a pair not joined yet: two cells sum to at most 2**64 - 2,
+so no sum wraps, and a distance that does not fit below UNREACHED stays
+at it, to be refused.
 
 Predecessors are then read off those distances.  Give the k-th smallest
 present id position k.  With positive weights a binary-heap Dijkstra over
@@ -84,32 +82,30 @@ _CORE_DEGREE = 64
 #: 3.5 s.  grid_graph(32)'s core of 128 fits in one block.
 _PIVOT_CELLS = 1 << 16
 
-#: No-path cell of the min-plus core: above every distance it holds, and
-#: twice it still fits in int64.
-_NO_PATH = 2**62 - 1
-
 
 def close_core(core: Graph, dc: np.ndarray) -> None:
-    """Fill the square int64 `dc` with the distances of the connected
-    `core`, its ids ascending at indices 0, 1, ...: min-plus Floyd-Warshall
-    from its edges, _NO_PATH standing for a pair not joined yet.  The edge
-    weights must sum below _NO_PATH."""
+    """Fill the square int64 `dc`, which holds UNREACHED with a zero
+    diagonal, with the distances of the connected `core`, its ids
+    ascending at indices 0, 1, ...: min-plus Floyd-Warshall from its edges
+    on a uint64 view of `dc`, UNREACHED standing for a pair not joined yet.
+    A distance of UNREACHED or more is left at UNREACHED; an edge weight
+    past int64 raises OverflowError."""
     at = {v: k for k, v in enumerate(sorted(core.adj))}
-    dc[...] = _NO_PATH
-    np.fill_diagonal(dc, 0)
     for v, nbrs in core.adj.items():
         dc[at[v], [at[u] for u in nbrs]] = list(nbrs.values())
-    # pivot k leaves row k and column k as they are (dc[k, k] == 0), so
-    # each pivot updates dc in place, one block of rows at a time, through
-    # a temporary that stays in cache
-    c = len(dc)
+    # every cell is at most UNREACHED, so a sum of two is at most 2**64 - 2
+    # in uint64 and never wraps.  Pivot k leaves row k and column k as they
+    # are (du[k, k] == 0), so each pivot updates du in place, one block of
+    # rows at a time, through a temporary that stays in cache
+    du = dc.view(np.uint64)
+    c = len(du)
     step = max(1, _PIVOT_CELLS // c)
-    via = np.empty((min(step, c), c), dc.dtype)
+    via = np.empty((min(step, c), c), du.dtype)
     for k in range(c):
         for lo in range(0, c, step):
-            rows = dc[lo:lo + step]
+            rows = du[lo:lo + step]
             tmp = via[:len(rows)]
-            np.add(rows[:, k, None], dc[k], out=tmp)
+            np.add(rows[:, k, None], du[k], out=tmp)
             np.minimum(rows, tmp, out=rows)
 
 
@@ -132,29 +128,27 @@ def solve_residual(g_r: Graph, d: np.ndarray, p: PrecedenceMatrix) -> None:
     write, so it reads the values P held on entry; a cell it keeps it does
     not write.  The inner replay writes no P.  `g_r` is left as it was.
 
-    Refused before any cell of `d` or P is written: edge weights summing
-    to UNREACHED or more (ValueError: a shortest path uses each edge at
-    most once, so below that every distance stays below UNREACHED), a
-    zero-weight edge (ValueError) and a disconnected residual (GraphError,
-    from the inner disassemble).  Weights summing past 2**62 can make a
-    candidate sum wrap int64.  The inner replay refuses a restore whose
-    candidate wraps with ValueError; the corner of `d` is then put back
-    to its entry state, so that refusal leaves D and P as they were too.
-    solve never meets it, as its shortcuts and distances are simple paths
-    of a graph whose doubled weight sum stays below 2**63.  In the
-    predecessor rule a wrapped sum is negative, so it is never tight.
+    Refused before any cell of `d` or P is written: a zero-weight edge or
+    one past 2**63 - 1 (ValueError) and a disconnected residual
+    (GraphError, from the inner disassemble).  Refused with ValueError
+    once the distances are formed, with the corner of `d` then put back to
+    its entry state, so that D and P are left as they were: a distance of
+    2**63 - 1 or more (UNREACHED), an inner shortcut past int64, and an
+    inner restore whose candidate wraps int64.  The replay forms its
+    candidates in int64, so with weights past 2**62 that last one can
+    refuse a residual whose distances all fit.  solve never meets any of
+    them, as its shortcuts, distances and candidates stay below twice the
+    encoded weight sum, which it keeps below 2**63.  In the predecessor
+    rule a wrapped sum is negative, so it is never tight.
     """
     if len(g_r.adj) <= 1:
         return
     weights = [w for nbrs in g_r.adj.values() for w in nbrs.values()]
-    total = sum(weights) // 2
-    if total >= UNREACHED:
-        raise ValueError(f"residual edge weights sum to {total} >= 2**63 - 1: "
-                         f"distances could overflow int64")
     if 0 in weights:
         raise ValueError("residual has a zero-weight edge: predecessors need positive weights")
-    core = SolveParams(d_max=_CORE_DEGREE, n_min=_CORE_ORDER) if total < _NO_PATH else SolveParams()
-    seq = disassemble(g_r.copy(), core)
+    if max(weights, default=0) > UNREACHED:
+        raise ValueError(f"residual edge weight {max(weights)} > 2**63 - 1 does not fit int64")
+    seq = disassemble(g_r.copy(), SolveParams(d_max=_CORE_DEGREE, n_min=_CORE_ORDER))
     ids = sorted(g_r.adj)
     pos = {v: k for k, v in enumerate(ids)}
     r = len(ids)
@@ -172,13 +166,15 @@ def solve_residual(g_r: Graph, d: np.ndarray, p: PrecedenceMatrix) -> None:
     value = np.where(stored != UNSET, stored, np.array(ids, dtype=stored.dtype)[nbr])
 
     c = seq.residual.n_present
-    close_core(seq.residual, d[1:c + 1, 1:c + 1])
     try:
+        close_core(seq.residual, d[1:c + 1, 1:c + 1])
         assemble(seq, d)
-    except ValueError:
+        if dc.max() == UNREACHED:
+            raise ValueError("a distance reaches 2**63 - 1")
+    except (ValueError, OverflowError) as err:  # OverflowError: an inner shortcut past int64
         dc[...] = UNREACHED
         np.fill_diagonal(dc, 0)
-        raise
+        raise ValueError(f"residual distances overflow int64: {err}") from err
     at = {v: k for k, v in enumerate(restore_order(seq), 1)}
     to_id_order(d[:r + 1, :r + 1], [0] + [at[v] for v in ids])
 

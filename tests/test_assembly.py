@@ -411,6 +411,17 @@ def test_to_id_order_on_a_corner_leaves_the_rest():
     assert np.array_equal(d[5:], before[5:]) and np.array_equal(d[:, 5:], before[:, 5:])
 
 
+@pytest.mark.parametrize("pos", [[0, 1, 1], [0, 2, 2], [0, 1, 3], [0, -1, 2], [2, 0],
+                                 [0, 2, 1, 3], []])
+def test_to_id_order_refuses_a_non_permutation_before_writing(pos):
+    # a repeated index, one out of range, or a wrong length: before the
+    # check, [0, 1, 1] sent the cycle walk round forever
+    cells = np.arange(9, dtype=np.int64).reshape(3, 3)
+    with pytest.raises(ValueError, match="permutation of 0..2"):
+        to_id_order(cells, pos)
+    assert np.array_equal(cells, np.arange(9).reshape(3, 3))
+
+
 def test_restore_order_is_the_residual_then_the_records_reversed():
     seq, _, _ = residual_solved(random_connected_graph(30, 21), SolveParams(n_min=8))
     order = restore_order(seq)

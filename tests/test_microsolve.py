@@ -277,16 +277,54 @@ def test_solve_residual_matches_seed_just_below_unreached():
 
 
 def test_solve_residual_refuses_int64_overflow_before_writing():
-    # a sum of 2**63 - 1 is refused too: that is UNREACHED itself
+    # a distance of 2**63 - 1 is refused too: that is UNREACHED itself.
+    # Through the min-plus core the closure leaves it at UNREACHED; through
+    # the inner replay 2**63 wraps, and 2**63 - 1 is written, then refused
+    # with the rest of the corner
     for weights in ([2**62, 2**62], [2**62, 2**62 - 1]):
         g = path_graph(weights)
-        d = new_d(3)
+        for cap, match in ((microsolve._CORE_ORDER, "2\\*\\*63 - 1"),
+                           (1, "distances overflow int64")):
+            d = new_d(3)
+            p = PrecedenceMatrix(3)
+            p.cells[1, 3] = 2
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(microsolve, "_CORE_ORDER", cap)
+                with pytest.raises(ValueError, match=match):
+                    solve_residual_by_id(g, d, p)
+            assert np.array_equal(d, new_d(3))
+            assert p.cells.sum() == 2 and int(p.cells[1, 3]) == 2
+
+
+def test_solve_residual_refuses_an_edge_past_int64_before_writing():
+    for weights in ([2**63, 1], [1, 2**64]):
         p = PrecedenceMatrix(3)
         p.cells[1, 3] = 2
-        with pytest.raises(ValueError, match="2\\*\\*63 - 1"):
-            solve_residual_by_id(g, d, p)
-        assert np.array_equal(d, new_d(3))
-        assert p.cells.sum() == 2 and int(p.cells[1, 3]) == 2
+        refused_untouched(path_graph(weights), p, ValueError, "> 2\\*\\*63 - 1")
+
+
+def test_solve_residual_refuses_an_inner_shortcut_past_int64_untouched(monkeypatch):
+    # the cycle 1-2-4-5-3-1: removing 1 first writes the shortcut (2, 3) of
+    # 2 H > 2**63 - 1, as the path 2-4-5-3 of 3 is no two-hop witness.
+    # Every distance fits, so the min-plus core alone solves it; a core of
+    # 4 meets the shortcut in close_core, a core of 1 in the inner replay
+    h = 2**62 + 1
+    g = Graph(5)
+    for u, v, w in ((1, 2, h), (1, 3, h), (2, 4, 1), (4, 5, 1), (5, 3, 1)):
+        g.set_edge(u, v, w)
+    # the weights sum past what apsp_dijkstra admits: the seed's dict
+    # Dijkstra checks the distances, and P with its float64 M
+    d, p, p0 = new_d(5), PrecedenceMatrix(5), PrecedenceMatrix(5)
+    solve_residual_by_id(g, d, p)
+    seed_solve_residual(g, float_m(5), p0)
+    assert [[d[i, j] for j in range(1, 6)] for i in range(1, 6)] == [
+        list(seed_dijkstra(g, i)[0].values()) for i in range(1, 6)]
+    assert np.array_equal(p.cells, p0.cells) and d[1, 4] == h + 1
+    for cap in (4, 1):
+        monkeypatch.setattr(microsolve, "_CORE_ORDER", cap)
+        p = PrecedenceMatrix(5)
+        p.cells[1:, 1:] = 7  # stored entries the refusal must leave as they were
+        refused_untouched(g, p, ValueError, "distances overflow int64")
 
 
 def test_dijkstra_refuses_a_weight_sum_reaching_unreached():
@@ -402,7 +440,7 @@ def test_solve_residual_refuses_zero_weight_and_disconnected():
 
 
 def test_solve_residual_contracts_on_both_sides_of_a_doubled_sum_of_2_63():
-    # twice 2**62 - 1 fits int64, twice 2**62 + 1 does not: both contract
+    # twice 2**62 - 1 fits int64, twice 2**62 + 1 does not: both are solved
     for g in (path_graph([2**61, 2**61 - 1]), path_graph([2**61, 2**61 + 1])):
         d, p = new_d(3), PrecedenceMatrix(3)
         solve_residual_by_id(g, d, p)
@@ -411,10 +449,11 @@ def test_solve_residual_contracts_on_both_sides_of_a_doubled_sum_of_2_63():
                 and int(p.cells[3, 1]) == 2)
 
 
-def test_solve_residual_refuses_a_wrapping_candidate():
+def test_solve_residual_refuses_a_wrapping_candidate(monkeypatch):
     # vertex 1 joins two unit cliques, {2, 4, 5, 6} by A and {3, 7, 8, 9}
-    # by 1, and is contracted first; restoring it tries A + d(2, 3) =
-    # 2 A + 1 > 2**63 - 1, though the weights sum below that
+    # by 1.  Every distance fits, so the min-plus core alone solves it.
+    # Contracted in full, 1 goes first; restoring it tries A + d(2, 3) =
+    # 2 A + 1 > 2**63 - 1
     a = 2**62 + 2**40
     g = Graph(9)
     g.set_edge(1, 2, a)
@@ -425,6 +464,13 @@ def test_solve_residual_refuses_a_wrapping_candidate():
                 g.set_edge(u, v, 1)
     p = PrecedenceMatrix(9)
     p.cells[1:, 1:] = 7  # stored entries the refusal must leave as they were
+    d, p1 = new_d(9), PrecedenceMatrix(9)
+    d0, p0 = new_d(9), PrecedenceMatrix(9)
+    p1.cells[...] = p0.cells[...] = p.cells
+    solve_residual_by_id(g, d, p1)
+    solve_residual_by_id(g, d0, p0, reference_solve_residual)
+    assert np.array_equal(d, d0) and np.array_equal(p1.cells, p0.cells) and d[2, 3] == a + 1
+    monkeypatch.setattr(microsolve, "_CORE_ORDER", 1)
     refused_untouched(g, p, ValueError, "restoring 1 overflows int64")
 
 
@@ -492,11 +538,11 @@ def test_solve_residual_core_stopped_by_degree_equals_the_reference(monkeypatch)
     assert reached[0] == k
 
 
-@pytest.mark.parametrize("heavy, cores", [(2**61 - 4, [1, 2, 5]), (2**61 - 3, [1, 1, 1])])
-def test_solve_residual_closes_a_core_only_below_the_no_path_cell(heavy, cores, monkeypatch):
-    # weights summing to 2**62 - 2 take the min-plus core, whose no-path
-    # cell 2**62 - 1 stays above the distance 2**62 - 2 from 1 to 5;
-    # 2**62 - 1 contracts in full, to a one-vertex core, at any core order
+@pytest.mark.parametrize("heavy, total", [(2**61 - 4, 2**62 - 2), (2**61 - 3, 2**62 - 1)])
+def test_solve_residual_closes_a_core_whatever_the_weight_sum(heavy, total, monkeypatch):
+    # the closure's not-joined cell is UNREACHED, above every distance
+    # that fits, so weights summing to 2**62 - 2 and to 2**62 - 1 alike
+    # reach the core order asked for
     g = path_graph([2**61, heavy, 1, 1])
-    assert sum(w for _, _, w in g.edges()) == 2**62 - 1 - (cores[-1] > 1)
-    assert core_orders_against_reference(g, PrecedenceMatrix(5), monkeypatch) == cores
+    assert sum(w for _, _, w in g.edges()) == total
+    assert core_orders_against_reference(g, PrecedenceMatrix(5), monkeypatch) == [1, 2, 5]

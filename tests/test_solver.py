@@ -156,6 +156,27 @@ def test_solve_contracts_a_residual_whose_doubled_weight_sum_passes_2_63():
             == "8085c16ccb7a77d7ddb8287005a9447c8149301564cc4ce223a17a49ca0e5631")
 
 
+def test_solve_bounded_solves_a_residual_whose_weight_sum_passes_unreached():
+    # hub 1 joins leaves 2..5 by W, and each leaf joins its own K6 by zero
+    # weights.  d_max=4 removes only the hub, and its six shortcuts of 2 W
+    # take the encoded residual's weight sum past 2**63 - 1, while solve's
+    # own guard holds and every distance fits
+    w = int(2**63 * 0.9 / 8 / 30)
+    g = Graph(29)
+    for leaf in range(2, 6):
+        g.set_edge(1, leaf, w)
+        clique = [leaf, *range(6 * leaf - 6, 6 * leaf)]
+        for i, a in enumerate(clique):
+            for b in clique[i + 1:]:
+                g.set_edge(a, b, 0)
+    result = solve(g, SolveParams(d_max=4))
+    residual_sum = sum(weight for _, _, weight in result.sequence.residual.edges())
+    assert result.removals == 1 and residual_sum >= UNREACHED
+    assert np.array_equal(result.distances.cells, apsp_dijkstra(g)[0].cells)
+    assert result.distances.get(2, 3) == 69175290276410824
+    assert first_bad_precedence(g, result.distances, result.precedence) is None
+
+
 @pytest.mark.parametrize("params", [SolveParams(), SolveParams(n_min=20)])
 def test_solve_max_weight_path_is_exact(params):
     g = path_graph([MAX_WEIGHT] * 40)
