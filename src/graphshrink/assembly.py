@@ -2,14 +2,11 @@
 reads them), then restore removed vertices in reverse order, extending D
 and P.
 
-Both stages work on solve's restore-order layout.  Positions 1, 2, ... of
-D and P hold the ids of `restore_order`: the residual's ids ascending,
-then the records' vertices in reverse (solver.solve puts the ids removed
-before it after those).  Row and column 0 stay unused.  Cells are
-addressed by position, but P's values stay ids.  The vertices present at
-each restore are then a prefix of the positions, and the restored vertex
-sits right behind it.  So a restore gathers row slices and writes one
-contiguous row, and the matching column.
+Both stages work on solve's restore-order layout (see solver.solve),
+addressing cells through its id -> position array `pos`.  The vertices
+present at each restore are a prefix of the positions, and the restored
+vertex sits right behind it.  So a restore gathers row slices and writes
+one contiguous row, and the matching column.
 
 Each restore writes each cell of its row and column once.  Its distance
 to every present vertex l is the minimum of (recorded edge weight + known
@@ -52,8 +49,8 @@ _BLOCK_CELLS = 1 << 14
 
 
 def restore_order(seq: ShrinkSequence) -> list[int]:
-    """The ids at positions 1, 2, ... of the layout: the residual's ids
-    ascending, then the records' vertices in reverse."""
+    """The residual's ids ascending, then the records' vertices in reverse:
+    the order in which a replay of `seq` makes them present."""
     return sorted(seq.residual.adj) + [rec.vertex for rec in reversed(seq.records)]
 
 
@@ -94,17 +91,15 @@ def to_id_order(cells: np.ndarray, pos, scale: int = 1) -> None:
         walk[i] = -1
 
 
-def precede_shortcuts(seq: ShrinkSequence, p: PrecedenceMatrix) -> None:
+def precede_shortcuts(seq: ShrinkSequence, p: PrecedenceMatrix, pos: np.ndarray) -> None:
     """Write P for every shortcut the contraction logged, in removal order.
 
     For each mutation (a, b) of removed vertex v, P[a][b] becomes P[v][b],
     or v when that is unset, and P[b][a] likewise: the a->b path now runs
     through v, or through whatever v's own contracted edge to b expands
-    to.  P is in the restore-order layout.
+    to.  P is laid out by `pos`.
     """
-    pos = [0] * len(p.cells)  # a list: reading a numpy array per mutation is slower
-    for k, v in enumerate(restore_order(seq), 1):
-        pos[v] = k
+    pos = pos.tolist()  # a list: reading a numpy array per mutation is slower
     cells = p.cells
     for rec in seq.records:
         v = rec.vertex
@@ -117,9 +112,11 @@ def precede_shortcuts(seq: ShrinkSequence, p: PrecedenceMatrix) -> None:
             cells[at_b, at_a] = pva if pva != UNSET else v
 
 
-def assemble(seq: ShrinkSequence, d: np.ndarray, p: PrecedenceMatrix | None = None) -> None:
+def assemble(seq: ShrinkSequence, d: np.ndarray, pos: np.ndarray,
+             p: PrecedenceMatrix | None = None) -> None:
     """Replay the shrink sequence in reverse; afterwards D, and P when
-    given, cover G_0.  Both are in the restore-order layout.
+    given, cover G_0.  Both are laid out by `pos`, which puts
+    restore_order(seq) at positions 1, 2, ...
 
     D must hold every residual pair's distance.  Each restored pair takes P
     from its first tight neighbor x: P[x][l] (or x when unset) for the row,
@@ -131,9 +128,6 @@ def assemble(seq: ShrinkSequence, d: np.ndarray, p: PrecedenceMatrix | None = No
     past 2**62), before its row is written.  A record with no incident
     edges is refused with ValueError before any cell is written.
     """
-    order = restore_order(seq)
-    pos = np.full(len(d), len(order), dtype=np.intp)  # never present: past the end
-    pos[order] = np.arange(len(order))
     # every record's edges, in replay order, as flat arrays that each
     # restore slices: 24 bytes an edge, 0.4 MB on the benchmark's
     # random-full instance.  That workload's peak RSS reads 1 MB higher
@@ -148,7 +142,7 @@ def assemble(seq: ShrinkSequence, d: np.ndarray, p: PrecedenceMatrix | None = No
     edges = np.fromiter(chain.from_iterable(chain.from_iterable(
         rec.incident_edges for rec in records)), np.int64).reshape(-1, 2)
     all_ids, all_enc = edges[:, 0], edges[:, 1]
-    all_pos = pos[all_ids]
+    all_pos = pos[all_ids] - 1
     # k, k - 1, ..., 1 for a record's k neighbors, in the narrowest dtype:
     # the first tight one has the largest tight rank
     most = seq.max_removed_degree
@@ -159,9 +153,9 @@ def assemble(seq: ShrinkSequence, d: np.ndarray, p: PrecedenceMatrix | None = No
         pv = p.cells[1:, 1:]
         # P[a][l] of positions a, l is flat[(a + 1) * stride + l + 1]
         flat, stride = p.cells.ravel(), len(p.cells)
-        columns = np.arange(1, len(order) + 1)
-    for count, rec, lo, hi in zip(range(seq.residual.n_present, len(order)), records,
-                                  bounds, bounds[1:]):
+        columns = np.arange(1, len(d))
+    for count, (rec, lo, hi) in enumerate(zip(records, bounds, bounds[1:]),
+                                          seq.residual.n_present):
         nbr_ids, enc, nbr_pos = all_ids[lo:hi], all_enc[lo:hi], all_pos[lo:hi]
         if nbr_pos.max() >= count:
             raise ValueError(f"removal record for {rec.vertex} names absent neighbor "

@@ -24,7 +24,10 @@ def parse_dimacs(text: str | bytes, max_n: int | None = None) -> Graph:
         text = text.decode("latin-1")  # never fails; a non-ASCII line is refused below
 
     g: Graph | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # lines end at \n, \r\n or a lone \r only: str.splitlines would also
+    # break a comment at \x0b, \x0c, \x1c-\x1e or \x85
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue

@@ -35,8 +35,9 @@ the block cut the disassembly about 4x against the dicts alone.
 
 The block runs only when every weight in it is below _BIG // 2: then s
 and every real alternative stay below _BIG, and _BIG + _BIG fits in
-int64.  A removal with a larger weight (raw weights given to the
-library) takes the dict path, which is exact on any int.
+int64.  A removal with a larger weight takes the dict path, which is
+exact on any int.  solve's encoded weights can take it too: its guard
+admits encoded weights below 2**62.
 """
 
 from __future__ import annotations
@@ -77,10 +78,13 @@ class SolveParams:
     n_min: int = 1
 
     def __post_init__(self):
-        if self.n_min < 1:
+        # each test also refuses NaN, which compares false with everything
+        if not self.n_min >= 1:
             raise ValueError(f"n_min must be >= 1, got {self.n_min}")
-        if self.d_max != UNBOUNDED and self.d_max < 1:
+        if not self.d_max >= 1:
             raise ValueError(f"d_max must be >= 1 or UNBOUNDED, got {self.d_max}")
+        if self.i_max != self.i_max:
+            raise ValueError(f"i_max must be a number or UNBOUNDED, got {self.i_max}")
 
 
 @dataclass

@@ -1,49 +1,44 @@
 """Exact APSP on the residual graph and merge into the global matrices.
 
-The stage works on the [1, r] corner of solve's restore-order layout
-(see assembly): the residual's r ids ascending at positions 1..r.
+The stage fills the [1, r] corner of solve's layout (see solver.solve),
+where the residual's r ids sit in the core's restore order.
 
-Distances.  A copy of the residual is contracted again, but only down to
-a small core: the inner ``disassemble`` stops at _CORE_ORDER vertices, or
-where every vertex left has more than _CORE_DEGREE neighbors.  Past that
-point each removal costs about its degree squared and fills the rest of
-the core, so a dense min-plus Floyd-Warshall (close_core, which shares no
-code with baseline.floyd_warshall, the tests' oracle) closes the core's
-[1, c] corner in place.  The D-only ``assemble`` then replays the inner
-removals into the rest of the corner.  Distances are unique, so any exact
-method gives the same D.  On entry the corner holds only UNREACHED and a
-zero diagonal, the same in any order, so it is taken as laid out in the
-inner restore order and nothing has to move before the replay.  After
-it, one in-place pass (assembly.to_id_order, with one block of rows and
-one row of extra memory) puts the corner back in ascending id order.
+Distances.  contract_core contracts a copy of the residual again, but
+only down to a small core: the inner ``disassemble`` stops at _CORE_ORDER
+vertices, or where every vertex left has more than _CORE_DEGREE
+neighbors.  Past that point each removal costs about its degree squared
+and fills the rest of the core, so a dense min-plus Floyd-Warshall
+(close_core, which shares no code with baseline.floyd_warshall, the
+tests' oracle) closes the core's [1, c] corner in place.  The D-only
+``assemble`` then replays the inner removals into the rest of the
+corner.  Distances are unique, so any exact method gives the same D.
 
 close_core runs on a uint64 view of the corner with UNREACHED (2**63 - 1)
 as the cell of a pair not joined yet: two cells sum to at most 2**64 - 2,
 so no sum wraps, and a distance that does not fit below UNREACHED stays
 at it, to be refused.
 
-Predecessors are then read off those distances.  Give the k-th smallest
-present id position k.  With positive weights a binary-heap Dijkstra over
-``(distance, position)`` pops vertices in strictly increasing order, and a
-later pop never improves an earlier vertex; so its predecessor of v from s
-is the *tight* neighbor u (``d[s,u] + w(u,v) == d[s,v]``) popped first,
-the one with the least ``(d[s,u], position u)``.  As ``d[s,u] = d[s,v] -
-w(u,v)`` for a tight u, that is the first tight slot of v's neighbors in
-(weight desc, position) order.  D is symmetric, so d[s,u] is also d[u,s]:
-the rule runs one target v at a time, gathers the slices of v's neighbors'
-rows for a block of sources, adds the weights, compares them with v's own
-row, and picks the first tight slot as the one of largest rank, ranks
-falling from the first slot, as ``assemble`` picks its first tight
-neighbor (``argmax`` over the slots gives the same slot but took 12.6 of
-the 30 us a target cost at r = 921).  Each target's slots are sorted once,
-as flat arrays that each target slices, with each slot's value, P[q][v]
-when set, else q, read from P before any write.  The rule then writes P's
-column v; a last hop from the source itself keeps its stored entry, and so
-does the diagonal, where no slot is tight.  ``_RULE_CELLS`` bounds the
-slots x sources cells of one block, one source at least.  A zero weight
-breaks the argument (a tight neighbor may be popped after v), so residuals
-with one are refused, and so are disconnected ones, which the inner
-``disassemble`` refuses.
+Predecessors are then read off those distances.  With positive weights a
+binary-heap Dijkstra over ``(distance, id)`` pops vertices in strictly
+increasing order, and a later pop never improves an earlier vertex; so
+its predecessor of v from s is the *tight* neighbor u (``d[s,u] + w(u,v)
+== d[s,v]``) popped first, the one with the least ``(d[s,u], u)``.  As
+``d[s,u] = d[s,v] - w(u,v)`` for a tight u, that is the first tight slot
+of v's neighbors in (weight desc, id) order.  D is symmetric, so d[s,u]
+is also d[u,s]: the rule runs one target v at a time, gathers the slices
+of v's neighbors' rows for a block of sources, adds the weights, compares
+them with v's own row, and picks the first tight slot as the one of
+largest rank, ranks falling from the first slot, as ``assemble`` picks
+its first tight neighbor (``argmax`` over the slots gives the same slot
+but took 12.6 of the 30 us a target cost at r = 921).  Each target's
+slots are sorted once, as flat arrays that each target slices, with each
+slot's value, P[q][v] when set, else q, read from P before any write.
+The rule then writes P's column v; a last hop from the source itself
+keeps its stored entry, and so does the diagonal, where no slot is
+tight.  ``_RULE_CELLS`` bounds the slots x sources cells of one block,
+one source at least.  A zero weight breaks the argument (a tight
+neighbor may be popped after v), so residuals with one are refused, and
+so are disconnected ones, which contract_core refuses.
 """
 
 from __future__ import annotations
@@ -52,9 +47,9 @@ from itertools import accumulate, chain
 
 import numpy as np
 
-from .assembly import assemble, restore_order, to_id_order
+from .assembly import assemble
 from .baseline import dijkstra  # re-exported: perfbench/probe.py wraps it here by name
-from .disassembly import SolveParams, disassemble
+from .disassembly import ShrinkSequence, SolveParams, disassemble
 from .graph import Graph
 from .matrices import UNREACHED, UNSET, PrecedenceMatrix
 
@@ -109,12 +104,19 @@ def close_core(core: Graph, dc: np.ndarray) -> None:
             np.minimum(rows, tmp, out=rows)
 
 
-def solve_residual(g_r: Graph, d: np.ndarray, p: PrecedenceMatrix) -> None:
+def contract_core(g_r: Graph) -> ShrinkSequence:
+    """Contract a copy of the residual `g_r` down to its core, leaving g_r
+    as it was; a disconnected residual is refused with GraphError."""
+    return disassemble(g_r.copy(), SolveParams(d_max=_CORE_DEGREE, n_min=_CORE_ORDER))
+
+
+def solve_residual(g_r: Graph, core: ShrinkSequence, d: np.ndarray, p: PrecedenceMatrix,
+                   pos: np.ndarray) -> None:
     """Write the residual pairs' distances into the int64 matrix `d` and
-    merge the residual predecessors into P, both laid out with the
-    residual's ids ascending at positions 1..r.  The corner of `d` must
-    hold UNREACHED with a zero diagonal on entry, as DistanceMatrix
-    allocates it.
+    merge the residual predecessors into P, both laid out by `pos`, which
+    puts restore_order(core) at positions 1..r (see solver.solve); `core`
+    is contract_core(g_r).  The corner of `d` must hold UNREACHED with a
+    zero diagonal on entry, as DistanceMatrix allocates it.
 
     A one-vertex residual is a no-op (the diagonal is preset).  For every
     other pair (i, j) whose residual predecessor q of j is not i itself,
@@ -129,10 +131,9 @@ def solve_residual(g_r: Graph, d: np.ndarray, p: PrecedenceMatrix) -> None:
     not write.  The inner replay writes no P.  `g_r` is left as it was.
 
     Refused before any cell of `d` or P is written: a zero-weight edge or
-    one past 2**63 - 1 (ValueError) and a disconnected residual
-    (GraphError, from the inner disassemble).  Refused with ValueError
-    once the distances are formed, with the corner of `d` then put back to
-    its entry state, so that D and P are left as they were: a distance of
+    one past 2**63 - 1 (ValueError).  Refused with ValueError once the
+    distances are formed, with the corner of `d` then put back to its
+    entry state, so that D and P are left as they were: a distance of
     2**63 - 1 or more (UNREACHED), an inner shortcut past int64, and an
     inner restore whose candidate wraps int64.  The replay forms its
     candidates in int64, so with weights past 2**62 that last one can
@@ -148,40 +149,35 @@ def solve_residual(g_r: Graph, d: np.ndarray, p: PrecedenceMatrix) -> None:
         raise ValueError("residual has a zero-weight edge: predecessors need positive weights")
     if max(weights, default=0) > UNREACHED:
         raise ValueError(f"residual edge weight {max(weights)} > 2**63 - 1 does not fit int64")
-    seq = disassemble(g_r.copy(), SolveParams(d_max=_CORE_DEGREE, n_min=_CORE_ORDER))
-    ids = sorted(g_r.adj)
-    pos = {v: k for k, v in enumerate(ids)}
-    r = len(ids)
+    r = len(g_r.adj)
     positions = np.arange(r)
-    # every target's slots, (weight desc, position), as flat arrays that
-    # each target slices: the neighbor q's position, the weight, and what
+    # every target's slots, (weight desc, id), as flat arrays that each
+    # target slices: the neighbor q's corner index, the weight, and what
     # P[s][v] becomes when q is the first tight slot of v from a source s
     # other than q: the stored P[q][v] when set, q's id otherwise
-    rows = [sorted((-w, pos[u]) for u, w in g_r.adj[v].items()) for v in ids]
+    rows = [sorted((-w, u) for u, w in nbrs.items()) for nbrs in g_r.adj.values()]
     bounds = list(accumulate(map(len, rows), initial=0))
     slots = np.fromiter(chain.from_iterable(chain.from_iterable(rows)), np.int64).reshape(-1, 2)
-    nbr, wt = slots[:, 1], -slots[:, 0, None]
+    nbr, wt, at = pos[slots[:, 1]] - 1, -slots[:, 0, None], pos[list(g_r.adj)] - 1
     dc, pc = d[1:r + 1, 1:r + 1], p.cells[1:r + 1, 1:r + 1]
-    stored = pc[nbr, np.repeat(positions, np.diff(bounds))]
-    value = np.where(stored != UNSET, stored, np.array(ids, dtype=stored.dtype)[nbr])
+    stored = pc[nbr, np.repeat(at, np.diff(bounds))]
+    value = np.where(stored != UNSET, stored, slots[:, 1].astype(stored.dtype))
 
-    c = seq.residual.n_present
+    c = core.residual.n_present
     try:
-        close_core(seq.residual, d[1:c + 1, 1:c + 1])
-        assemble(seq, d)
+        close_core(core.residual, d[1:c + 1, 1:c + 1])
+        assemble(core, d, pos)
         if dc.max() == UNREACHED:
             raise ValueError("a distance reaches 2**63 - 1")
     except (ValueError, OverflowError) as err:  # OverflowError: an inner shortcut past int64
         dc[...] = UNREACHED
         np.fill_diagonal(dc, 0)
         raise ValueError(f"residual distances overflow int64: {err}") from err
-    at = {v: k for k, v in enumerate(restore_order(seq), 1)}
-    to_id_order(d[:r + 1, :r + 1], [0] + [at[v] for v in ids])
 
     # k, k - 1, ..., 1 for a target's k < r slots, in the narrowest dtype:
     # the first tight slot has the largest tight rank
     rank = np.arange(r - 1, 0, -1, dtype=np.min_scalar_type(r))[:, None]
-    for k, (a, b) in enumerate(zip(bounds, bounds[1:])):
+    for k, a, b in zip(at.tolist(), bounds, bounds[1:]):
         nbr_k, wt_k, value_k, rank_k = nbr[a:b], wt[a:b], value[a:b], rank[a - b:]
         step = max(1, _RULE_CELLS // (b - a))
         for lo in range(0, r, step):

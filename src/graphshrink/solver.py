@@ -1,14 +1,8 @@
 """Full pipeline: contract, write the shortcuts' predecessors, solve the
 residual, replay removals in reverse, all on the int64 cells of the
-DistanceMatrix that solve returns.
-
-solve owns the matrices' layout.  While the stages run, D and P are laid
-out in restore order (see assembly): the residual's ids ascending, then
-the records' vertices in reverse, then the ids removed before the solve.
-So the vertices present at each restore are a prefix of the positions.
-One in-place pass per matrix (assembly.to_id_order) then puts the cells
-back in id order, decoding D on the way.  It needs one block of rows and
-one row beyond the two matrices.
+DistanceMatrix that solve returns.  solve owns the matrices' layout (see
+its docstring); every stage addresses D and P through its one id ->
+position array.
 """
 
 from __future__ import annotations
@@ -21,7 +15,7 @@ from .assembly import assemble, precede_shortcuts, restore_order, to_id_order
 from .disassembly import ShrinkSequence, SolveParams, disassemble
 from .graph import Graph
 from .matrices import DistanceMatrix, PrecedenceMatrix
-from .microsolve import solve_residual
+from .microsolve import contract_core, solve_residual
 
 
 @dataclass
@@ -49,15 +43,31 @@ def solve(g: Graph, params: SolveParams = SolveParams()) -> SolveResult:
     then still carry strictly positive internal cost, which keeps the
     precedence entries acyclic when many distances tie at zero; no simple
     path has more than n - 1 hops, so the hop component never overflows into
-    the weight part.  Contraction touches no matrix, so it runs before the
-    matrices are allocated and refuses a disconnected graph with GraphError
-    first.  Then precede_shortcuts writes the shortcuts' P entries, and the
-    residual solve and assemble run on the returned DistanceMatrix's int64
-    cells holding encoded distances.  The pass back to id order decodes
-    them; it skips UNREACHED cells, which only the removed ids hold.  Every
-    candidate distance the stages form is at most twice the sum of the
-    encoded edge weights, so a graph where that reaches 2**63 is refused
-    with ValueError before the matrices are allocated.
+    the weight part.  Every candidate distance the stages form is at most
+    twice the sum of the encoded edge weights, so a graph where that
+    reaches 2**63 is refused with ValueError before the matrices are
+    allocated.
+
+    Contraction touches no matrix, so it runs before the matrices are
+    allocated and refuses a disconnected graph with GraphError first.  It
+    runs twice: disassemble with `params`, then microsolve.contract_core,
+    which contracts the residual further down to a dense core and so
+    continues the same elimination order.  The layout follows that order.
+    While the stages run, positions 1, 2, ... of D and P hold the core's
+    ids ascending, then the core's removals in reverse, then the outer
+    removals in reverse (restore_order of the joined records), and last
+    the ids removed before the solve; row and column 0 stay unused.
+    Cells are addressed by position, but P's values stay ids.  The
+    vertices present at each restore, inner or outer, are then a prefix of
+    the positions, and the restored vertex sits right behind it; the
+    residual fills the [1, r] corner.  One id -> position array `pos`
+    serves every stage: precede_shortcuts writes the shortcuts' P
+    entries, solve_residual fills the corner (its rule reads P only on
+    residual edges) and assemble replays the outer removals, on the
+    DistanceMatrix's int64 cells holding encoded distances.  Then one
+    in-place pass per matrix (assembly.to_id_order, one block of rows and
+    one row of extra memory) puts the cells in id order, decoding D on the
+    way; it skips UNREACHED cells, which only the removed ids hold.
     """
     work = g.copy()
     n = g.n_original
@@ -71,14 +81,16 @@ def solve(g: Graph, params: SolveParams = SolveParams()) -> SolveResult:
         raise ValueError(f"twice the encoded edge weights sum to {both_ways} >= 2**63: "
                          f"distances could overflow int64")
     seq = disassemble(work, params)
+    core = contract_core(seq.residual)
     m = DistanceMatrix(n)
     p = PrecedenceMatrix(n)
     removed = [v for v in range(1, n + 1) if v not in g.adj]
     pos = np.empty(n + 1, dtype=np.intp)  # id -> position in the layout
-    pos[[0, *restore_order(seq), *removed]] = np.arange(n + 1)
-    precede_shortcuts(seq, p)
-    solve_residual(seq.residual, m.cells, p)
-    assemble(seq, m.cells, p)
+    joined = ShrinkSequence(seq.records + core.records, core.residual)
+    pos[[0, *restore_order(joined), *removed]] = np.arange(n + 1)
+    precede_shortcuts(seq, p, pos)
+    solve_residual(seq.residual, core, m.cells, p, pos)
+    assemble(seq, m.cells, pos, p)
     to_id_order(m.cells, pos, scale)
     to_id_order(p.cells, pos)
     return SolveResult(

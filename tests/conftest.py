@@ -5,25 +5,28 @@ import numpy as np
 
 from graphshrink import UNSET, Graph, PrecedenceMatrix, apsp_dijkstra, disassemble
 from graphshrink.assembly import assemble, precede_shortcuts, restore_order
-from graphshrink.microsolve import solve_residual
+from graphshrink.microsolve import contract_core, solve_residual
 
 
 @contextlib.contextmanager
 def laid_out(order, d=None, p=None):
     """Yield copies of the id-order `d` and `p` (either may be None) laid
-    out as solve lays out its matrices: the ids of `order` at positions
-    1, 2, ..., every other id after them, ascending.  On leaving, also by
-    an exception, every cell of the copies goes back to its id in d and p."""
+    out as solve lays out its matrices, and the layout's id -> position
+    array: the ids of `order` at positions 1, 2, ..., every other id after
+    them, ascending.  On leaving, also by an exception, every cell of the
+    copies goes back to its id in d and p."""
     n = len(d if d is not None else p.cells) - 1
-    rest = sorted(set(range(1, n + 1)) - set(order))
-    block = np.ix_(*[[0, *order, *rest]] * 2)  # position -> id, on both axes
+    ids = [0, *order, *sorted(set(range(1, n + 1)) - set(order))]  # position -> id
+    pos = np.empty(n + 1, dtype=np.intp)
+    pos[ids] = np.arange(n + 1)
+    block = np.ix_(ids, ids)
     d_pos = None if d is None else d[block]
     p_pos = None
     if p is not None:
         p_pos = PrecedenceMatrix(n)
         p_pos.cells[...] = p.cells[block]
     try:
-        yield d_pos, p_pos
+        yield d_pos, p_pos, pos
     finally:
         if d is not None:
             d[block] = d_pos
@@ -33,22 +36,24 @@ def laid_out(order, d=None, p=None):
 
 def precede_shortcuts_by_id(seq, p: PrecedenceMatrix) -> None:
     """assembly.precede_shortcuts on an id-order P."""
-    with laid_out(restore_order(seq), p=p) as (_, p_pos):
-        precede_shortcuts(seq, p_pos)
+    with laid_out(restore_order(seq), p=p) as (_, p_pos, pos):
+        precede_shortcuts(seq, p_pos, pos)
 
 
 def assemble_by_id(seq, d: np.ndarray, p: PrecedenceMatrix) -> None:
     """assembly.assemble on an id-order D and P."""
-    with laid_out(restore_order(seq), d, p) as (d_pos, p_pos):
-        assemble(seq, d_pos, p_pos)
+    with laid_out(restore_order(seq), d, p) as (d_pos, p_pos, pos):
+        assemble(seq, d_pos, pos, p_pos)
 
 
 def solve_residual_by_id(g_r: Graph, d: np.ndarray, p: PrecedenceMatrix,
                          stage=solve_residual) -> None:
     """microsolve.solve_residual, or `stage` with its contract, on an
-    id-order D and P."""
-    with laid_out(sorted(g_r.adj), d, p) as (d_pos, p_pos):
-        stage(g_r, d_pos, p_pos)
+    id-order D and P: the residual contracted by contract_core and laid
+    out in the core's restore order, as solve lays it out."""
+    core = contract_core(g_r)
+    with laid_out(restore_order(core), d, p) as (d_pos, p_pos, pos):
+        stage(g_r, core, d_pos, p_pos, pos)
 
 
 def contract(g: Graph, params):
@@ -60,26 +65,21 @@ def contract(g: Graph, params):
     return seq, p
 
 
-def reference_solve_residual(g_r: Graph, d: np.ndarray, p: PrecedenceMatrix) -> None:
+def reference_solve_residual(g_r: Graph, core, d: np.ndarray, p: PrecedenceMatrix,
+                             pos: np.ndarray) -> None:
     """solve_residual's output from the independent baseline, on the same
-    layout (the residual's ids ascending at positions 1..r): apsp_dijkstra's
-    distances, and its predecessor q of each (i, j) merged into P as P held
-    it on entry: the stored P[i][j] when q == i, else P[q][j], or q when
-    that is unset."""
+    layout (`pos`; `core` goes unused): apsp_dijkstra's distances, and its
+    predecessor q of each (i, j) merged into P as P held it on entry: the
+    stored P[i][j] when q == i, else P[q][j], or q when that is unset."""
     ids = sorted(g_r.adj)
-    r = len(ids)
-    block = np.ix_(ids, ids)
     m, pred = apsp_dijkstra(g_r)
-    d[1:r + 1, 1:r + 1] = m.cells[block]
-    at = np.zeros(len(d), dtype=np.intp)  # id -> position
-    at[ids] = np.arange(1, r + 1)
-    source = np.arange(1, r + 1)[:, None]
-    q = np.where(pred.cells[block] == UNSET, source, at[pred.cells[block]])
+    block, at = np.ix_(ids, ids), np.ix_(pos[ids], pos[ids])
+    d[at] = m.cells[block]
+    source = np.array(ids)[:, None]
+    q = np.where(pred.cells[block] == UNSET, source, pred.cells[block])
     entry = p.cells.copy()
-    stored = entry[q, source.T]
-    p.cells[1:r + 1, 1:r + 1] = np.where(q == source, entry[1:r + 1, 1:r + 1],
-                                         np.where(stored != UNSET, stored,
-                                                  np.array([0, *ids])[q]))
+    stored = entry[pos[q], pos[source.T]]
+    p.cells[at] = np.where(q == source, entry[at], np.where(stored != UNSET, stored, q))
 
 
 def core_caps(r: int) -> tuple[int, int, int]:

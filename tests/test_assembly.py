@@ -438,8 +438,8 @@ def test_assemble_without_p_writes_the_same_d_and_no_p_cell(params):
     seq, d, p = residual_solved(work, params)
     d_only, p_only = d.copy(), copy_p(p)
     assemble_by_id(seq, d, p)
-    with laid_out(restore_order(seq), d_only, p_only) as (d_pos, p_pos):
+    with laid_out(restore_order(seq), d_only, p_only) as (d_pos, p_pos, pos):
         entry = p_pos.cells.copy()
-        assemble(seq, d_pos)
+        assemble(seq, d_pos, pos)
         assert np.array_equal(p_pos.cells, entry)
     assert np.array_equal(d_only, d)

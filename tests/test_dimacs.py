@@ -99,6 +99,24 @@ def test_parse_bytes_that_are_not_ascii_name_the_line():
         parse_dimacs(b"p sp 2 1\na 1 2 3\na 2 1 \xff\n")
 
 
+@pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+def test_parse_takes_each_line_end(end):
+    data = end.join([b"p sp 3 2", b"c note", b"a 1 2 5", b"a 2 3 1", b""])
+    assert sorted(parse_dimacs(data).edges()) == [(1, 2, 5), (2, 3, 1)]
+
+
+def test_a_comment_holding_a_separator_byte_stays_one_line():
+    # str.splitlines breaks lines at \x0b, \x0c, \x1c-\x1e and \x85 too:
+    # the comment's tail was read as the arc (1, 2, 5)
+    assert list(parse_dimacs(b"p sp 3 2\nc note\x0ba 1 2 5\na 2 3 1\n").edges()) == [(2, 3, 1)]
+
+
+def test_a_separator_byte_does_not_move_the_line_numbers():
+    # a trailing \x85 made a line of its own, so this was refused at line 4
+    with pytest.raises(DimacsError, match="^line 3: malformed arc line"):
+        parse_dimacs(b"p sp 3 2\na 1 2 5\x85\na 2 3 x\n")
+
+
 def test_comments_may_hold_any_text():
     text = "c caf\u00e9 \u0663 1_0 +3\np sp 2 1\nc \u00ff\na 1 2 3\n"
     for given in (text, text.encode("utf-8"), b"c \xff\xfe\n" + text.encode("utf-8")):

@@ -471,3 +471,11 @@ def test_remove_and_preserve_keeps_the_edge_count(name):
         rec = remove_and_preserve(g, v)
         assert g.m == _edge_count(g) == g0.m + edge_delta(g0, v)
         assert rec.mutations == disassembly._decide(g0, v, sorted(g0.adj[v]))
+
+
+@pytest.mark.parametrize("knob", ["d_max", "i_max", "n_min"])
+def test_solve_params_refuse_a_nan_knob(knob):
+    # NaN compares false with everything: a NaN d_max never stops the
+    # degree sweep, a NaN i_max never gates, a NaN n_min never contracts
+    with pytest.raises(ValueError, match=f"^{knob} must be .*, got nan$"):
+        SolveParams(**{knob: float("nan")})

@@ -189,7 +189,13 @@ def test_solve_matches_apsp_dijkstra_with_weights_at_the_int64_guard(params, mon
 #: What a mutation inserts or writes over a byte: digits, blanks, line
 #: breaks, line letters, bytes no number takes, and whole lines.
 MUTATIONS = [b"0", b"1", b"7", b"9", b"-", b" ", b"\t", b"\n", b"\r", b"a", b"p", b"c",
-             b"x", b"_", b"+", b"\xff", b"\x00", b"99999999999", b"a 1 2 3\n", b"p sp 4 2\n"]
+             b"x", b"_", b"+", b"\xff", b"\x00", b"99999999999", b"a 1 2 3\n", b"p sp 4 2\n",
+             # str.splitlines would break a line at each of these
+             b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e", b"\x85"]
+
+#: One line and its end, where parse_dimacs ends lines: \r\n, a lone \r
+#: or \n, not at the other bytes str.splitlines breaks at.
+LINE = re.compile(rb"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+\Z")
 
 #: Refusals of a whole file rather than of one line.
 WHOLE_FILE = re.compile(r"no problem line found$|graph is disconnected: ")
@@ -217,7 +223,7 @@ def names_a_line(message, data):
     line = re.match(r"line (\d+): ", message)
     if line is None:
         return WHOLE_FILE.match(message) is not None
-    return 1 <= int(line[1]) <= len(data.decode("latin-1").splitlines())
+    return 1 <= int(line[1]) <= len(LINE.findall(data))
 
 
 def test_parse_dimacs_gives_a_graph_or_names_a_line_on_mutated_bytes():

@@ -7,6 +7,7 @@ from conftest import (
     contract,
     core_caps,
     grid_graph,
+    laid_out,
     path_graph,
     precede_shortcuts_by_id,
     random_connected_graph,
@@ -24,14 +25,14 @@ from graphshrink import (
     ShrinkSequence,
     SolveParams,
     UNSET,
+    apsp_dijkstra,
     dijkstra,
-    disassemble,
     floyd_warshall,
     remove_and_preserve,
 )
 from graphshrink import microsolve
 from graphshrink.assembly import restore_order
-from graphshrink.microsolve import UNREACHED, solve_residual
+from graphshrink.microsolve import UNREACHED, contract_core, solve_residual
 
 
 def new_d(n):
@@ -372,9 +373,9 @@ def test_solve_residual_by_contraction_reads_p_as_it_was_on_entry(monkeypatch):
     real_assemble = microsolve.assemble
     calls = []
 
-    def watched_assemble(seq, d, *rest, **named):
+    def watched_assemble(seq, d, pos, *rest, **named):
         calls.append((rest, named))
-        real_assemble(seq, d, *rest, **named)
+        real_assemble(seq, d, pos, *rest, **named)
 
     monkeypatch.setattr(microsolve, "assemble", watched_assemble)
     edges_before = {v: dict(nbrs) for v, nbrs in g_r.adj.items()}
@@ -384,22 +385,22 @@ def test_solve_residual_by_contraction_reads_p_as_it_was_on_entry(monkeypatch):
 
 
 @pytest.mark.parametrize("side", [6, 12])
-def test_solve_residual_puts_back_an_inner_restore_order_unlike_id_order(side, monkeypatch):
-    # the inner replay fills the corner in its own restore order; the pass
-    # back to ascending ids must precede the rule
-    g_r, p, scale = contracted(grid_graph(side), SolveParams(d_max=3, i_max=0), encode=True)
-    solved = []
-
-    def watched_disassemble(g, params):
-        solved.append(disassemble(g, params))
-        return solved[-1]
-
-    monkeypatch.setattr(microsolve, "disassemble", watched_disassemble)
-    assert_matches_seed(g_r, p, scale)
+def test_solve_residual_leaves_the_corner_in_the_cores_restore_order(side, monkeypatch):
+    # the inner replay fills the corner in the core's restore order, and
+    # the corner stays in it: solve's layout continues that order
+    g_r, _, _ = contracted(grid_graph(side), SolveParams(d_max=3, i_max=0), encode=True)
+    ids = sorted(g_r.adj)
+    expected = apsp_dijkstra(g_r)[0].cells
     # the regimes with an inner contraction, not the core alone
-    for seq in solved[:2]:
-        inner = restore_order(seq)
-        assert seq.records and inner != sorted(g_r.adj) and sorted(inner) == sorted(g_r.adj)
+    for cap in core_caps(g_r.n_present)[:2]:
+        monkeypatch.setattr(microsolve, "_CORE_ORDER", cap)
+        core = contract_core(g_r)
+        order = restore_order(core)
+        assert core.records and order != ids and sorted(order) == ids
+        with laid_out(order, new_d(g_r.n_original)) as (d_pos, _, pos):
+            solve_residual(g_r, core, d_pos, PrecedenceMatrix(g_r.n_original), pos)
+            r = len(order)
+            assert np.array_equal(d_pos[1:r + 1, 1:r + 1], expected[np.ix_(order, order)])
 
 
 def test_solve_residual_by_contraction_across_source_blocks(monkeypatch):

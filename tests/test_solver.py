@@ -16,6 +16,7 @@ from graphshrink import (
     floyd_warshall,
     solve,
 )
+from graphshrink import assembly, disassembly, microsolve, solver
 from graphshrink.graph import MAX_WEIGHT
 from graphshrink.matrices import UNREACHED, read_distance_matrix, write_distance_matrix
 
@@ -175,6 +176,51 @@ def test_solve_bounded_solves_a_residual_whose_weight_sum_passes_unreached():
     assert np.array_equal(result.distances.cells, apsp_dijkstra(g)[0].cells)
     assert result.distances.get(2, 3) == 69175290276410824
     assert first_bad_precedence(g, result.distances, result.precedence) is None
+
+
+def test_solve_takes_the_dict_path_for_an_encoded_weight_past_the_blocks_limit(monkeypatch):
+    # K17 of unit weights but w(1, 2) = 2**56, encoded as 18 * 2**56 + 1:
+    # past the block's 2**60, so the first removal, of degree 16, decides
+    # its pairs over the dicts, while solve's own guard holds
+    g = Graph(17)
+    for u in range(1, 18):
+        for v in range(u + 1, 18):
+            g.set_edge(u, v, 2**56 if (u, v) == (1, 2) else 1)
+    real_block = disassembly._decide_block
+    decided = []
+
+    def watched_block(*args):
+        decided.append(real_block(*args))
+        return decided[-1]
+
+    monkeypatch.setattr(disassembly, "_decide_block", watched_block)
+    result = solve(g)
+    assert None in decided
+    assert np.array_equal(result.distances.cells, apsp_dijkstra(g)[0].cells)
+    assert first_bad_precedence(g, result.distances, result.precedence) is None
+
+
+def test_solve_contracts_the_core_before_allocating_and_reorders_twice(monkeypatch):
+    # one layout: the core's contraction fixes it before D is allocated,
+    # and only the two passes at the end put cells back in id order
+    calls = []
+
+    def watch(name, real, *modules):
+        def watched(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        for module in modules:  # also where the name is not imported today
+            monkeypatch.setattr(module, name, watched, raising=False)
+
+    watch("contract_core", solver.contract_core, solver)
+    watch("DistanceMatrix", solver.DistanceMatrix, solver)
+    watch("to_id_order", assembly.to_id_order, solver, microsolve)
+    g = grid_graph(16)
+    result = solve(g, SolveParams(d_max=3, i_max=0))
+    assert result.residual_order > microsolve._CORE_ORDER
+    assert calls == ["contract_core", "DistanceMatrix", "to_id_order", "to_id_order"]
+    assert np.array_equal(result.distances.cells, apsp_dijkstra(g)[0].cells)
 
 
 @pytest.mark.parametrize("params", [SolveParams(), SolveParams(n_min=20)])
