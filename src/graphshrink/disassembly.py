@@ -9,35 +9,46 @@ short route already survives.  Contraction touches no matrix: every
 removal is logged, so assembly.precede_shortcuts can write the shortcuts'
 predecessors and assemble can replay the removals in reverse.
 
-One function decides a removal's shortcuts, for remove_and_preserve,
-edge_delta and disassemble's i_max gate alike, every pair against the
-pre-removal graph; the gate hands its decision on to the removal.  How it
-decides depends only on the removed degree k:
+Two deciders give the same mutations in the same order, each pair
+decided against the pre-removal graph; disassemble's i_max gate hands its
+decision on to the removal.
 
-- Below _BLOCK_DEGREE, pair by pair over the adjacency dicts
-  (best_alternative_two_hop).
-- From _BLOCK_DEGREE up, in one numpy block.  A is k x |H| int64, where H
-  holds every neighbor of v's neighbors: A[a, h] = w(a, h), _BIG where
-  there is no edge, and v's column masked.  H's columns are its ids in
-  ascending order, numbered through one array over the graph's ids: mark
-  the ids, read them back with flatnonzero, write each its column.
-  Over the pairs a < b, s = w(v, a) + w(v, b) and cur = A[a, b]; only
-  where s < cur is the alternative min_h A[a, h] + A[b, h] formed, in
-  chunks of at most _ALT_CELLS cells.  The pair needs a mutation iff
-  s < cur and s < alt.
+- Over the adjacency dicts, pair by pair (best_alternative_two_hop).  It
+  is exact on any int.  remove_and_preserve and edge_delta always take it,
+  and so does every removal below _BLOCK_DEGREE.
+- On a dense mirror, for disassemble's removals of degree _BLOCK_DEGREE
+  and up.  At the first of them, disassemble builds an R0 x R0 int64
+  matrix over the R0 vertices present then: w[i, j] = w(ids[i], ids[j]),
+  _BIG where there is no edge and on the diagonal.  From then on every
+  removal, whichever decider decided it, writes its mutations into both
+  triangles of the mirror and sets its own column to _BIG; once half the
+  rows are dead, one np.ix_ take drops them.  A decision takes the k
+  neighbor rows with one take and masks v's column.  Over the pairs a < b,
+  s = w(v, a) + w(v, b) and cur = w[a, b]; a pair with s < cur is first
+  tested against the witnesses among v's other neighbors (the k x k block
+  of the neighbor columns), and only the pairs none of them witnesses scan
+  every column.  That is exact, because a minimum over some columns is
+  never below the minimum over all.  Both passes form
+  min_h w[a, h] + w[b, h] in chunks, of at most _NEAR_CELLS and
+  _ALT_CELLS cells.  The pair needs a mutation iff s < cur and s < alt.
 
-Both give the same mutations in the same order.  The block's fixed cost
-(gathering the rows, numbering H) outweighs its speed on small
-neighborhoods.  With H numbered as above, thresholds 8, 10, 12 and 16
-timed within noise on random_connected_graph(1024, 11), and 8 ran about
-25% slower than 16 on grid_graph(48), so 16 stays; on the random graph
-the block cut the disassembly about 4x against the dicts alone.
+The mirror holds only weights below _BIG // 2: then s and every real
+alternative stay below _BIG, and _BIG + _BIG fits in int64.  It is not
+built when a weight is too large, and it is dropped when a mutation's
+weight reaches _BIG // 2; the dicts then decide every later removal.
+solve's encoded weights can take that path too: its guard admits encoded
+weights below 2**62.  It takes at most R0**2 * 8 bytes (R0 = 1334, 14 MB,
+on random_connected_graph(4096, 3)), and it lives only while disassemble
+runs, so solve frees it before it allocates D and P.
 
-The block runs only when every weight in it is below _BIG // 2: then s
-and every real alternative stay below _BIG, and _BIG + _BIG fits in
-int64.  A removal with a larger weight takes the dict path, which is
-exact on any int.  solve's encoded weights can take it too: its guard
-admits encoded weights below 2**62.
+Before the mirror, each decision rebuilt a k x |H| block (H: every
+neighbor of a neighbor) from the dicts.  On a 2-vCPU VM, the mirror cut
+disassemble on random_connected_graph(1024, 11) from 0.29 to 0.16 s
+(medians of 20) and on (4096, 3) from 12.3 to 8.6 s; the neighbor
+pass's wider chunks then took (4096, 3) to 4.4-5.5 s.  With the mirror,
+thresholds 12, 16 and 24 timed within noise on random_connected_graph
+(1024, 11), (2048, 5) and grid_graph(48), where 8 ran about 40% slower
+than 16 on the grid, so 16 stays.
 """
 
 from __future__ import annotations
@@ -52,17 +63,28 @@ from .graph import INF, Graph, GraphError
 #: Parameter value meaning "no limit" for d_max / i_max.
 UNBOUNDED = INF
 
-#: Removals of at least this degree decide their pairs in one numpy block.
+#: disassemble decides removals of at least this degree on the mirror, and
+#: builds the mirror at the first of them.
 _BLOCK_DEGREE = 16
 
-#: Missing-edge sentinel of the block.  The block runs only on weights
+#: Missing-edge sentinel of the mirror.  The mirror holds only weights
 #: below _BIG // 2, so every s and every real alternative is below _BIG,
 #: and _BIG + _BIG still fits in int64.
 _BIG = 2**61
 
-#: Cells of the largest alternative temporary: 64 KiB of int64 stays in
-#: cache, and measured about 3x faster than 512 KiB.
+#: Cells of the largest alternative temporary of the scan over every
+#: column: 64 KiB of int64 stays in cache, and measured about 3x faster
+#: than 512 KiB.  2**15 timed within noise on random_connected_graph
+#: (1024, 11) and (4096, 3) and on grid_graph(48), and over a 25 s
+#: grid-full benchmark run its 256 KiB temporaries left the process's
+#: peak RSS 16 MB higher (heap layout; the tracemalloc peak held).
 _ALT_CELLS = 1 << 13
+
+#: The same for the neighbor pass, whose k x k block is narrow: at 2**13
+#: a removal of degree 300 runs 27 pairs a chunk.  disassemble on
+#: random_connected_graph(4096, 3), neighbor pass at 2**13 / 2**15 cells:
+#: 8.3-8.4 / 4.4-5.5 s (two runs each, full scan at 2**13).
+_NEAR_CELLS = 1 << 15
 
 #: (a, b, old weight or INF, new weight), a < b.
 Mutation = tuple[int, int, float, int]
@@ -138,57 +160,100 @@ def _decide_dicts(g: Graph, v: int, nbrs: list[int]) -> list[Mutation]:
     return mutations
 
 
-def _decide_block(g: Graph, v: int, nbrs: list[int]) -> list[Mutation] | None:
-    """The block decision, or None when a weight is too large for it."""
-    rows = [g.adj[a] for a in nbrs]
-    k = len(nbrs)
-    lens = np.fromiter(map(len, rows), np.int64, k)
-    total = int(lens.sum())
-    try:
-        keys = np.fromiter(chain.from_iterable(rows), np.int64, total)
-        vals = np.fromiter(chain.from_iterable(r.values() for r in rows), np.int64, total)
-    except OverflowError:
-        return None
-    # every w(v, a) is among vals: v is in each neighbor's row
-    if vals.max() >= _BIG // 2:
-        return None
-    # H's columns in ascending id order, numbered through one array over
-    # the ids; the neighbors join H so that column b exists even where no
-    # row holds b
-    at = np.zeros(g.n_original + 1, np.intp)
-    at[keys] = 1
-    at[nbrs] = 1
-    cols = np.flatnonzero(at)
-    at[cols] = np.arange(len(cols))
-    w = np.full((k, len(cols)), _BIG, np.int64)
-    w[np.repeat(np.arange(k), lens), at[keys]] = vals
-    vcol = at[v]
-    wv = w[:, vcol].copy()
-    w[:, vcol] = _BIG
-    iu, ju = np.triu_indices(k, 1)
-    s = wv[iu] + wv[ju]
-    cur = w[iu, at[nbrs][ju]]
-    need = s < cur
+class _Mirror:
+    """Dense int64 weights among the vertices present when it was built.
+
+    ids holds their ids ascending, and w[i, j] = w(ids[i], ids[j]), _BIG
+    where there is no edge and on the diagonal; a removed vertex keeps its
+    row until the next compaction, and its column holds _BIG.
+    """
+
+    def __init__(self, ids: np.ndarray, w: np.ndarray):
+        self.ids = ids
+        self.w = w
+        self.alive = np.ones(len(ids), bool)
+
+    @classmethod
+    def of(cls, g: Graph) -> _Mirror | None:
+        """The mirror of g, or None when a weight is too large for it."""
+        ids = np.array(sorted(g.adj), np.intp)
+        rows = [g.adj[u] for u in ids.tolist()]
+        lens = np.fromiter(map(len, rows), np.intp, len(rows))
+        total = int(lens.sum())
+        try:
+            keys = np.fromiter(chain.from_iterable(rows), np.intp, total)
+            vals = np.fromiter(chain.from_iterable(r.values() for r in rows), np.int64, total)
+        except OverflowError:
+            return None
+        if vals.max() >= _BIG // 2:
+            return None
+        w = np.full((len(ids), len(ids)), _BIG, np.int64)
+        w[np.repeat(np.arange(len(ids)), lens), ids.searchsorted(keys)] = vals
+        return cls(ids, w)
+
+    def decide(self, v: int, nbrs: list[int]) -> list[Mutation]:
+        """The mutations removing v needs, as _decide_dicts gives them."""
+        at = self.ids.searchsorted(nbrs)
+        w = self.w.take(at, axis=0)
+        cv = self.ids.searchsorted(v)
+        wv = w[:, cv].copy()
+        w[:, cv] = _BIG
+        near = w[:, at]
+        iu, ju = np.triu_indices(len(nbrs), 1)
+        s = wv[iu] + wv[ju]
+        cur = near[iu, ju]
+        need = s < cur
+        # exact: a minimum over v's other neighbors is never below the
+        # minimum over every column
+        _witnessed(need, s, iu, ju, near, _NEAR_CELLS)
+        _witnessed(need, s, iu, ju, w, _ALT_CELLS)
+        sel = np.flatnonzero(need)
+        return [(nbrs[i], nbrs[j], INF if old == _BIG else old, new)
+                for i, j, old, new in zip(iu[sel].tolist(), ju[sel].tolist(),
+                                          cur[sel].tolist(), s[sel].tolist())]
+
+    def remove(self, v: int, mutations: list[Mutation]) -> bool:
+        """Write v's removal, decided on g as the mirror holds it; False
+        when a new weight reaches _BIG // 2 and the mirror must go."""
+        if mutations:
+            a, b, _, new = zip(*mutations)
+            new = np.array(new, np.int64)
+            if new.max() >= _BIG // 2:
+                return False
+            rows, cols = self.ids.searchsorted(a), self.ids.searchsorted(b)
+            self.w[rows, cols] = self.w[cols, rows] = new
+        cv = self.ids.searchsorted(v)
+        self.w[:, cv] = _BIG
+        self.alive[cv] = False
+        if 2 * np.count_nonzero(self.alive) <= len(self.alive):
+            self._compact()
+        return True
+
+    def _compact(self) -> None:
+        keep = np.flatnonzero(self.alive)
+        self.ids, self.w, self.alive = self.ids[keep], self.w[np.ix_(keep, keep)], self.alive[keep]
+
+
+def _witnessed(need: np.ndarray, s: np.ndarray, iu: np.ndarray, ju: np.ndarray,
+               w: np.ndarray, cells: int) -> None:
+    """Clear need[c] for every pair c = (iu[c], ju[c]) still in need whose
+    best alternative over w's columns, min_h w[iu[c], h] + w[ju[c], h], is
+    not above s[c]; in chunks of at most `cells` cells."""
     cand = np.flatnonzero(need)
-    step = max(1, _ALT_CELLS // len(cols))
+    step = max(1, cells // w.shape[1])
     for lo in range(0, len(cand), step):
         c = cand[lo:lo + step]
         alt = w.take(iu[c], axis=0)
         alt += w.take(ju[c], axis=0)
         need[c] = s[c] < alt.min(axis=1)
-    sel = np.flatnonzero(need)
-    return [(nbrs[i], nbrs[j], INF if old == _BIG else old, new)
-            for i, j, old, new in zip(iu[sel].tolist(), ju[sel].tolist(),
-                                      cur[sel].tolist(), s[sel].tolist())]
 
 
-def _decide(g: Graph, v: int, nbrs: list[int]) -> list[Mutation]:
+def _decide(g: Graph, v: int, nbrs: list[int], mirror: _Mirror | None = None) -> list[Mutation]:
     """Every mutation that removing v needs, in (a, b) order over the sorted
-    neighbors nbrs, each pair decided against the current graph."""
-    if len(nbrs) >= _BLOCK_DEGREE:
-        mutations = _decide_block(g, v, nbrs)
-        if mutations is not None:
-            return mutations
+    neighbors nbrs, each pair decided against the current graph: on the
+    mirror from _BLOCK_DEGREE up where there is one, else over the dicts."""
+    if mirror is not None and len(nbrs) >= _BLOCK_DEGREE:
+        return mirror.decide(v, nbrs)
     return _decide_dicts(g, v, nbrs)
 
 
@@ -203,7 +268,7 @@ def edge_delta(g: Graph, v: int) -> int:
     nbrs = sorted(g.adj[v])
     if not nbrs:
         raise GraphError(f"edge_delta undefined for isolated vertex {v}")
-    return _edge_delta(_decide(g, v, nbrs), len(nbrs))
+    return _edge_delta(_decide_dicts(g, v, nbrs), len(nbrs))
 
 
 def remove_and_preserve(g: Graph, v: int) -> RemovalRecord:
@@ -213,7 +278,7 @@ def remove_and_preserve(g: Graph, v: int) -> RemovalRecord:
     nbrs = sorted(g.adj[v])
     if not nbrs:
         raise GraphError(f"cannot remove isolated vertex {v}")
-    return _apply_removal(g, v, _decide(g, v, nbrs))
+    return _apply_removal(g, v, _decide_dicts(g, v, nbrs))
 
 
 def _apply_removal(g: Graph, v: int, mutations: list[Mutation]) -> RemovalRecord:
@@ -243,6 +308,8 @@ def disassemble(g: Graph, params: SolveParams) -> ShrinkSequence:
     """
     g.require_connected()
     records: list[RemovalRecord] = []
+    mirror = None
+    mirrored = False  # built or refused once; never rebuilt
     n_min = params.n_min
     while g.n_present > n_min:
         removed_in_sweep = False
@@ -263,10 +330,15 @@ def disassemble(g: Graph, params: SolveParams) -> ShrinkSequence:
                         continue
                     # one decision serves the i_max gate and the removal
                     nbrs = sorted(g.adj[u])
-                    mutations = _decide(g, u, nbrs)
+                    if not mirrored and len(nbrs) >= _BLOCK_DEGREE:
+                        mirrored = True
+                        mirror = _Mirror.of(g)
+                    mutations = _decide(g, u, nbrs, mirror)
                     if _edge_delta(mutations, len(nbrs)) > params.i_max:
                         continue
                     rec = _apply_removal(g, u, mutations)
+                    if mirror is not None and not mirror.remove(u, mutations):
+                        mirror = None
                     records.append(rec)
                     removed_in_sweep = True
                     stack.extend(w for w, _ in rec.incident_edges if len(g.adj[w]) <= d)

@@ -67,7 +67,12 @@ _RULE_CELLS = 1 << 13
 #: vertex left has more than _CORE_DEGREE neighbors.  Measured under
 #: d_max=3, i_max=0 (see ROADMAP): on grid_graph(32) 128 beat 64 and 256; on
 #: random_connected_graph(4096, 3), where the degree stop leaves a core of
-#: about 1000, 64 beat 24, 32, 48, 96 and 128.
+#: about 1000, 64 beat 24, 32, 48, 96 and 128.  Again with the contraction's
+#: dense mirror, solve at 32 / 64 in alternating runs (medians of 5 on the
+#: small graph): random_connected_graph(1024, 11) 0.13 / 0.15 s and
+#: (4096, 3) 4.4-4.8 / 3.2-3.6 s on a quiet 2-vCPU VM, 0.21-0.22 / 0.26 s
+#: and 5.8-6.4 / 4.4-5.3 s on a loaded one.  32 would cost the larger
+#: graph more than it saves the smaller, so 64 stays.
 _CORE_ORDER = 128
 _CORE_DEGREE = 64
 

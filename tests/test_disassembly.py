@@ -220,8 +220,8 @@ def test_disassemble_gate_decides_each_removal_once(monkeypatch):
     calls = []
     real_decide = disassembly._decide
 
-    def counting_decide(g, v, nbrs):
-        mutations = real_decide(g, v, nbrs)
+    def counting_decide(g, v, nbrs, mirror):
+        mutations = real_decide(g, v, nbrs, mirror)
         calls.append((v, disassembly._edge_delta(mutations, len(nbrs))))
         return mutations
 
@@ -245,7 +245,7 @@ def test_disassemble_gate_decides_each_removal_once(monkeypatch):
 # sha256 of repr([(vertex, incident_edges, mutations), ...]) over
 # disassemble's records: the order of removals and every shortcut they
 # write.  grid32's full and i_max=0 runs remove vertices of degree 16+,
-# which decide their pairs in the numpy block.
+# which decide their pairs on the dense mirror.
 RECORD_GRAPHS = {
     "grid16": lambda: grid_graph(16),
     "grid32": lambda: grid_graph(32),
@@ -293,7 +293,7 @@ def test_disassemble_rejects_disconnected():
         disassemble(g, SolveParams())
 
 
-# -- block decision against the dict decision --------------------------------
+# -- mirror decision against the dict decision -------------------------------
 
 def wheel_graph(spokes, w=1):
     g = star_graph(spokes, w)
@@ -354,8 +354,8 @@ DECISION_CASES = {
                                     lambda u, v: MAX_WEIGHT - _hashed(u, v) % 3),
     **{f"random-{seed}": random_connected_graph(40 + 10 * seed, seed)
        for seed in range(6)},
-    # the block numbers H through an array over the ids 0..n_original:
-    # H spans both ends of that range, with gaps where ids were removed
+    # the mirror finds each id's row by a search over its sorted ids: the
+    # ids span both ends of 1..n_original, with gaps where ids were removed
     "clique-gaps": _gapped(clique_graph(30, _hashed), [5, 17, 23]),
     "hub-gaps": _gapped(_hub(60, 7), [2, 31, 59]),
     "hub-zero": _gapped(reweighted(_hub(60, 8), lambda u, v: 0), [4, 40]),
@@ -363,7 +363,7 @@ DECISION_CASES = {
 
 
 def _no_dicts(*args):
-    raise AssertionError("a removal left the block path")
+    raise AssertionError("a removal left the mirror")
 
 
 def _encoded(g):
@@ -374,13 +374,13 @@ def _encoded(g):
     return work
 
 
-def _contract(g, encoded, threshold, monkeypatch):
-    """Records of a full contraction with every removal of degree >=
-    threshold on the block path."""
+def _contract(g, encoded, threshold, monkeypatch, params=SolveParams()):
+    """Records of a contraction with every removal of degree >= threshold
+    decided on the mirror, for as long as there is one."""
     work = _encoded(g) if encoded else g.copy()
     with monkeypatch.context() as patch:
         patch.setattr(disassembly, "_BLOCK_DEGREE", threshold)
-        seq = disassemble(work, SolveParams())
+        seq = disassemble(work, params)
     return [(r.vertex, r.incident_edges, r.mutations) for r in seq.records]
 
 
@@ -388,7 +388,8 @@ def _contract(g, encoded, threshold, monkeypatch):
 @pytest.mark.parametrize("name", DECISION_CASES)
 def test_block_and_dict_decisions_give_identical_records(name, encoded, monkeypatch):
     g = DECISION_CASES[name]
-    # at threshold 1 every removal must take the block path
+    # at threshold 1 the mirror is built at the first removal and decides
+    # every removal; none may leave it for the dicts
     monkeypatch.setattr(disassembly, "_decide_dicts", _no_dicts)
     # P is a function of the records (precede_shortcuts), so equal records
     # give equal P
@@ -406,31 +407,88 @@ def test_block_and_dict_decisions_give_identical_records(name, encoded, monkeypa
 @pytest.mark.parametrize("name", DECISION_CASES)
 def test_block_and_dict_decide_every_first_removal_alike(name, encoded):
     # a full contraction removes hubs and clique members only once their
-    # degree has dropped; here each is decided at its full degree
+    # degree has dropped; here each is decided at its full degree, on one
+    # mirror that no decision may change
     g = _encoded(DECISION_CASES[name]) if encoded else DECISION_CASES[name]
+    mirror = disassembly._Mirror.of(g)
+    before = mirror.w.copy()
     for v in sorted(g.adj):
         nbrs = sorted(g.adj[v])
-        assert disassembly._decide_block(g, v, nbrs) == disassembly._decide_dicts(g, v, nbrs)
+        assert mirror.decide(v, nbrs) == disassembly._decide_dicts(g, v, nbrs)
+    assert (mirror.w == before).all()
+
+
+@pytest.mark.parametrize("name", ["clique-distinct", "hub-gaps", "random-ties"])
+def test_mirror_decides_alike_one_pair_a_chunk(name, monkeypatch):
+    # one-cell chunks run each witness pass one pair at a time
+    g = DECISION_CASES[name]
+    monkeypatch.setattr(disassembly, "_NEAR_CELLS", 1)
+    monkeypatch.setattr(disassembly, "_ALT_CELLS", 1)
+    monkeypatch.setattr(disassembly, "_decide_dicts", _no_dicts)
+    block = _contract(g, False, 1, monkeypatch)
+    monkeypatch.undo()
+    assert block == _contract(g, False, 10**9, monkeypatch)
+
+
+def _watch(monkeypatch, name):
+    """Spy on _Mirror.`name`: the list it returns collects each result."""
+    real, seen = getattr(disassembly._Mirror, name), []
+
+    def watched(*args):
+        seen.append(real(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(disassembly._Mirror, name, watched)
+    return seen
+
+
+def test_mirror_compacts_a_clique_at_each_halving(monkeypatch):
+    # K40 at threshold 1: the mirror is built over 40 vertices and compacts
+    # at 20, 10, 5, 2 and 1 left
+    g = clique_graph(40, _hashed)
+    monkeypatch.setattr(disassembly, "_decide_dicts", _no_dicts)
+    compacted = _watch(monkeypatch, "_compact")
+    block = _contract(g, False, 1, monkeypatch)
+    monkeypatch.undo()
+    assert len(compacted) >= 3
+    assert block == _contract(g, False, 10**9, monkeypatch)
+
+
+def test_mirror_is_dropped_when_a_shortcut_reaches_half_the_sentinel(monkeypatch):
+    # every weight is just past _BIG // 4, so the first shortcut written
+    # reaches _BIG // 2: the removals before it are decided on the mirror,
+    # the rest over the dicts
+    g = reweighted(random_connected_graph(60, 3), lambda u, v: disassembly._BIG // 4 + _hashed(u, v))
+    kept = _watch(monkeypatch, "remove")
+    decided = _watch(monkeypatch, "decide")
+    block = _contract(g, False, 1, monkeypatch)
+    monkeypatch.undo()
+    assert kept.count(False) == 1 and kept[-1] is False
+    assert len(decided) == len(kept) > 1
+    assert all(muts == [] for _, _, muts in block[:len(kept) - 1])
+    assert block[len(kept) - 1][2] and len(block) > len(kept)
+    assert block == _contract(g, False, 10**9, monkeypatch)
 
 
 @pytest.mark.parametrize("weight", [disassembly._BIG // 2, 2**70])
 def test_weights_too_large_for_the_block_take_the_dict_path(weight, monkeypatch):
-    # s = 2 * weight reaches _BIG, the block's missing-edge value: the
-    # block would find s < cur false and drop the needed shortcut
-    monkeypatch.setattr(disassembly, "_BLOCK_DEGREE", 1)
-    assert disassembly._decide_block(path_graph([weight, weight]), 2, [1, 3]) is None
+    # s = 2 * weight reaches _BIG, the mirror's missing-edge value: the
+    # mirror would find s < cur false and drop the needed shortcut
+    assert disassembly._Mirror.of(path_graph([weight, weight])) is None
     g = path_graph([weight, weight])
     rec = remove_and_preserve(g, 2)
     assert rec.mutations == [(1, 3, INF, 2 * weight)]
     assert g.adj[1][3] == 2 * weight
 
 
-def test_weights_just_below_half_the_sentinel_stay_on_the_block_path(monkeypatch):
+def test_weights_just_below_half_the_sentinel_stay_on_the_block_path():
+    # the mirror decides the shortcut, whose weight then retires it
     weight = disassembly._BIG // 2 - 1
-    monkeypatch.setattr(disassembly, "_BLOCK_DEGREE", 1)
-    monkeypatch.setattr(disassembly, "_decide_dicts", _no_dicts)
-    rec = remove_and_preserve(path_graph([weight, weight]), 2)
-    assert rec.mutations == [(1, 3, INF, 2 * weight)]
+    g = path_graph([weight, weight])
+    mirror = disassembly._Mirror.of(g)
+    mutations = mirror.decide(2, [1, 3])
+    assert mutations == [(1, 3, INF, 2 * weight)]
+    assert mirror.remove(2, mutations) is False
 
 
 # -- the edge count after contraction ----------------------------------------
@@ -439,7 +497,7 @@ def _edge_count(g):
     return sum(map(len, g.adj.values())) // 2
 
 
-# chains, stars, cliques (their first removals decide on the block path),
+# chains, stars, cliques (their first removals decide on the mirror),
 # zero and MAX_WEIGHT weights, and ids removed before the call
 EDGE_COUNT_CASES = {
     "chain": lambda: path_graph([3, 1, 4, 1, 5, 9, 2, 6] * 4),
@@ -471,6 +529,24 @@ def test_remove_and_preserve_keeps_the_edge_count(name):
         rec = remove_and_preserve(g, v)
         assert g.m == _edge_count(g) == g0.m + edge_delta(g0, v)
         assert rec.mutations == disassembly._decide(g0, v, sorted(g0.adj[v]))
+
+
+@pytest.mark.parametrize("params", EDGE_COUNT_KNOBS,
+                         ids=lambda k: f"d{k.d_max}-i{k.i_max}-n{k.n_min}")
+def test_mirror_and_dicts_agree_under_every_knob(params, monkeypatch):
+    # at threshold 1 the i_max gate reads the mirror's decision; where it
+    # refuses a removal, nothing is written into the mirror.  A removal of
+    # degree k <= 3 writes at most k new edges, so only d_max = UNBOUNDED
+    # lets i_max = 0 refuse one
+    decided = []
+    for name, g in DECISION_CASES.items():
+        monkeypatch.setattr(disassembly, "_decide_dicts", _no_dicts)
+        decided.append(_watch(monkeypatch, "decide"))
+        block = _contract(g, False, 1, monkeypatch, params)
+        monkeypatch.undo()
+        assert block == _contract(g, False, 10**9, monkeypatch, params), name
+        decided[-1] = len(decided[-1]) - len(block)
+    assert (sum(decided) > 0) == (params.i_max == 0 and params.d_max == UNBOUNDED)
 
 
 @pytest.mark.parametrize("knob", ["d_max", "i_max", "n_min"])

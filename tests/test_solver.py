@@ -120,6 +120,17 @@ SOLVE_DIGESTS = {
         lambda: cycle_graph(101), SolveParams(n_min=30),
         "af3a26354f78456fda05e610f6ba676ad9dc6b376c7352b4bb5bdd874d2d8b54",
         "4fd581441ebb6d8b6fd21334f434a1d8518398337d7daa93f26d4b6a67ff9d24"),
+    # the ladder's random row: full contraction decides 300-odd removals of
+    # degree 16 and up on the dense mirror, the bounded one decides them in
+    # the core's contraction
+    "random1024-11-full": (
+        lambda: random_connected_graph(1024, 11), SolveParams(),
+        "6287af3a10da24293984af3f1b36d4b77643386fe67371532eb92eccf7ae03ae",
+        "2d9dd05cf039e3c5493bc5507366f0c7642176c196f890ee38edc7d34d5981f2"),
+    "random1024-11-bounded": (
+        lambda: random_connected_graph(1024, 11), SolveParams(d_max=3, i_max=0),
+        "6287af3a10da24293984af3f1b36d4b77643386fe67371532eb92eccf7ae03ae",
+        "61a80404129a4eecb73fee61d156732ae093d9a2669c8b63aed92d25ff5b86af"),
 }
 
 
@@ -180,22 +191,28 @@ def test_solve_bounded_solves_a_residual_whose_weight_sum_passes_unreached():
 
 def test_solve_takes_the_dict_path_for_an_encoded_weight_past_the_blocks_limit(monkeypatch):
     # K17 of unit weights but w(1, 2) = 2**56, encoded as 18 * 2**56 + 1:
-    # past the block's 2**60, so the first removal, of degree 16, decides
-    # its pairs over the dicts, while solve's own guard holds
+    # past the mirror's 2**60, so no mirror is built and the first removal,
+    # of degree 16, decides its pairs over the dicts, while solve's own
+    # guard holds
     g = Graph(17)
     for u in range(1, 18):
         for v in range(u + 1, 18):
             g.set_edge(u, v, 2**56 if (u, v) == (1, 2) else 1)
-    real_block = disassembly._decide_block
-    decided = []
+    real_of, real_dicts = disassembly._Mirror.of, disassembly._decide_dicts
+    built, degrees = [], []
 
-    def watched_block(*args):
-        decided.append(real_block(*args))
-        return decided[-1]
+    def watched_of(*args):
+        built.append(real_of(*args))
+        return built[-1]
 
-    monkeypatch.setattr(disassembly, "_decide_block", watched_block)
+    def watched_dicts(g, v, nbrs):
+        degrees.append(len(nbrs))
+        return real_dicts(g, v, nbrs)
+
+    monkeypatch.setattr(disassembly._Mirror, "of", watched_of)
+    monkeypatch.setattr(disassembly, "_decide_dicts", watched_dicts)
     result = solve(g)
-    assert None in decided
+    assert built == [None] and degrees[0] == 16
     assert np.array_equal(result.distances.cells, apsp_dijkstra(g)[0].cells)
     assert first_bad_precedence(g, result.distances, result.precedence) is None
 
