@@ -27,9 +27,11 @@ gathers the columns of one block of rows at a time into one reused
 buffer, then walks the row permutation's cycles through a one-row buffer,
 so its extra memory is one block plus one row.
 
-Distances are plain integers in the int64 matrix D.  Driven by the full
-pipeline they carry the solver's (weight, hops) encoding (see
-solver.solve), so "tight" is lexicographic in (weight, hops).
+Distances are plain integers in the int64 matrix D, and a restore forms
+its candidates on a uint64 view of it, with UNREACHED as the one no-path
+value (see matrices.UNREACHED).  Driven by the full pipeline they carry
+the solver's (weight, hops) encoding (see solver.solve), so "tight" is
+lexicographic in (weight, hops).
 """
 
 from __future__ import annotations
@@ -123,10 +125,10 @@ def assemble(seq: ShrinkSequence, d: np.ndarray, pos: np.ndarray,
     P[x][i] (or x) for the column, except where the direct edge is tight,
     which keeps P's entry.  A record naming a neighbor that is neither in
     the residual nor restored before it is refused with ValueError (naming
-    the lowest such id), and so is a restore where a recorded weight plus a
-    known distance wraps int64 (an UNREACHED cell, or raw weights summing
-    past 2**62), before its row is written.  A record with no incident
-    edges is refused with ValueError before any cell is written.
+    the lowest such id), and so is a restore with a distance of UNREACHED
+    or more (through an UNREACHED cell, or too large to fit), before its
+    row is written.  A record with no incident edges is refused with
+    ValueError before any cell is written.
     """
     # every record's edges, in replay order, as flat arrays that each
     # restore slices: 24 bytes an edge, 0.4 MB on the benchmark's
@@ -141,14 +143,14 @@ def assemble(seq: ShrinkSequence, d: np.ndarray, pos: np.ndarray,
     bounds = list(accumulate((len(rec.incident_edges) for rec in records), initial=0))
     edges = np.fromiter(chain.from_iterable(chain.from_iterable(
         rec.incident_edges for rec in records)), np.int64).reshape(-1, 2)
-    all_ids, all_enc = edges[:, 0], edges[:, 1]
+    all_ids, all_enc = edges[:, 0], edges[:, 1].view(np.uint64)
     all_pos = pos[all_ids] - 1
     # k, k - 1, ..., 1 for a record's k neighbors, in the narrowest dtype:
     # the first tight one has the largest tight rank
     most = seq.max_removed_degree
     rank = np.arange(most, 0, -1, dtype=np.min_scalar_type(most))[:, None]
     # 0-based positions from here on: the restored vertex sits at `count`
-    dv = d[1:, 1:]
+    dv = d[1:, 1:].view(np.uint64)
     if p is not None:
         pv = p.cells[1:, 1:]
         # P[a][l] of positions a, l is flat[(a + 1) * stride + l + 1]
@@ -162,7 +164,7 @@ def assemble(seq: ShrinkSequence, d: np.ndarray, pos: np.ndarray,
                              f"{nbr_ids[(nbr_pos >= count).argmax()]}")
         cand = enc[:, None] + dv[nbr_pos, :count]
         dist = cand.min(axis=0)
-        if dist.min() < 0:  # a recorded weight plus a distance wraps negative
+        if int(dist.max()) >= UNREACHED:
             raise ValueError(f"restoring {rec.vertex} overflows int64: a residual pair it "
                              f"reaches through is unreached, or the weights are too large")
         if p is not None:

@@ -46,10 +46,6 @@ def _load_graph(args) -> Graph:
     return parse_dimacs(path.read_bytes(), args.max_n)
 
 
-def _params(args) -> SolveParams:
-    return SolveParams(d_max=args.dmax, i_max=args.imax, n_min=args.nmin)
-
-
 def _check_output_dirs(*paths) -> None:
     for out in paths:
         if out and not Path(out).parent.is_dir():
@@ -75,7 +71,7 @@ def cmd_solve(args) -> int:
         raise CliError(f"--out and --pred name the same file: {args.out}")
     g = _load_graph(args)
     t0 = time.perf_counter()
-    result = solve(g, _params(args))
+    result = solve(g, args.params)
     t1 = time.perf_counter()
     if args.out:
         with open(args.out, "w") as fh:
@@ -93,13 +89,10 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _oracles(args, g: Graph):
+def _oracles(g: Graph, expected):
     """(name, distance matrix) of each oracle in turn, each computed only
     when the previous one agreed."""
-    if args.expected:
-        expected = read_distance_matrix(Path(args.expected).read_text())
-        if expected.order != g.n_original:
-            raise CliError(f"expected matrix order {expected.order} != n {g.n_original}")
+    if expected is not None:
         yield "expected", expected
     yield "dijkstra", apsp_dijkstra(g)[0]
     if g.n_original <= ORACLE_CAP:
@@ -109,10 +102,18 @@ def _oracles(args, g: Graph):
 def cmd_verify(args) -> int:
     if args.sample < 0:
         raise CliError(f"--sample must be at least 0, got {args.sample}")
+    if args.expected and not Path(args.expected).is_file():
+        what = "is a directory" if Path(args.expected).is_dir() else "not found"
+        raise CliError(f"--expected {what}: {args.expected}")
     g = _load_graph(args)
-    result = solve(g, _params(args))
+    expected = None
+    if args.expected:
+        expected = read_distance_matrix(Path(args.expected).read_text())
+        if expected.order != g.n_original:
+            raise CliError(f"expected matrix order {expected.order} != n {g.n_original}")
+    result = solve(g, args.params)
 
-    for name, m in _oracles(args, g):
+    for name, m in _oracles(g, expected):
         loc = _first_mismatch(result.distances.cells, m.cells)
         if loc is not None:
             i, j = loc
@@ -152,13 +153,12 @@ def cmd_bench(args) -> int:
         raise CliError(f"--repeats must be at least 1, got {args.repeats}")
     _check_output_dirs(args.report)
     g = _load_graph(args)
-    params = _params(args)
 
     pa_times, db_times = [], []
     result = None
     for _ in range(args.repeats):
         t0 = time.perf_counter()
-        result = solve(g, params)
+        result = solve(g, args.params)
         pa_times.append(time.perf_counter() - t0)
     for _ in range(args.repeats):
         t0 = time.perf_counter()
@@ -282,6 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if "nmin" in args:  # solve, verify and bench: the knobs are refused before the input
+            args.params = SolveParams(d_max=args.dmax, i_max=args.imax, n_min=args.nmin)
         return args.func(args)
     except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

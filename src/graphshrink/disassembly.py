@@ -17,63 +17,53 @@ decision on to the removal.
   is exact on any int.  remove_and_preserve and edge_delta always take it,
   and so does every removal below _BLOCK_DEGREE.
 - On a dense mirror, for disassemble's removals of degree _BLOCK_DEGREE
-  and up.  At the first of them, disassemble builds an R0 x R0 int64
+  and up.  At the first of them, disassemble builds an R0 x R0 uint64
   matrix over the R0 vertices present then: w[i, j] = w(ids[i], ids[j]),
-  _BIG where there is no edge and on the diagonal.  From then on every
+  UNREACHED (matrices.UNREACHED, the one no-path value of every dense
+  stage) where there is no edge and on the diagonal.  From then on every
   removal, whichever decider decided it, writes its mutations into both
-  triangles of the mirror and sets its own column to _BIG; once half the
-  rows are dead, one np.ix_ take drops them.  A decision takes the k
-  neighbor rows with one take and masks v's column.  Over the pairs a < b,
-  s = w(v, a) + w(v, b) and cur = w[a, b]; a pair with s < cur is first
-  tested against the witnesses among v's other neighbors (the k x k block
-  of the neighbor columns), and only the pairs none of them witnesses scan
-  every column.  That is exact, because a minimum over some columns is
-  never below the minimum over all.  Both passes form
+  triangles of the mirror and sets its own column to UNREACHED; once half
+  the rows are dead, one np.ix_ take drops them.  A decision takes the k
+  neighbor rows with one take and masks v's column.  Over the pairs
+  a < b, s = w(v, a) + w(v, b) and cur = w[a, b]; a pair with s < cur is
+  first tested against the witnesses among v's other neighbors (the
+  k x k block of the neighbor columns), and only the pairs none of them
+  witnesses scan every column.  That is exact, because a minimum over
+  some columns is never below the minimum over all.  Both passes form
   min_h w[a, h] + w[b, h] in chunks, of at most _NEAR_CELLS and
   _ALT_CELLS cells.  The pair needs a mutation iff s < cur and s < alt.
 
-The mirror holds only weights below _BIG // 2: then s and every real
-alternative stay below _BIG, and _BIG + _BIG fits in int64.  It is not
-built when a weight is too large, and it is dropped when a mutation's
-weight reaches _BIG // 2; the dicts then decide every later removal.
-solve's encoded weights can take that path too: its guard admits encoded
-weights below 2**62.  It takes at most R0**2 * 8 bytes (R0 = 1334, 14 MB,
-on random_connected_graph(4096, 3)), and it lives only while disassemble
+The mirror holds only weights up to UNREACHED // 2: then s stays below
+UNREACHED, so an UNREACHED cell never passes for a shorter route, and
+no sum of two cells wraps.  That covers every encoded weight and
+shortcut solve admits, as its guard keeps twice their sum below 2**63.
+The mirror is not built when a weight is larger, and it is dropped when
+a mutation's weight passes UNREACHED // 2; the dicts then decide every
+later removal.  It takes at most R0**2 * 8 bytes (R0 = 1334, 14 MB, on
+random_connected_graph(4096, 3)), and it lives only while disassemble
 runs, so solve frees it before it allocates D and P.
-
-Before the mirror, each decision rebuilt a k x |H| block (H: every
-neighbor of a neighbor) from the dicts.  On a 2-vCPU VM, the mirror cut
-disassemble on random_connected_graph(1024, 11) from 0.29 to 0.16 s
-(medians of 20) and on (4096, 3) from 12.3 to 8.6 s; the neighbor
-pass's wider chunks then took (4096, 3) to 4.4-5.5 s.  With the mirror,
-thresholds 12, 16 and 24 timed within noise on random_connected_graph
-(1024, 11), (2048, 5) and grid_graph(48), where 8 ran about 40% slower
-than 16 on the grid, so 16 stays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
 from .graph import INF, Graph, GraphError
+from .matrices import UNREACHED, fill_weights
 
 #: Parameter value meaning "no limit" for d_max / i_max.
 UNBOUNDED = INF
 
 #: disassemble decides removals of at least this degree on the mirror, and
-#: builds the mirror at the first of them.
+#: builds the mirror at the first of them.  12, 16 and 24 timed within
+#: noise on random_connected_graph(1024, 11), (2048, 5) and grid_graph(48),
+#: where 8 ran about 40% slower than 16 on the grid.
 _BLOCK_DEGREE = 16
 
-#: Missing-edge sentinel of the mirror.  The mirror holds only weights
-#: below _BIG // 2, so every s and every real alternative is below _BIG,
-#: and _BIG + _BIG still fits in int64.
-_BIG = 2**61
-
 #: Cells of the largest alternative temporary of the scan over every
-#: column: 64 KiB of int64 stays in cache, and measured about 3x faster
+#: column: 64 KiB of uint64 stays in cache, and measured about 3x faster
 #: than 512 KiB.  2**15 timed within noise on random_connected_graph
 #: (1024, 11) and (4096, 3) and on grid_graph(48), and over a 25 s
 #: grid-full benchmark run its 256 KiB temporaries left the process's
@@ -161,11 +151,12 @@ def _decide_dicts(g: Graph, v: int, nbrs: list[int]) -> list[Mutation]:
 
 
 class _Mirror:
-    """Dense int64 weights among the vertices present when it was built.
+    """Dense uint64 weights among the vertices present when it was built.
 
-    ids holds their ids ascending, and w[i, j] = w(ids[i], ids[j]), _BIG
-    where there is no edge and on the diagonal; a removed vertex keeps its
-    row until the next compaction, and its column holds _BIG.
+    ids holds their ids ascending, and w[i, j] = w(ids[i], ids[j]),
+    UNREACHED where there is no edge and on the diagonal; a removed vertex
+    keeps its row until the next compaction, and its column holds
+    UNREACHED.
     """
 
     def __init__(self, ids: np.ndarray, w: np.ndarray):
@@ -175,21 +166,11 @@ class _Mirror:
 
     @classmethod
     def of(cls, g: Graph) -> _Mirror | None:
-        """The mirror of g, or None when a weight is too large for it."""
-        ids = np.array(sorted(g.adj), np.intp)
-        rows = [g.adj[u] for u in ids.tolist()]
-        lens = np.fromiter(map(len, rows), np.intp, len(rows))
-        total = int(lens.sum())
-        try:
-            keys = np.fromiter(chain.from_iterable(rows), np.intp, total)
-            vals = np.fromiter(chain.from_iterable(r.values() for r in rows), np.int64, total)
-        except OverflowError:
+        """The mirror of g, or None when a weight passes UNREACHED // 2."""
+        if max(max(r.values()) for r in g.adj.values()) > UNREACHED // 2:
             return None
-        if vals.max() >= _BIG // 2:
-            return None
-        w = np.full((len(ids), len(ids)), _BIG, np.int64)
-        w[np.repeat(np.arange(len(ids)), lens), ids.searchsorted(keys)] = vals
-        return cls(ids, w)
+        w = np.full((len(g.adj), len(g.adj)), UNREACHED, np.uint64)
+        return cls(fill_weights(g, w), w)
 
     def decide(self, v: int, nbrs: list[int]) -> list[Mutation]:
         """The mutations removing v needs, as _decide_dicts gives them."""
@@ -197,7 +178,7 @@ class _Mirror:
         w = self.w.take(at, axis=0)
         cv = self.ids.searchsorted(v)
         wv = w[:, cv].copy()
-        w[:, cv] = _BIG
+        w[:, cv] = UNREACHED
         near = w[:, at]
         iu, ju = np.triu_indices(len(nbrs), 1)
         s = wv[iu] + wv[ju]
@@ -208,22 +189,21 @@ class _Mirror:
         _witnessed(need, s, iu, ju, near, _NEAR_CELLS)
         _witnessed(need, s, iu, ju, w, _ALT_CELLS)
         sel = np.flatnonzero(need)
-        return [(nbrs[i], nbrs[j], INF if old == _BIG else old, new)
+        return [(nbrs[i], nbrs[j], INF if old == UNREACHED else old, new)
                 for i, j, old, new in zip(iu[sel].tolist(), ju[sel].tolist(),
                                           cur[sel].tolist(), s[sel].tolist())]
 
     def remove(self, v: int, mutations: list[Mutation]) -> bool:
         """Write v's removal, decided on g as the mirror holds it; False
-        when a new weight reaches _BIG // 2 and the mirror must go."""
+        when a new weight passes UNREACHED // 2 and the mirror must go."""
         if mutations:
             a, b, _, new = zip(*mutations)
-            new = np.array(new, np.int64)
-            if new.max() >= _BIG // 2:
+            if max(new) > UNREACHED // 2:
                 return False
             rows, cols = self.ids.searchsorted(a), self.ids.searchsorted(b)
             self.w[rows, cols] = self.w[cols, rows] = new
         cv = self.ids.searchsorted(v)
-        self.w[:, cv] = _BIG
+        self.w[:, cv] = UNREACHED
         self.alive[cv] = False
         if 2 * np.count_nonzero(self.alive) <= len(self.alive):
             self._compact()

@@ -24,11 +24,12 @@ from __future__ import annotations
 
 import functools
 import re
+from itertools import chain
 from typing import IO
 
 import numpy as np
 
-from .graph import INF
+from .graph import INF, Graph
 
 #: PrecedenceMatrix cell value meaning "no stored predecessor": the path's
 #: last hop is the direct edge from the row vertex.  Vertex ids are 1-based
@@ -36,7 +37,27 @@ from .graph import INF
 UNSET = 0
 
 #: DistanceMatrix cell of a pair with no path between them (2**63 - 1).
+#: It is the one no-path value of every dense stage of solve: the
+#: contraction's mirror, the residual's min-plus core, the replay and the
+#: predecessor rule all add in uint64 (on a uint64 view of D's int64
+#: cells), where two values of at most UNREACHED sum to at most
+#: 2**64 - 2 and never wrap.  A result of UNREACHED or more does not fit
+#: and is refused.  Every operand must be uint64: int64 + uint64 arrays
+#: promote to float64.
 UNREACHED = np.iinfo(np.int64).max
+
+
+def fill_weights(g: Graph, w: np.ndarray) -> np.ndarray:
+    """Write g's edge weights into the square matrix `w` over its present
+    ids ascending, w[i, j] = w(ids[i], ids[j]), and return those ids; every
+    other cell keeps what it holds.  A weight past int64 raises
+    OverflowError before any write."""
+    ids = np.array(sorted(g.adj), np.intp)
+    rows = [g.adj[u] for u in ids.tolist()]
+    vals = np.fromiter(chain.from_iterable(r.values() for r in rows), np.int64)
+    keys = np.fromiter(chain.from_iterable(rows), np.intp, len(vals))
+    w[np.repeat(np.arange(len(ids)), [len(r) for r in rows]), ids.searchsorted(keys)] = vals
+    return ids
 
 
 class DistanceMatrix:
@@ -194,9 +215,12 @@ def _read_cells(text: str, make, missing):
         header = _ORDER.fullmatch(line)
         if header and m is None:
             # a file of order n holds at least 2 n**2 characters: refuse a
-            # header the text cannot fill before allocating for it
-            if 2 * int(header[1]) ** 2 > len(text):
-                raise ValueError(f"line {lineno}: the file is too short for order {header[1]}")
+            # header the text cannot fill before allocating for it, and
+            # before int() meets its digits when there are more of them
+            # than in the text's length (int() refuses past 4300 digits)
+            if (len(header[1].lstrip("0")) > len(str(len(text)))
+                    or 2 * int(header[1]) ** 2 > len(text)):
+                raise ValueError(f"line {lineno}: the file is too short for its '# n' order")
             m, done = make(int(header[1])), 0
         elif line and not line.startswith("#"):
             if m is None or done + len(rows) == m.order:

@@ -13,10 +13,10 @@ tests' oracle) closes the core's [1, c] corner in place.  The D-only
 ``assemble`` then replays the inner removals into the rest of the
 corner.  Distances are unique, so any exact method gives the same D.
 
-close_core runs on a uint64 view of the corner with UNREACHED (2**63 - 1)
-as the cell of a pair not joined yet: two cells sum to at most 2**64 - 2,
-so no sum wraps, and a distance that does not fit below UNREACHED stays
-at it, to be refused.
+close_core, the replay and the predecessor rule add on uint64 views of
+the corner, with UNREACHED as the one no-path value (see
+matrices.UNREACHED): no sum wraps, and a distance that does not fit
+below UNREACHED is refused.
 
 Predecessors are then read off those distances.  With positive weights a
 binary-heap Dijkstra over ``(distance, id)`` pops vertices in strictly
@@ -51,7 +51,7 @@ from .assembly import assemble
 from .baseline import dijkstra  # re-exported: perfbench/probe.py wraps it here by name
 from .disassembly import ShrinkSequence, SolveParams, disassemble
 from .graph import Graph
-from .matrices import UNREACHED, UNSET, PrecedenceMatrix
+from .matrices import UNREACHED, UNSET, PrecedenceMatrix, fill_weights
 
 #: Cells (a target's slots x sources) of one block of the predecessor
 #: rule; a target with more slots than that runs one source a block.
@@ -60,7 +60,7 @@ from .matrices import UNREACHED, UNSET, PrecedenceMatrix
 #: instance, 0.098 / 0.097 / 0.095 / 0.095 s (9 alternating runs, spread
 #: 0.065-0.106 s), alike: there every target fits one block from 2**13 on.
 #: grid_graph(64) 1.10 / 0.91 / 0.80 / 0.81 s (5 runs).  At 2**13 a
-#: block's int64 cells stay within 64 KiB.
+#: block's uint64 sums stay within 64 KiB.
 _RULE_CELLS = 1 << 13
 
 #: The inner contraction stops at _CORE_ORDER vertices, or where every
@@ -87,16 +87,13 @@ def close_core(core: Graph, dc: np.ndarray) -> None:
     """Fill the square int64 `dc`, which holds UNREACHED with a zero
     diagonal, with the distances of the connected `core`, its ids
     ascending at indices 0, 1, ...: min-plus Floyd-Warshall from its edges
-    on a uint64 view of `dc`, UNREACHED standing for a pair not joined yet.
-    A distance of UNREACHED or more is left at UNREACHED; an edge weight
-    past int64 raises OverflowError."""
-    at = {v: k for k, v in enumerate(sorted(core.adj))}
-    for v, nbrs in core.adj.items():
-        dc[at[v], [at[u] for u in nbrs]] = list(nbrs.values())
-    # every cell is at most UNREACHED, so a sum of two is at most 2**64 - 2
-    # in uint64 and never wraps.  Pivot k leaves row k and column k as they
-    # are (du[k, k] == 0), so each pivot updates du in place, one block of
-    # rows at a time, through a temporary that stays in cache
+    (matrices.fill_weights) on a uint64 view of `dc`, UNREACHED standing
+    for a pair not joined yet.  A distance of UNREACHED or more is left at
+    UNREACHED; an edge weight past int64 raises OverflowError."""
+    fill_weights(core, dc)
+    # pivot k leaves row k and column k as they are (du[k, k] == 0), so
+    # each pivot updates du in place, one block of rows at a time, through
+    # a temporary that stays in cache
     du = dc.view(np.uint64)
     c = len(du)
     step = max(1, _PIVOT_CELLS // c)
@@ -136,16 +133,12 @@ def solve_residual(g_r: Graph, core: ShrinkSequence, d: np.ndarray, p: Precedenc
     not write.  The inner replay writes no P.  `g_r` is left as it was.
 
     Refused before any cell of `d` or P is written: a zero-weight edge or
-    one past 2**63 - 1 (ValueError).  Refused with ValueError once the
+    one past UNREACHED (ValueError).  Refused with ValueError once the
     distances are formed, with the corner of `d` then put back to its
     entry state, so that D and P are left as they were: a distance of
-    2**63 - 1 or more (UNREACHED), an inner shortcut past int64, and an
-    inner restore whose candidate wraps int64.  The replay forms its
-    candidates in int64, so with weights past 2**62 that last one can
-    refuse a residual whose distances all fit.  solve never meets any of
-    them, as its shortcuts, distances and candidates stay below twice the
-    encoded weight sum, which it keeps below 2**63.  In the predecessor
-    rule a wrapped sum is negative, so it is never tight.
+    UNREACHED or more, and an inner shortcut past int64.  solve never
+    meets either, as its shortcuts and distances stay below twice the
+    encoded weight sum, which it keeps below 2**63.
     """
     if len(g_r.adj) <= 1:
         return
@@ -163,7 +156,7 @@ def solve_residual(g_r: Graph, core: ShrinkSequence, d: np.ndarray, p: Precedenc
     rows = [sorted((-w, u) for u, w in nbrs.items()) for nbrs in g_r.adj.values()]
     bounds = list(accumulate(map(len, rows), initial=0))
     slots = np.fromiter(chain.from_iterable(chain.from_iterable(rows)), np.int64).reshape(-1, 2)
-    nbr, wt, at = pos[slots[:, 1]] - 1, -slots[:, 0, None], pos[list(g_r.adj)] - 1
+    nbr, wt, at = pos[slots[:, 1]] - 1, (-slots[:, :1]).view(np.uint64), pos[list(g_r.adj)] - 1
     dc, pc = d[1:r + 1, 1:r + 1], p.cells[1:r + 1, 1:r + 1]
     stored = pc[nbr, np.repeat(at, np.diff(bounds))]
     value = np.where(stored != UNSET, stored, slots[:, 1].astype(stored.dtype))
@@ -182,12 +175,13 @@ def solve_residual(g_r: Graph, core: ShrinkSequence, d: np.ndarray, p: Precedenc
     # k, k - 1, ..., 1 for a target's k < r slots, in the narrowest dtype:
     # the first tight slot has the largest tight rank
     rank = np.arange(r - 1, 0, -1, dtype=np.min_scalar_type(r))[:, None]
+    du = dc.view(np.uint64)
     for k, a, b in zip(at.tolist(), bounds, bounds[1:]):
         nbr_k, wt_k, value_k, rank_k = nbr[a:b], wt[a:b], value[a:b], rank[a - b:]
         step = max(1, _RULE_CELLS // (b - a))
         for lo in range(0, r, step):
             # D is symmetric: row q's slice stands for column q's
-            tight = dc[nbr_k, lo:lo + step] + wt_k == dc[k, lo:lo + step]
+            tight = du[nbr_k, lo:lo + step] + wt_k == du[k, lo:lo + step]
             # on the diagonal no slot is tight: first is then b - a, which the takes clip
             first = b - a - (tight * rank_k).max(axis=0)
             # a last hop from the source, and the diagonal, keep their stored entry

@@ -67,7 +67,8 @@ def first_bad_precedence(g0: Graph, d: DistanceMatrix,
     The last hop q is P[i][j], or i when unset.  It passes when (q, j) is an
     edge of g0 and D[i][q] + w(q, j) == D[i][j].  A pair with no path (D is
     UNREACHED, as for a vertex removed before the solve) passes exactly when
-    P is unset.  Edge weights are looked up in the sorted keys
+    P is unset.  The sums are formed in uint64 (see matrices.UNREACHED), so
+    none wraps.  Edge weights are looked up in the sorted keys
     q * (n + 1) + j, one row block at a time, so memory stays
     O(m + _CHECK_CELLS).  The test is local: a zero-weight cycle of
     last hops passes it, which only reconstruct_path's walk detects.
@@ -80,7 +81,7 @@ def first_bad_precedence(g0: Graph, d: DistanceMatrix,
     weights = np.fromiter((w for nbrs in g0.adj.values() for w in nbrs.values()),
                           np.int64, m2)
     order = keys.argsort()
-    keys, weights = np.append(keys[order], -1), np.append(weights[order], 0)
+    keys, weights = np.append(keys[order], -1), np.append(weights[order], 0).view(np.uint64)
     cols = np.arange(1, scale)
     step = max(1, _CHECK_CELLS // n)
     for lo in range(1, scale, step):
@@ -94,8 +95,8 @@ def first_bad_precedence(g0: Graph, d: DistanceMatrix,
         key = q * scale + cols
         at = np.searchsorted(keys[:-1], key)  # past the last key: the -1 sentinel
         dist = d.cells[lo:lo + len(rows)]
-        ok = (keys[at] == key) & (np.take_along_axis(dist, q, axis=1) + weights[at]
-                                  == dist[:, 1:])
+        du = dist.view(np.uint64)
+        ok = (keys[at] == key) & (np.take_along_axis(du, q, axis=1) + weights[at] == du[:, 1:])
         ok = np.where(dist[:, 1:] == UNREACHED, unset, ok)
         bad = np.flatnonzero(~ok & (rows != cols))
         if bad.size:

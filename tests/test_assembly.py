@@ -297,13 +297,39 @@ def test_restore_keeps_a_tight_shortcut_entry_over_a_lower_neighbor():
 
 
 def test_restore_refuses_an_unreached_residual_pair_before_writing():
-    # the residual {1, 2} has no edge, so 5 + d[1, 2] would wrap int64
+    # the residual {1, 2} has no edge, so 5 + d[1, 2] is past UNREACHED
     d, p = new_d(3), PrecedenceMatrix(3)
     p.cells[...] = 7
     rec = RemovalRecord(vertex=3, incident_edges=[(1, 5)])
     with pytest.raises(ValueError, match="restoring 3 overflows int64"):
         assemble_by_id(sequence(3, {1, 2}, [rec]), d, p)
     assert np.array_equal(d, new_d(3)) and (p.cells == 7).all()
+
+
+class _Sums(np.ndarray):
+    """A matrix view that records the dtype of every sum formed on it."""
+
+    dtypes: list = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        plain = [x.view(np.ndarray) if isinstance(x, _Sums) else x for x in inputs]
+        result = getattr(ufunc, method)(*plain, **kwargs)
+        if ufunc is np.add and method == "__call__":
+            _Sums.dtypes.append(result.dtype)
+        return result
+
+
+def test_replay_forms_its_candidates_in_uint64(monkeypatch):
+    # int64 + uint64 arrays promote to float64, which rounds large
+    # distances: every candidate block must stay uint64
+    g = random_connected_graph(30, 21)
+    seq, d, p = residual_solved(g, SolveParams(n_min=8))
+    monkeypatch.setattr(_Sums, "dtypes", [])
+    with laid_out(restore_order(seq), d, p) as (d_pos, p_pos, pos):
+        assemble(seq, d_pos.view(_Sums), pos, p_pos)
+    assert len(_Sums.dtypes) == len(seq.records)
+    assert set(_Sums.dtypes) == {np.dtype(np.uint64)}
+    assert np.array_equal(d, floyd_warshall(g).cells)
 
 
 def test_restore_touches_only_own_row_and_column():

@@ -91,6 +91,14 @@ def test_solve_refuses_a_knob_below_one(triangle_file, capsys, flag, message):
     assert out.out == "" and out.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("command", ["solve", "verify", "bench"])
+def test_knobs_are_refused_before_the_input_is_parsed(triangle_file, monkeypatch, capsys,
+                                                      command):
+    monkeypatch.setattr(cli, "parse_dimacs", lambda *a: pytest.fail("parsed before the knobs"))
+    assert main([command, "--input", str(triangle_file), "--nmin", "0"]) == 1
+    assert capsys.readouterr().err == "error: n_min must be >= 1, got 0\n"
+
+
 def test_solve_without_outputs_reports_zero_write_time(triangle_file, capsys):
     assert main(["solve", "--input", str(triangle_file)]) == 0
     assert capsys.readouterr().out.rstrip().endswith("write_seconds=0.000")
@@ -166,6 +174,19 @@ def test_verify_missing_expected_file_is_an_error_line(tmp_path, triangle_file, 
     assert main(["verify", "--input", str(triangle_file), "--expected", str(missing)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(missing) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind, message", [("missing", "not found"),
+                                           ("directory", "is a directory")])
+def test_verify_refuses_an_unreadable_expected_before_parsing(tmp_path, triangle_file,
+                                                              monkeypatch, capsys, kind, message):
+    expected = tmp_path / kind
+    if kind == "directory":
+        expected.mkdir()
+    monkeypatch.setattr(cli, "parse_dimacs", lambda *a: pytest.fail("parsed before checking"))
+    monkeypatch.setattr(cli, "solve", lambda *a: pytest.fail("solved before checking"))
+    assert main(["verify", "--input", str(triangle_file), "--expected", str(expected)]) == 1
+    assert capsys.readouterr().err == f"error: --expected {message}: {expected}\n"
 
 
 def test_solve_missing_input_file_is_an_error_line(tmp_path, capsys):
@@ -266,10 +287,12 @@ def test_verify_corrupted_expected_matrix_names_cell(tmp_path, triangle_file, ca
     assert "(1,3)" in capsys.readouterr().err
 
 
-def test_verify_refuses_an_expected_matrix_of_another_order(tmp_path, triangle_file, capsys):
+def test_verify_refuses_an_expected_matrix_of_another_order(tmp_path, triangle_file,
+                                                            monkeypatch, capsys):
     expected = tmp_path / "expected.txt"
     with open(expected, "w") as fh:
         write_distance_matrix(solve(path_graph([1, 1, 1])).distances, fh)
+    monkeypatch.setattr(cli, "solve", lambda *a: pytest.fail("solved before checking"))
     assert main(["verify", "--input", str(triangle_file), "--expected", str(expected)]) == 1
     assert capsys.readouterr().err == "error: expected matrix order 4 != n 3\n"
 

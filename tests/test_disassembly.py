@@ -1,6 +1,7 @@
 import hashlib
 import random
 
+import numpy as np
 import pytest
 from conftest import grid_graph, path_graph, random_connected_graph, triangle_graph
 
@@ -18,6 +19,7 @@ from graphshrink import (
 )
 from graphshrink.disassembly import best_alternative_two_hop
 from graphshrink.graph import MAX_WEIGHT
+from graphshrink.matrices import UNREACHED
 
 
 def star_graph(leaves=3, w=1):
@@ -454,11 +456,11 @@ def test_mirror_compacts_a_clique_at_each_halving(monkeypatch):
     assert block == _contract(g, False, 10**9, monkeypatch)
 
 
-def test_mirror_is_dropped_when_a_shortcut_reaches_half_the_sentinel(monkeypatch):
-    # every weight is just past _BIG // 4, so the first shortcut written
-    # reaches _BIG // 2: the removals before it are decided on the mirror,
-    # the rest over the dicts
-    g = reweighted(random_connected_graph(60, 3), lambda u, v: disassembly._BIG // 4 + _hashed(u, v))
+def test_mirror_is_dropped_when_a_shortcut_passes_half_of_unreached(monkeypatch):
+    # every weight is just past UNREACHED // 4, so the first shortcut
+    # written passes UNREACHED // 2: the removals before it are decided on
+    # the mirror, the rest over the dicts
+    g = reweighted(random_connected_graph(60, 3), lambda u, v: UNREACHED // 4 + 1 + _hashed(u, v))
     kept = _watch(monkeypatch, "remove")
     decided = _watch(monkeypatch, "decide")
     block = _contract(g, False, 1, monkeypatch)
@@ -470,10 +472,10 @@ def test_mirror_is_dropped_when_a_shortcut_reaches_half_the_sentinel(monkeypatch
     assert block == _contract(g, False, 10**9, monkeypatch)
 
 
-@pytest.mark.parametrize("weight", [disassembly._BIG // 2, 2**70])
+@pytest.mark.parametrize("weight", [UNREACHED // 2 + 1, 2**70])
 def test_weights_too_large_for_the_block_take_the_dict_path(weight, monkeypatch):
-    # s = 2 * weight reaches _BIG, the mirror's missing-edge value: the
-    # mirror would find s < cur false and drop the needed shortcut
+    # s = 2 * weight reaches UNREACHED, the mirror's missing-edge value:
+    # the mirror would find s < cur false and drop the needed shortcut
     assert disassembly._Mirror.of(path_graph([weight, weight])) is None
     g = path_graph([weight, weight])
     rec = remove_and_preserve(g, 2)
@@ -481,14 +483,34 @@ def test_weights_too_large_for_the_block_take_the_dict_path(weight, monkeypatch)
     assert g.adj[1][3] == 2 * weight
 
 
-def test_weights_just_below_half_the_sentinel_stay_on_the_block_path():
+def test_weights_up_to_half_of_unreached_stay_on_the_block_path():
     # the mirror decides the shortcut, whose weight then retires it
-    weight = disassembly._BIG // 2 - 1
+    weight = UNREACHED // 2
     g = path_graph([weight, weight])
     mirror = disassembly._Mirror.of(g)
+    assert mirror.w.dtype == np.uint64
     mutations = mirror.decide(2, [1, 3])
     assert mutations == [(1, 3, INF, 2 * weight)]
     assert mirror.remove(2, mutations) is False
+
+
+def test_mirror_holds_uint64_over_unreached():
+    # a missing edge and the diagonal hold UNREACHED; a decision's sums
+    # stay uint64, where int64 + uint64 would promote them to float64
+    g = DECISION_CASES["hub-gaps"]
+    mirror = disassembly._Mirror.of(g)
+    ids = sorted(g.adj)
+    assert mirror.w.dtype == np.uint64 and mirror.ids.tolist() == ids
+    expected = np.full((len(ids), len(ids)), UNREACHED, np.uint64)
+    for i, u in enumerate(ids):
+        for j, v in enumerate(ids):
+            if v in g.adj[u]:
+                expected[i, j] = g.adj[u][v]
+    assert np.array_equal(mirror.w, expected)
+    v = max(ids, key=lambda u: len(g.adj[u]))
+    nbrs = sorted(g.adj[v])
+    assert len(nbrs) >= disassembly._BLOCK_DEGREE
+    assert mirror.decide(v, nbrs) == disassembly._decide_dicts(g, v, nbrs)
 
 
 # -- the edge count after contraction ----------------------------------------

@@ -225,6 +225,7 @@ GOOD_BODY = "# graphshrink distance matrix\n# n 3\n# ids 1 2 3\n0 1 2\n1 0 3\n2 
     (GOOD_BODY + "4 4 4\n", 7),                          # extra row
     ("# n 3\n0 1 2\n1 0 3\n", 4),                         # missing row
     ("# n 1000000000\n0\n", 1),                          # order the text cannot fill
+    ("# graphshrink distance matrix\n# n " + "9" * 5000 + "\n0\n", 2),  # past int()'s digits
     (GOOD_BODY.replace("1 0 3", "1 0 inf"), 5),
     (GOOD_BODY.replace("1 0 3", "1 0 nan"), 5),
     (GOOD_BODY.replace("1 0 3", "1 0 1.5"), 5),
@@ -242,7 +243,7 @@ GOOD_BODY = "# graphshrink distance matrix\n# n 3\n# ids 1 2 3\n0 1 2\n1 0 3\n2 
     (GOOD_BODY.replace("1 0 3", "1 0\x003"), 5),
     (GOOD_BODY.replace("1 0 3", "1 0\r3"), 5),
 ], ids=["no-header", "short-row", "long-row", "extra-row", "missing-row", "huge-order",
-        "inf", "nan", "1.5", "1e3", "-3", "+3", "NIF", "3INF", "INF3", "2**63", "2**63-1",
+        "order-past-int-digits", "inf", "nan", "1.5", "1e3", "-3", "+3", "NIF", "3INF", "INF3", "2**63", "2**63-1",
         "arabic-indic-3", "e-acute", "nul", "inner-cr"])
 def test_reader_rejects_malformed_input_naming_the_line(text, line):
     for read in (read_distance_matrix, read_precedence_matrix):

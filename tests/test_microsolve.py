@@ -279,9 +279,9 @@ def test_solve_residual_matches_seed_just_below_unreached():
 
 def test_solve_residual_refuses_int64_overflow_before_writing():
     # a distance of 2**63 - 1 is refused too: that is UNREACHED itself.
-    # Through the min-plus core the closure leaves it at UNREACHED; through
-    # the inner replay 2**63 wraps, and 2**63 - 1 is written, then refused
-    # with the rest of the corner
+    # Through the min-plus core the closure leaves it at UNREACHED; the
+    # inner replay refuses 2**63 and 2**63 - 1 before writing them, and
+    # the corner is put back
     for weights in ([2**62, 2**62], [2**62, 2**62 - 1]):
         g = path_graph(weights)
         for cap, match in ((microsolve._CORE_ORDER, "2\\*\\*63 - 1"),
@@ -450,11 +450,12 @@ def test_solve_residual_contracts_on_both_sides_of_a_doubled_sum_of_2_63():
                 and int(p.cells[3, 1]) == 2)
 
 
-def test_solve_residual_refuses_a_wrapping_candidate(monkeypatch):
+@pytest.mark.parametrize("cap", [128, 4, 1])
+def test_solve_residual_solves_a_candidate_past_int64_at_every_core_order(cap, monkeypatch):
     # vertex 1 joins two unit cliques, {2, 4, 5, 6} by A and {3, 7, 8, 9}
-    # by 1.  Every distance fits, so the min-plus core alone solves it.
-    # Contracted in full, 1 goes first; restoring it tries A + d(2, 3) =
-    # 2 A + 1 > 2**63 - 1
+    # by 1.  Every distance fits.  Contracted down to a core of 4 or 1, 1
+    # goes first; restoring it forms A + d(2, 3) = 2 A + 1 > 2**63 - 1,
+    # which uint64 holds and the minimum passes over
     a = 2**62 + 2**40
     g = Graph(9)
     g.set_edge(1, 2, a)
@@ -463,16 +464,14 @@ def test_solve_residual_refuses_a_wrapping_candidate(monkeypatch):
         for i, u in enumerate(clique):
             for v in clique[i + 1:]:
                 g.set_edge(u, v, 1)
-    p = PrecedenceMatrix(9)
-    p.cells[1:, 1:] = 7  # stored entries the refusal must leave as they were
-    d, p1 = new_d(9), PrecedenceMatrix(9)
+    d, p = new_d(9), PrecedenceMatrix(9)
     d0, p0 = new_d(9), PrecedenceMatrix(9)
-    p1.cells[...] = p0.cells[...] = p.cells
-    solve_residual_by_id(g, d, p1)
+    p.cells[1:, 1:] = p0.cells[1:, 1:] = 7
     solve_residual_by_id(g, d0, p0, reference_solve_residual)
-    assert np.array_equal(d, d0) and np.array_equal(p1.cells, p0.cells) and d[2, 3] == a + 1
-    monkeypatch.setattr(microsolve, "_CORE_ORDER", 1)
-    refused_untouched(g, p, ValueError, "restoring 1 overflows int64")
+    monkeypatch.setattr(microsolve, "_CORE_ORDER", cap)
+    assert contract_core(g).residual.n_present == min(cap, 9)
+    solve_residual_by_id(g, d, p)
+    assert np.array_equal(d, d0) and np.array_equal(p.cells, p0.cells) and d[2, 3] == a + 1
 
 
 def test_solve_residual_hop_encoded_takes_contraction():

@@ -189,30 +189,29 @@ def test_solve_bounded_solves_a_residual_whose_weight_sum_passes_unreached():
     assert first_bad_precedence(g, result.distances, result.precedence) is None
 
 
-def test_solve_takes_the_dict_path_for_an_encoded_weight_past_the_blocks_limit(monkeypatch):
+def test_solve_decides_a_degree_16_removal_on_the_mirror_for_a_large_encoded_weight(monkeypatch):
     # K17 of unit weights but w(1, 2) = 2**56, encoded as 18 * 2**56 + 1:
-    # past the mirror's 2**60, so no mirror is built and the first removal,
-    # of degree 16, decides its pairs over the dicts, while solve's own
-    # guard holds
+    # every encoded weight solve admits is at most UNREACHED // 2, so the
+    # mirror is built and decides the first removal, of degree 16
     g = Graph(17)
     for u in range(1, 18):
         for v in range(u + 1, 18):
             g.set_edge(u, v, 2**56 if (u, v) == (1, 2) else 1)
-    real_of, real_dicts = disassembly._Mirror.of, disassembly._decide_dicts
+    real_of, real_decide = disassembly._Mirror.of, disassembly._Mirror.decide
     built, degrees = [], []
 
     def watched_of(*args):
         built.append(real_of(*args))
         return built[-1]
 
-    def watched_dicts(g, v, nbrs):
+    def watched_decide(mirror, v, nbrs):
         degrees.append(len(nbrs))
-        return real_dicts(g, v, nbrs)
+        return real_decide(mirror, v, nbrs)
 
     monkeypatch.setattr(disassembly._Mirror, "of", watched_of)
-    monkeypatch.setattr(disassembly, "_decide_dicts", watched_dicts)
+    monkeypatch.setattr(disassembly._Mirror, "decide", watched_decide)
     result = solve(g)
-    assert built == [None] and degrees[0] == 16
+    assert len(built) == 1 and built[0] is not None and degrees[0] == 16
     assert np.array_equal(result.distances.cells, apsp_dijkstra(g)[0].cells)
     assert first_bad_precedence(g, result.distances, result.precedence) is None
 
