@@ -108,7 +108,7 @@ def cmd_verify(args) -> int:
     g = _load_graph(args)
     expected = None
     if args.expected:
-        expected = read_distance_matrix(Path(args.expected).read_text())
+        expected = read_distance_matrix(Path(args.expected).read_bytes().decode("latin-1"))
         if expected.order != g.n_original:
             raise CliError(f"expected matrix order {expected.order} != n {g.n_original}")
     result = solve(g, args.params)

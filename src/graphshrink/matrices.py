@@ -10,14 +10,22 @@ value (an infinite distance or an UNSET predecessor).  Both directions run
 numpy over blocks of rows, never Python per cell.  The writer splits each
 cell into base-10**4 chunks and gathers one 4-byte ASCII word per chunk
 from a table, NUL-padding the leading chunk, INF and the separators; one
-bytes.translate then drops every NUL.  It refuses negative cells.  The
-reader encodes a block's lines as one ASCII byte string and refuses it when
-a byte other than a digit, I, N, F, a blank or a newline is left.  Tokens
-start and end where the bytes change between separator (<= 32) and not;
-each line must hold `order` of them.  A cell is summed from one gather per
-digit column, counted back from its token's end, and a token holding a
-letter must be exactly INF, the missing value.  A refused block is parsed
-again line by line to name the first bad line.
+bytes.translate then drops every NUL.  It refuses negative cells.
+
+The reader finds each line end with str.find.  A line that starts with
+anything but a blank, '#' or '\\r' is a row, taken without a copy; any
+other line is classified once its blanks and a CRLF's '\\r' are stripped.
+Rows are parsed a block at a time: the block's runs of consecutive row
+lines are sliced from the text, joined behind a fixed pad of blanks and
+encoded once, so a comment or blank line between rows does not cut the
+block.  The block is refused when a byte other than a digit, I, N, F, a
+blank, a newline or a '\\r' right before the newline is left.  Tokens start
+and end where the bytes change between separator (<= 32) and not; each
+line must hold `order` of them.  A cell is summed from one gather per
+digit column k, at its token's last byte in a view of the bytes that
+starts k earlier, inside the pad, and a token holding a letter must be
+exactly INF, the missing value.  The same parse function, given one row at
+a time, names the first bad line of a refused block.
 """
 
 from __future__ import annotations
@@ -89,8 +97,9 @@ class PrecedenceMatrix:
 _BLOCK_CELLS = 1 << 16  # cells in the block of rows held at a time
 _CHUNK = 10_000  # cells are written in base-10**4 chunks, one 4-byte word each
 _NUL, _INF, _SP, _NL = range(2 * _CHUNK, 2 * _CHUNK + 4)  # word indices past the chunks
-_LINE = re.compile(r"^.*$", re.MULTILINE)
-_ORDER = re.compile(r"#\s*n\s+([0-9]+)")
+_PAD = 20  # blanks ahead of a block's rows: the separator before its first token, and
+# room for the gather of each of 19 digit columns back from a token's last byte
+_ORDER = re.compile(r"#\s*n\s+0*([0-9]+)")  # the order's digits past its leading zeros
 
 
 @functools.cache
@@ -156,78 +165,85 @@ def write_precedence_matrix(p: PrecedenceMatrix, out: IO[str]) -> None:
     _write_cells(p.cells, p.order, "precedence", out, UNSET)
 
 
-def _parse(lines: list[str], dest: np.ndarray, missing) -> bool:
-    """Parse `lines` into the cells `dest`, INF as `missing`; False, with
-    dest left as it was, when a line does not hold dest.shape[1] cells that
-    are each INF or digits below dest's dtype maximum."""
-    data = ("\n" + "\n".join(lines) + "\n").encode("ascii", "replace")  # non-ASCII: "?"
-    letters = data.translate(None, b"0123456789 \t\n")
-    if letters.translate(None, b"INF"):
-        return False
+def _parse(text: str, rows: list[tuple[int, int, int]], dest: np.ndarray, missing) -> bool:
+    """Parse the (line number, start, stop) `rows` of `text`, each a row
+    line's span with stop just past its "\\n" (or the text's end plus 1),
+    into the cells `dest`, INF as `missing`.  False when a line does not
+    hold dest.shape[1] cells that are each INF or digits below dest's dtype
+    maximum; dest may then hold part of the block."""
+    # rows on consecutive lines are sliced from the text as one run
+    cuts = [k for k in range(1, len(rows)) if rows[k][1] != rows[k - 1][2]]
+    pieces = [text[rows[i][1]:rows[j - 1][2]] for i, j in zip([0, *cuts], [*cuts, len(rows)])]
+    data = "".join([" " * _PAD, *pieces, "\n"]).encode("ascii", "replace")  # non-ASCII: "?"
     raw = np.frombuffer(data, np.uint8)
-    sep = raw <= 32
-    # data opens and closes with a separator, so the edges alternate: a
-    # token's first byte, then the byte after its last
-    starts, ends = (np.flatnonzero(sep[1:] != sep[:-1]) + 1).reshape(-1, 2).T
-    newlines = np.cumsum([0] + [len(line) + 1 for line in lines])
-    if (np.diff(np.searchsorted(starts, newlines)) != dest.shape[1]).any():
+    newlines = np.cumsum([stop - start for _, start, stop in rows]) + (_PAD - 1)
+    letters = data.translate(None, b"0123456789 \t\n")  # "\r" must end a line, before "\n"
+    # data opens and closes with a separator (<= 32), so the edges between
+    # separators and the rest alternate: the byte before a token, then its
+    # last byte
+    before, last = np.flatnonzero(np.diff(raw <= 32)).reshape(-1, 2).T
+    if (letters.translate(None, b"INF\r")
+            or np.count_nonzero(raw[newlines - 1] == ord("\r")) != letters.count(b"\r")
+            or (np.diff(np.searchsorted(last, newlines), prepend=0) != dest.shape[1]).any()):
         return False
-    lengths = ends - starts
+    lengths = last - before
     width = int(lengths.max())
     if width > 19:  # a digit before a token's last 19 must be a leading zero
         nonzero = np.cumsum(raw != ord("0"))
-        if (nonzero[np.maximum(ends - 19, starts) - 1] != nonzero[starts - 1]).any():
+        if (nonzero[np.maximum(last - 19, before)] != nonzero[before]).any():
             return False
-    # one gather per digit column, counted back from each token's end
-    kind = np.uint64 if width >= 19 else np.int64  # 19 digits stay below 2**64, not 2**63
-    zero, last = np.uint8(ord("0")), ends - 1
+    # one gather per digit column k, at each token's last byte in a view of
+    # the bytes that starts k earlier, inside the pad, summed in the
+    # narrowest unsigned type that holds the widest cell
+    kind = np.min_scalar_type(10 ** min(width, 19) - 1).type
+    zero, at, short = np.uint8(ord("0")), last - _PAD, np.minimum(lengths, 20).astype(np.uint8)
     values = (raw[last] - zero).astype(kind)
     for k in range(1, min(width, 19)):
-        digit = raw[last - k] - zero
-        digit *= lengths > k
+        digit = raw[_PAD - k:][at] - zero
+        digit *= short > k
         values += np.multiply(digit, kind(10 ** k), dtype=kind)  # not uint8 under NumPy 1
-    if values.max() >= kind(np.iinfo(dest.dtype).max):
+    if int(values.max()) >= np.iinfo(dest.dtype).max:
         return False
-    if letters:  # every token holding a letter must be exactly INF
-        three = np.flatnonzero(lengths == 3)
-        at = starts[three]
-        inf = three[(raw[at] == ord("I")) & (raw[at + 1] == ord("N")) & (raw[at + 2] == ord("F"))]
-        if 3 * len(inf) != len(letters):
-            return False
-        values[inf] = missing
     dest[...] = values.reshape(dest.shape)
+    if letters:  # every token holding a letter must be exactly INF
+        inf = np.flatnonzero(raw[last] == ord("F"))
+        inf = inf[(lengths[inf] == 3) & (raw[last[inf, None] - [2, 1]] == list(b"IN")).all(1)]
+        dest.flat[inf] = missing
+        return 3 * len(inf) + letters.count(b"\r") == len(letters)
     return True
 
 
-def _store_rows(dest: np.ndarray, rows: list[tuple[int, str]], missing) -> None:
-    """Parse (line number, line) `rows` into the cells `dest`."""
-    if not _parse([line for _, line in rows], dest, missing):
-        lineno = next((k for k, line in rows if not _parse([line], dest[:1], missing)),
+def _store_rows(dest: np.ndarray, text: str, rows: list[tuple[int, int, int]], missing) -> None:
+    """Parse the (line number, start, stop) `rows` of `text` into the cells
+    `dest`, or name the first bad line."""
+    if not _parse(text, rows, dest, missing):
+        lineno = next((row[0] for row in rows if not _parse(text, [row], dest[:1], missing)),
                       rows[-1][0])
         raise ValueError(f"line {lineno}: expected {dest.shape[1]} cells, each INF or digits "
                          f"below {np.iinfo(dest.dtype).max} (malformed or out of range)")
 
 
 def _read_cells(text: str, make, missing):
-    m, rows, lineno = None, [], 0
-    for lineno, match in enumerate(_LINE.finditer(text), 1):
-        line = match.group().strip()
+    m, rows, stop, lineno = None, [], 0, 0
+    while stop <= len(text):
+        pos, stop, lineno = stop, text.find("\n", stop) + 1 or len(text) + 1, lineno + 1
+        row = text[pos:pos + 1] not in " \t#\r\n"  # not blank, not a comment: taken uncopied
+        line = "" if row else text[pos:stop - 1].removesuffix("\r").strip(" \t")
         header = _ORDER.fullmatch(line)
         if header and m is None:
             # a file of order n holds at least 2 n**2 characters: refuse a
-            # header the text cannot fill before allocating for it, and
-            # before int() meets its digits when there are more of them
-            # than in the text's length (int() refuses past 4300 digits)
-            if (len(header[1].lstrip("0")) > len(str(len(text)))
-                    or 2 * int(header[1]) ** 2 > len(text)):
+            # header the text cannot fill before allocating for it, and an
+            # order of 10 or more digits (2 * 10**18 characters) before
+            # int() meets them (int() refuses past 4300 digits)
+            if len(header[1]) > 9 or 2 * int(header[1]) ** 2 > len(text):
                 raise ValueError(f"line {lineno}: the file is too short for its '# n' order")
             m, done = make(int(header[1])), 0
-        elif line and not line.startswith("#"):
+        elif row or line and not line.startswith("#"):
             if m is None or done + len(rows) == m.order:
                 raise ValueError(f"line {lineno}: row outside the '# n <order>' header's count")
-            rows.append((lineno, line))
+            rows.append((lineno, pos, stop))
             if len(rows) * m.order >= _BLOCK_CELLS or done + len(rows) == m.order:
-                _store_rows(m.cells[done + 1:done + 1 + len(rows), 1:], rows, missing)
+                _store_rows(m.cells[done + 1:done + 1 + len(rows), 1:], text, rows, missing)
                 done, rows = done + len(rows), []
     if m is None or done != m.order:
         raise ValueError(f"line {lineno}: missing the '# n <order>' header or some of its rows")

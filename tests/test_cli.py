@@ -297,6 +297,24 @@ def test_verify_refuses_an_expected_matrix_of_another_order(tmp_path, triangle_f
     assert capsys.readouterr().err == "error: expected matrix order 4 != n 3\n"
 
 
+def test_verify_names_the_line_of_an_expected_byte_that_is_not_utf8(tmp_path, triangle_file,
+                                                                    capsys):
+    expected = tmp_path / "expected.txt"
+    expected.write_bytes(b"# graphshrink distance matrix\r\n# n 3\r\n# ids 1 2 3\r\n"
+                         b"0 1 \xff\r\n1 0 1\r\n2 1 0\r\n")
+    assert main(["verify", "--input", str(triangle_file), "--expected", str(expected)]) == 1
+    assert capsys.readouterr().err.startswith("error: line 4: expected 3 cells, ")
+
+
+def test_verify_reads_an_expected_matrix_with_crlf_line_ends(tmp_path, triangle_file, capsys):
+    expected = tmp_path / "expected.txt"
+    out = io.StringIO()
+    write_distance_matrix(solve(triangle_graph()).distances, out)
+    expected.write_bytes(out.getvalue().replace("\n", "\r\n").encode())
+    assert main(["verify", "--input", str(triangle_file), "--expected", str(expected)]) == 0
+    assert capsys.readouterr().out.startswith("OK: ")
+
+
 ORACLES = ["expected", "dijkstra", "floyd_warshall"]
 
 

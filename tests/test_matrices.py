@@ -1,5 +1,6 @@
 import io
 import random
+import re
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ def reference_write_cells(cells, order, kind, out, sentinel_value):
 
 
 def reference_store_rows(dest, rows, missing):
-    """The original np.loadtxt block parser, in place of matrices._store_rows,
+    """The original np.loadtxt block parser of (line number, line) `rows`,
     kept as the reference for the block tokenizer's cells and refusal
     messages."""
     row_chars = str.maketrans(dict.fromkeys("0123456789INF \t"))
@@ -55,6 +56,35 @@ def reference_store_rows(dest, rows, missing):
         raise ValueError(f"line {lineno}: expected {dest.shape[1]} cells, each INF or "
                          f"digits below {np.iinfo(dest.dtype).max} (malformed or out of range)")
     dest[...] = np.where(block < 0, missing, block)
+
+
+_LINE = re.compile(r"^.*$", re.MULTILINE)
+_ORDER = re.compile(r"#\s*n\s+([0-9]+)")
+
+
+def reference_read_cells(text, make, missing):
+    """The original line-by-line reader, with README's edge rule (only blanks
+    and a line end's "\\r" are dropped), over reference_store_rows: the
+    reference for the block scan's cells, refusals and line numbers."""
+    m, rows, lineno = None, [], 0
+    for lineno, match in enumerate(_LINE.finditer(text), 1):
+        line = match.group().removesuffix("\r").strip(" \t")
+        header = _ORDER.fullmatch(line)
+        if header and m is None:
+            if (len(header[1].lstrip("0")) > len(str(len(text)))
+                    or 2 * int(header[1]) ** 2 > len(text)):
+                raise ValueError(f"line {lineno}: the file is too short for its '# n' order")
+            m, done = make(int(header[1])), 0
+        elif line and not line.startswith("#"):
+            if m is None or done + len(rows) == m.order:
+                raise ValueError(f"line {lineno}: row outside the '# n <order>' header's count")
+            rows.append((lineno, line))
+            if len(rows) * m.order >= matrices._BLOCK_CELLS or done + len(rows) == m.order:
+                reference_store_rows(m.cells[done + 1:done + 1 + len(rows), 1:], rows, missing)
+                done, rows = done + len(rows), []
+    if m is None or done != m.order:
+        raise ValueError(f"line {lineno}: missing the '# n <order>' header or some of its rows")
+    return m
 
 
 def written(write, matrix) -> str:
@@ -131,7 +161,8 @@ def test_blocks_keep_bytes_and_bound_what_the_reader_parses(monkeypatch):
     parsed_rows = []
     parse = matrices._parse
     monkeypatch.setattr(matrices, "_parse",
-                        lambda lines, *args: parsed_rows.append(len(lines)) or parse(lines, *args))
+                        lambda text, rows, *args: parsed_rows.append(len(rows))
+                        or parse(text, rows, *args))
     m, p = solved(random_connected_graph(13, 5))
     m.cells[2, 9] = UNREACHED
     m.cells[12, 3] = 123456789
@@ -216,6 +247,9 @@ def test_reader_accepts_blank_lines_tabs_and_comments():
 
 
 GOOD_BODY = "# graphshrink distance matrix\n# n 3\n# ids 1 2 3\n0 1 2\n1 0 3\n2 3 0\n"
+UNFLUSHED_BAD_ROW = "# n 3\n0 1 x\n# c\n1 0 2\n"
+#: whitespace to str.strip() but not blanks to the reader
+EDGE_CHARS = "\x85\xa0\u3000\u2028\x0b\x0c\x1c\x1d\x1e\x1f"
 
 
 @pytest.mark.parametrize("text,line", [
@@ -242,9 +276,16 @@ GOOD_BODY = "# graphshrink distance matrix\n# n 3\n# ids 1 2 3\n0 1 2\n1 0 3\n2 
     (GOOD_BODY.replace("1 0 3", "1 0 3\u00e9"), 5),
     (GOOD_BODY.replace("1 0 3", "1 0\x003"), 5),
     (GOOD_BODY.replace("1 0 3", "1 0\r3"), 5),
+    (UNFLUSHED_BAD_ROW, 5),  # its bad row's block never fills
+    # README's edge rule drops only blanks and a line end's "\r"
+    *[(GOOD_BODY.replace("1 0 3", edge), 5) for char in EDGE_CHARS
+      for edge in (char + "1 0 3", "1 0 3" + char)],
+    (GOOD_BODY.replace("1 0 3", "\r1 0 3"), 5),
 ], ids=["no-header", "short-row", "long-row", "extra-row", "missing-row", "huge-order",
         "order-past-int-digits", "inf", "nan", "1.5", "1e3", "-3", "+3", "NIF", "3INF", "INF3", "2**63", "2**63-1",
-        "arabic-indic-3", "e-acute", "nul", "inner-cr"])
+        "arabic-indic-3", "e-acute", "nul", "inner-cr", "unflushed-bad-row",
+        *[f"{where}-{ord(char):#x}" for char in EDGE_CHARS for where in ("leading", "trailing")],
+        "leading-cr"])
 def test_reader_rejects_malformed_input_naming_the_line(text, line):
     for read in (read_distance_matrix, read_precedence_matrix):
         with pytest.raises(ValueError, match=rf"^line {line}: "):
@@ -266,6 +307,8 @@ def test_reader_accepts_leading_zeros_and_crlf_but_not_the_maximum_behind_them()
     assert int(p.cells[1, 2]) == 2 and int(p.cells[2, 2]) == UNSET
     with pytest.raises(ValueError, match="^line 2: .*below 9223372036854775807 "):
         read_distance_matrix("# n 2\n0 0009223372036854775807\n1 0\n")
+    # leading zeros in the header's order, past the 4300 digits int() takes
+    assert read_distance_matrix("# n " + "0" * 5000 + "2\n0 1\n1 0\n").get(1, 2) == 1
 
 
 #: cells at the int32 and int64 guards and past them, beside leading zeros
@@ -273,11 +316,13 @@ FUZZ_CELLS = ["0", "7", "INF", "2147483646", "2147483647", "9223372036854775806"
               "9223372036854775807", "9223372036854775808", "9999999999999999999",
               "18446744073709551616", "0009223372036854775806"]
 FUZZ_BLANKS = [" ", "\t", "  ", " \t ", "\t\t"]
-FUZZ_INSERTS = ["+", "-", ".", "e", "\u00e9", " ", "\t", "\n", "I", "N", "F", "0", "9"]
+FUZZ_INSERTS = ["+", "-", ".", "e", "\u00e9", " ", "\t", "\n", "I", "N", "F", "0", "9",
+                "\x0b", "\x0c", "\x85", "\xa0", "\r"]
 
 
 def fuzz_text(rng: random.Random) -> str:
-    """A small matrix text of order 1-4, then up to three random edits."""
+    """A small matrix text of order 1-4, one in five with CRLF line ends,
+    then up to three random edits."""
     order = rng.randint(1, 4)
 
     def cell():
@@ -297,7 +342,8 @@ def fuzz_text(rng: random.Random) -> str:
         cells = [cell() for _ in range(order)]
         row = "".join(c + rng.choice(FUZZ_BLANKS) for c in cells[:-1]) + cells[-1]
         lines.append(rng.choice(["", " ", "\t"]) + row + rng.choice(["", " ", "\t "]))
-    text = "\n".join(lines) + "\n"
+    end = "\r\n" if rng.random() < 0.2 else "\n"
+    text = end.join(lines) + end
     for _ in range(rng.randint(0, 3)):
         at = rng.randrange(len(text))
         if rng.random() < 0.7:
@@ -318,15 +364,12 @@ def outcome(read, text):
 @pytest.mark.parametrize("block_cells", [4, 1 << 16])
 def test_reader_matches_the_loadtxt_reference_on_mutated_texts(monkeypatch, block_cells):
     monkeypatch.setattr(matrices, "_BLOCK_CELLS", block_cells)
-    store = matrices._store_rows
     rng = random.Random(14)
     refused = 0
-    for _ in range(1500):
-        text = fuzz_text(rng)
-        for read in [read_distance_matrix, read_precedence_matrix]:
-            monkeypatch.setattr(matrices, "_store_rows", reference_store_rows)
-            want = outcome(read, text)
-            monkeypatch.setattr(matrices, "_store_rows", store)
+    for text in [UNFLUSHED_BAD_ROW] + [fuzz_text(rng) for _ in range(1500)]:
+        for make, missing, read in [(DistanceMatrix, UNREACHED, read_distance_matrix),
+                                    (PrecedenceMatrix, UNSET, read_precedence_matrix)]:
+            want = outcome(lambda text: reference_read_cells(text, make, missing), text)
             assert outcome(read, text) == want, repr(text)
             refused += isinstance(want, str)
     assert 500 < refused < 2500  # both outcomes are well represented
