@@ -16,11 +16,17 @@ neighbor in id order (incident_edges are sorted by neighbor id).  Where
 the recorded direct edge to l is itself tight, P keeps its stored entry
 for that edge.  Without a P the replay writes D only.
 
-A replay is thousands of small restores, so each restore's fixed cost is
-kept low.  The records' neighbor ids, weights and positions become flat
-arrays once, before the replay, and each restore slices them.  P[x(l)][l]
-is read with one flat take from P's C-contiguous cells, and P[x][i] once
-per neighbor x, then spread over the row by the first-neighbor index.
+A replay is thousands of small restores, so whatever does not depend on
+the restore is done once, before the replay.  The records' neighbor ids,
+weights and positions become flat arrays that each restore slices, every
+record's neighbors are checked to be present, and each edge (x, i) gets
+its base in the flat P and its stored P[x][i] and P[i][x]: restore c
+writes only row c and column c, both before i's position, so those two
+cells hold their entry values until i is restored.  A restore adds its
+weights into the gathered rows in place, ranks the tight cells in one
+reused buffer, reads P[x(l)][l] with one flat take from P's cells, which
+must be C-contiguous, and spreads P[x][i] over the column by the
+first-neighbor index.
 
 `to_id_order` puts a laid-out matrix back in id order in place.  It
 gathers the columns of one block of rows at a time into one reused
@@ -99,19 +105,28 @@ def precede_shortcuts(seq: ShrinkSequence, p: PrecedenceMatrix, pos: np.ndarray)
     For each mutation (a, b) of removed vertex v, P[a][b] becomes P[v][b],
     or v when that is unset, and P[b][a] likewise: the a->b path now runs
     through v, or through whatever v's own contracted edge to b expands
-    to.  P is laid out by `pos`.
+    to.  P is laid out by `pos`, and its cells must be C-contiguous: any
+    other P is refused with ValueError before any write.
     """
+    stride = len(p.cells)
+    flat = memoryview(_flat(p))  # items read and written as Python ints
     pos = pos.tolist()  # a list: reading a numpy array per mutation is slower
-    cells = p.cells
     for rec in seq.records:
         v = rec.vertex
-        at_v = pos[v]
+        row_v = pos[v] * stride
         for a, b, _, _ in rec.mutations:
             at_a, at_b = pos[a], pos[b]
-            pvb = cells[at_v, at_b]
-            cells[at_a, at_b] = pvb if pvb != UNSET else v
-            pva = cells[at_v, at_a]
-            cells[at_b, at_a] = pva if pva != UNSET else v
+            pvb = flat[row_v + at_b]
+            flat[at_a * stride + at_b] = pvb if pvb != UNSET else v
+            pva = flat[row_v + at_a]
+            flat[at_b * stride + at_a] = pva if pva != UNSET else v
+
+
+def _flat(p: PrecedenceMatrix) -> np.ndarray:
+    """P's cells as one flat view, refusing cells that ravel would copy."""
+    if not p.cells.flags.c_contiguous:
+        raise ValueError("P's cells must be C-contiguous")
+    return p.cells.ravel()
 
 
 def assemble(seq: ShrinkSequence, d: np.ndarray, pos: np.ndarray,
@@ -123,64 +138,83 @@ def assemble(seq: ShrinkSequence, d: np.ndarray, pos: np.ndarray,
     D must hold every residual pair's distance.  Each restored pair takes P
     from its first tight neighbor x: P[x][l] (or x when unset) for the row,
     P[x][i] (or x) for the column, except where the direct edge is tight,
-    which keeps P's entry.  A record naming a neighbor that is neither in
-    the residual nor restored before it is refused with ValueError (naming
-    the lowest such id), and so is a restore with a distance of UNREACHED
-    or more (through an UNREACHED cell, or too large to fit), before its
-    row is written.  A record with no incident edges is refused with
-    ValueError before any cell is written.
+    which keeps P's entry.  Before any row is written, the replay refuses
+    with ValueError a record with no incident edges, a record naming a
+    neighbor that is neither in the residual nor restored before it (the
+    first such record in replay order, naming its lowest such id), and P
+    cells that are not C-contiguous.  A restore with a distance of
+    UNREACHED or more (through an UNREACHED cell, or too large to fit) is
+    refused with ValueError before its row is written.
     """
     # every record's edges, in replay order, as flat arrays that each
-    # restore slices: 24 bytes an edge, 0.4 MB on the benchmark's
-    # random-full instance.  That workload's peak RSS reads 1 MB higher
-    # with them, but undoing only them, or only the flat P read below
-    # (which allocates nothing more), reads 0.6-0.8 MB below the old
-    # code: the peak follows the heap layout, not these arrays.
+    # restore slices: 33 bytes an edge, and 24 more with P (0.95 MB on
+    # the benchmark's random-full instance, 16670 edges)
     records = seq.records[::-1]
     bare = [rec.vertex for rec in records if not rec.incident_edges]
     if bare:
         raise ValueError(f"removal record for {bare[0]} has no incident edges")
-    bounds = list(accumulate((len(rec.incident_edges) for rec in records), initial=0))
+    lens = [len(rec.incident_edges) for rec in records]
+    bounds = list(accumulate(lens, initial=0))
     edges = np.fromiter(chain.from_iterable(chain.from_iterable(
         rec.incident_edges for rec in records)), np.int64).reshape(-1, 2)
-    all_ids, all_enc = edges[:, 0], edges[:, 1].view(np.uint64)
+    all_ids, all_enc = edges[:, 0], edges[:, 1].view(np.uint64)[:, None]
+    # 0-based positions from here on: the restored vertex sits at `count`,
+    # and every neighbor must sit before it
     all_pos = pos[all_ids] - 1
-    # k, k - 1, ..., 1 for a record's k neighbors, in the narrowest dtype:
-    # the first tight one has the largest tight rank
-    most = seq.max_removed_degree
-    rank = np.arange(most, 0, -1, dtype=np.min_scalar_type(most))[:, None]
-    # 0-based positions from here on: the restored vertex sits at `count`
+    # each edge's restored vertex's position
+    at = np.repeat(np.arange(seq.residual.n_present, seq.residual.n_present + len(records)),
+                   lens)
+    absent = all_pos >= at
+    if absent.any():
+        r = int(np.searchsorted(bounds, absent.argmax(), side="right")) - 1
+        lo, hi = bounds[r], bounds[r + 1]
+        raise ValueError(f"removal record for {records[r].vertex} names absent neighbor "
+                         f"{all_ids[lo:hi][absent[lo:hi]].min()}")
     dv = d[1:, 1:].view(np.uint64)
     if p is not None:
+        flat, stride = _flat(p), len(p.cells)
         pv = p.cells[1:, 1:]
         # P[a][l] of positions a, l is flat[(a + 1) * stride + l + 1]
-        flat, stride = p.cells.ravel(), len(p.cells)
-        columns = np.arange(1, len(d))
+        all_base = (all_pos + 1) * stride + 1
+        # P[x][i] and P[i][x] of each edge (x, i): restore c writes only
+        # row c and column c, both before i's position, so these cells
+        # still hold what the stages before the replay wrote
+        all_xi = flat[all_base + at]
+        all_ix = flat[(at + 1) * stride + 1 + all_pos]
+        all_nbr = all_ids.astype(p.cells.dtype)
+        all_xi_or_x = np.where(all_xi != UNSET, all_xi, all_nbr)
+        # k, k - 1, ..., 1 for a record's k neighbors, in the narrowest
+        # dtype: the first tight one has the largest tight rank
+        most = seq.max_removed_degree
+        rank = np.arange(most, 0, -1, dtype=np.min_scalar_type(most))[:, None]
+        tight = np.empty(most * len(d), rank.dtype)
+        columns = np.arange(len(d))
     for count, (rec, lo, hi) in enumerate(zip(records, bounds, bounds[1:]),
                                           seq.residual.n_present):
-        nbr_ids, enc, nbr_pos = all_ids[lo:hi], all_enc[lo:hi], all_pos[lo:hi]
-        if nbr_pos.max() >= count:
-            raise ValueError(f"removal record for {rec.vertex} names absent neighbor "
-                             f"{nbr_ids[(nbr_pos >= count).argmax()]}")
-        cand = enc[:, None] + dv[nbr_pos, :count]
+        nbr_pos = all_pos[lo:hi]
+        cand = dv[nbr_pos, :count]
+        cand += all_enc[lo:hi]
         dist = cand.min(axis=0)
         if int(dist.max()) >= UNREACHED:
             raise ValueError(f"restoring {rec.vertex} overflows int64: a residual pair it "
                              f"reaches through is unreached, or the weights are too large")
         if p is not None:
-            k = len(enc)
-            first = k - ((cand == dist) * rank[-k:]).max(axis=0)  # first tight neighbor in id order
+            k = hi - lo
+            ranked = np.equal(cand, dist, out=tight[:k * count].reshape(k, count))
+            ranked *= rank[-k:]
+            first = np.subtract(k, ranked.max(axis=0), dtype=np.intp)  # first tight neighbor in id order
             # P[x(l)][l]: both present, final
-            pxl = flat.take(((nbr_pos + 1) * stride).take(first) + columns[:count])
-            row_val = np.where(pxl != UNSET, pxl, nbr_ids.take(first))
-            # P[x][i], the stored entry for edge (x, i), per neighbor x
-            pxi = pv[nbr_pos, count]
-            col_val = np.where(pxi != UNSET, pxi, nbr_ids).take(first)
+            at_xl = all_base[lo:hi].take(first)
+            at_xl += columns[:count]
+            row_val = flat.take(at_xl)
+            np.copyto(row_val, all_nbr[lo:hi].take(first), where=row_val == UNSET)
+            col_val = all_xi_or_x[lo:hi].take(first)
             # pairs whose recorded direct edge attains the minimum keep whatever P
             # holds: unset for an original edge, the intermediate for a shortcut
-            keep = nbr_pos[enc == dist[nbr_pos]]
-            row_val[keep] = pv[count, keep]
-            col_val[keep] = pv[keep, count]
+            tight_edge = all_enc[lo:hi, 0] == dist[nbr_pos]
+            keep = nbr_pos[tight_edge]
+            row_val[keep] = all_ix[lo:hi][tight_edge]
+            col_val[keep] = all_xi[lo:hi][tight_edge]
             pv[count, :count] = row_val
             pv[:count, count] = col_val
         dv[count, :count] = dist

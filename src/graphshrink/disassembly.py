@@ -25,7 +25,8 @@ decision on to the removal.
   triangles of the mirror and sets its own column to UNREACHED; once half
   the rows are dead, one np.ix_ take drops them.  A decision takes the k
   neighbor rows with one take and masks v's column.  Over the pairs
-  a < b, s = w(v, a) + w(v, b) and cur = w[a, b]; a pair with s < cur is
+  a < b, whose indices (np.triu_indices(k, 1)) the mirror builds once per
+  degree k, s = w(v, a) + w(v, b) and cur = w[a, b]; a pair with s < cur is
   first tested against the witnesses among v's other neighbors (the
   k x k block of the neighbor columns), and only the pairs none of them
   witnesses scan every column.  That is exact, because a minimum over
@@ -40,12 +41,15 @@ shortcut solve admits, as its guard keeps twice their sum below 2**63.
 The mirror is not built when a weight is larger, and it is dropped when
 a mutation's weight passes UNREACHED // 2; the dicts then decide every
 later removal.  It takes at most R0**2 * 8 bytes (R0 = 1334, 14 MB, on
-random_connected_graph(4096, 3)), and it lives only while disassemble
-runs, so solve frees it before it allocates D and P.
+random_connected_graph(4096, 3)), and its pair indices k * (k - 1) * 8
+bytes per degree k (0.65 MB on random_connected_graph(1024, 11), 19 MB
+on (4096, 3)).  Both live only while disassemble runs, so solve frees
+them before it allocates D and P.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -163,6 +167,8 @@ class _Mirror:
         self.ids = ids
         self.w = w
         self.alive = np.ones(len(ids), bool)
+        # per mirror, so the pairs go with it when disassemble returns
+        self.pairs = functools.cache(_pairs)
 
     @classmethod
     def of(cls, g: Graph) -> _Mirror | None:
@@ -180,7 +186,7 @@ class _Mirror:
         wv = w[:, cv].copy()
         w[:, cv] = UNREACHED
         near = w[:, at]
-        iu, ju = np.triu_indices(len(nbrs), 1)
+        iu, ju = self.pairs(len(nbrs))
         s = wv[iu] + wv[ju]
         cur = near[iu, ju]
         need = s < cur
@@ -212,6 +218,14 @@ class _Mirror:
     def _compact(self) -> None:
         keep = np.flatnonzero(self.alive)
         self.ids, self.w, self.alive = self.ids[keep], self.w[np.ix_(keep, keep)], self.alive[keep]
+
+
+def _pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(k, 1), read-only: the mirror's decisions of degree k
+    share one copy."""
+    iu, ju = np.triu_indices(k, 1)
+    iu.flags.writeable = ju.flags.writeable = False
+    return iu, ju
 
 
 def _witnessed(need: np.ndarray, s: np.ndarray, iu: np.ndarray, ju: np.ndarray,

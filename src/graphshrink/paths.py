@@ -69,14 +69,15 @@ def first_bad_precedence(g0: Graph, d: DistanceMatrix,
     UNREACHED, as for a vertex removed before the solve) passes exactly when
     P is unset.  The sums are formed in uint64 (see matrices.UNREACHED), so
     none wraps.  Edge weights are looked up in the sorted keys
-    q * (n + 1) + j, one row block at a time, so memory stays
-    O(m + _CHECK_CELLS).  The test is local: a zero-weight cycle of
+    j * (n + 1) + q, one row block at a time, so memory stays
+    O(m + _CHECK_CELLS); along a row the keys rise with j, which numpy's
+    binary search runs fastest on.  The test is local: a zero-weight cycle of
     last hops passes it, which only reconstruct_path's walk detects.
     """
     n = g0.n_original
     scale = n + 1
     m2 = sum(map(len, g0.adj.values()))
-    keys = np.fromiter((u * scale + v for u, nbrs in g0.adj.items() for v in nbrs),
+    keys = np.fromiter((v * scale + u for u, nbrs in g0.adj.items() for v in nbrs),
                        np.int64, m2)
     weights = np.fromiter((w for nbrs in g0.adj.values() for w in nbrs.values()),
                           np.int64, m2)
@@ -89,10 +90,10 @@ def first_bad_precedence(g0: Graph, d: DistanceMatrix,
         last = p.cells[lo:lo + len(rows), 1:].astype(np.int64)
         unset = last == UNSET
         last = np.where(unset, rows, last)
-        # an id outside 1..n reads as q = 0, whose keys q * (n + 1) + j
+        # an id outside 1..n reads as q = 0, whose keys j * (n + 1) + q
         # match no edge
         q = np.where((last >= 1) & (last <= n), last, 0)
-        key = q * scale + cols
+        key = cols * scale + q
         at = np.searchsorted(keys[:-1], key)  # past the last key: the -1 sentinel
         dist = d.cells[lo:lo + len(rows)]
         du = dist.view(np.uint64)

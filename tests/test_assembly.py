@@ -232,20 +232,23 @@ def test_restore_degree_one_vertex_extends_row():
     assert int(p.cells[3, 4]) == 1
 
 
-@pytest.mark.parametrize("edges, named", [
-    ([(3, 1)], 3),                  # restored after 2
-    ([(4, 1)], 4),                  # never present
-    ([(1, 1), (3, 1), (4, 1)], 3),  # both: 4 sits later in the restore order
-], ids=["restored_later", "never_present", "two_absent"])
-def test_restore_rejects_absent_neighbor(edges, named):
-    # the replay runs the records backwards: 2 comes back first, naming a
-    # vertex that is neither in the residual nor restored yet; the message
-    # names the lowest such id
-    rec3 = RemovalRecord(vertex=3, incident_edges=[(1, 1)])
-    rec2 = RemovalRecord(vertex=2, incident_edges=edges)
+@pytest.mark.parametrize("edges, named, bad_first", [
+    ([(3, 1)], 3, True),                  # restored after 2
+    ([(4, 1)], 4, True),                  # never present
+    ([(1, 1), (3, 1), (4, 1)], 3, True),  # both: 4 sits later in the restore order
+    ([(4, 1)], 4, False),                 # replayed second, after 3's row
+], ids=["restored_later", "never_present", "two_absent", "replayed_second"])
+def test_restore_rejects_absent_neighbor(edges, named, bad_first):
+    # the replay runs the records backwards: the bad record names a vertex
+    # that is neither in the residual nor restored yet; the message names
+    # the lowest such id, and no row is written, not even one replayed
+    # before the bad record
+    good = RemovalRecord(vertex=3, incident_edges=[(1, 1)])
+    bad = RemovalRecord(vertex=2, incident_edges=edges)
+    records = [good, bad] if bad_first else [bad, good]
     d, p = new_d(4), PrecedenceMatrix(4)
     with pytest.raises(ValueError, match=f"2 names absent neighbor {named}$"):
-        assemble_by_id(sequence(4, {1}, [rec3, rec2]), d, p)
+        assemble_by_id(sequence(4, {1}, records), d, p)
     assert np.array_equal(d, new_d(4)) and not p.cells.any()
 
 
@@ -306,6 +309,24 @@ def test_restore_refuses_an_unreached_residual_pair_before_writing():
     assert np.array_equal(d, new_d(3)) and (p.cells == 7).all()
 
 
+@pytest.mark.parametrize("stage", ["precede_shortcuts", "assemble"])
+def test_stages_refuse_a_p_that_is_not_c_contiguous_before_writing(stage):
+    # the flat reads would go through a copy of such cells, and the replay
+    # would read cells that it had not written yet
+    g = random_connected_graph(40, 3)
+    seq, d, p = residual_solved(g, SolveParams())
+    assert any(rec.mutations for rec in seq.records)
+    with laid_out(restore_order(seq), d, p) as (d_pos, p_pos, pos):
+        p_pos.cells = np.asfortranarray(p_pos.cells)
+        entry_d, entry_p = d_pos.copy(), p_pos.cells.copy()
+        with pytest.raises(ValueError, match="P's cells must be C-contiguous"):
+            if stage == "assemble":
+                assemble(seq, d_pos, pos, p_pos)
+            else:
+                assembly.precede_shortcuts(seq, p_pos, pos)
+        assert np.array_equal(d_pos, entry_d) and np.array_equal(p_pos.cells, entry_p)
+
+
 class _Sums(np.ndarray):
     """A matrix view that records the dtype of every sum formed on it."""
 
@@ -313,6 +334,9 @@ class _Sums(np.ndarray):
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         plain = [x.view(np.ndarray) if isinstance(x, _Sums) else x for x in inputs]
+        if "out" in kwargs:  # an in-place sum: unwrapped, or it would recurse
+            kwargs["out"] = tuple(x.view(np.ndarray) if isinstance(x, _Sums) else x
+                                  for x in kwargs["out"])
         result = getattr(ufunc, method)(*plain, **kwargs)
         if ufunc is np.add and method == "__call__":
             _Sums.dtypes.append(result.dtype)

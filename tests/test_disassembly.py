@@ -513,6 +513,18 @@ def test_mirror_holds_uint64_over_unreached():
     assert mirror.decide(v, nbrs) == disassembly._decide_dicts(g, v, nbrs)
 
 
+def test_pair_indices_are_triu_indices_built_once_per_degree_and_read_only():
+    # every decision of degree k shares one copy, so none may write to it
+    for k in range(2, 71):
+        pairs = disassembly._pairs(k)
+        for got, expected in zip(pairs, np.triu_indices(k, 1)):
+            assert np.array_equal(got, expected)
+            with pytest.raises(ValueError, match="read-only"):
+                got[0] = 1
+    mirror = disassembly._Mirror.of(DECISION_CASES["hub-gaps"])
+    assert mirror.pairs(20) is mirror.pairs(20)
+
+
 # -- the edge count after contraction ----------------------------------------
 
 def _edge_count(g):
