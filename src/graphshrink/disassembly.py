@@ -25,8 +25,9 @@ decision on to the removal.
   triangles of the mirror and sets its own column to UNREACHED; once half
   the rows are dead, one np.ix_ take drops them.  A decision takes the k
   neighbor rows with one take and masks v's column.  Over the pairs
-  a < b, whose indices (np.triu_indices(k, 1)) the mirror builds once per
-  degree k, s = w(v, a) + w(v, b) and cur = w[a, b]; a pair with s < cur is
+  a < b, whose indices (np.triu_indices(k, 1)) the mirror keeps for the
+  _PAIR_DEGREES degrees k it decided last, s = w(v, a) + w(v, b) and
+  cur = w[a, b]; a pair with s < cur is
   first tested against the witnesses among v's other neighbors (the
   k x k block of the neighbor columns), and only the pairs none of them
   witnesses scan every column.  That is exact, because a minimum over
@@ -42,9 +43,9 @@ The mirror is not built when a weight is larger, and it is dropped when
 a mutation's weight passes UNREACHED // 2; the dicts then decide every
 later removal.  It takes at most R0**2 * 8 bytes (R0 = 1334, 14 MB, on
 random_connected_graph(4096, 3)), and its pair indices k * (k - 1) * 8
-bytes per degree k (0.65 MB on random_connected_graph(1024, 11), 19 MB
-on (4096, 3)).  Both live only while disassemble runs, so solve frees
-them before it allocates D and P.
+bytes for each kept degree k, so at most _PAIR_DEGREES times those of
+the largest degree decided.  Both live only while disassemble runs, so
+solve frees them before it allocates D and P.
 """
 
 from __future__ import annotations
@@ -79,6 +80,16 @@ _ALT_CELLS = 1 << 13
 #: random_connected_graph(4096, 3), neighbor pass at 2**13 / 2**15 cells:
 #: 8.3-8.4 / 4.4-5.5 s (two runs each, full scan at 2**13).
 _NEAR_CELLS = 1 << 15
+
+#: Degrees whose pair indices the mirror keeps, the most recently used.
+#: Decisions of one degree come in short runs between lower ones, so this
+#: bounds the kept indices without losing many reuses: over the 308
+#: mirror decisions of random_connected_graph(1024, 11), which span 46
+#: degrees, 2 keeps 112 builds (3.4 ms of np.triu_indices) where keeping
+#: every degree has 46 (1.5 ms) and none 308; a full contraction of K_n
+#: decides every degree from n - 1 down, and keeping every degree would
+#: hold about 8 * n**3 / 3 bytes.
+_PAIR_DEGREES = 2
 
 #: (a, b, old weight or INF, new weight), a < b.
 Mutation = tuple[int, int, float, int]
@@ -168,7 +179,7 @@ class _Mirror:
         self.w = w
         self.alive = np.ones(len(ids), bool)
         # per mirror, so the pairs go with it when disassemble returns
-        self.pairs = functools.cache(_pairs)
+        self.pairs = functools.lru_cache(_PAIR_DEGREES)(_pairs)
 
     @classmethod
     def of(cls, g: Graph) -> _Mirror | None:
@@ -221,8 +232,8 @@ class _Mirror:
 
 
 def _pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """np.triu_indices(k, 1), read-only: the mirror's decisions of degree k
-    share one copy."""
+    """np.triu_indices(k, 1), read-only: while the mirror keeps degree k,
+    its decisions of that degree share one copy."""
     iu, ju = np.triu_indices(k, 1)
     iu.flags.writeable = ju.flags.writeable = False
     return iu, ju

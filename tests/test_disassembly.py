@@ -513,8 +513,9 @@ def test_mirror_holds_uint64_over_unreached():
     assert mirror.decide(v, nbrs) == disassembly._decide_dicts(g, v, nbrs)
 
 
-def test_pair_indices_are_triu_indices_built_once_per_degree_and_read_only():
-    # every decision of degree k shares one copy, so none may write to it
+def test_pair_indices_are_read_only_triu_indices():
+    # the decisions of degree k share one copy while the mirror keeps it,
+    # so none may write to it
     for k in range(2, 71):
         pairs = disassembly._pairs(k)
         for got, expected in zip(pairs, np.triu_indices(k, 1)):
@@ -523,6 +524,26 @@ def test_pair_indices_are_triu_indices_built_once_per_degree_and_read_only():
                 got[0] = 1
     mirror = disassembly._Mirror.of(DECISION_CASES["hub-gaps"])
     assert mirror.pairs(20) is mirror.pairs(20)
+
+
+def test_mirror_keeps_the_pairs_of_few_degrees(monkeypatch):
+    # a full contraction of K_n decides every degree from n - 1 down to
+    # _BLOCK_DEGREE; keeping each degree's pairs would hold O(n**3) bytes
+    n = 240
+    g = clique_graph(n, _hashed)
+    kept = []
+    real = disassembly._Mirror.decide
+
+    def decide(self, v, nbrs):
+        mutations = real(self, v, nbrs)
+        kept.append(self.pairs.cache_info())
+        return mutations
+
+    monkeypatch.setattr(disassembly._Mirror, "decide", decide)
+    seq = disassemble(g, SolveParams())
+    assert len(seq.records) == n - 1
+    assert max(info.currsize for info in kept) == disassembly._PAIR_DEGREES
+    assert kept[-1].misses >= n - disassembly._BLOCK_DEGREE
 
 
 # -- the edge count after contraction ----------------------------------------
