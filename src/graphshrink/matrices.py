@@ -229,7 +229,7 @@ def _read_cells(text: str, make, missing):
         pos, stop, lineno = stop, text.find("\n", stop) + 1 or len(text) + 1, lineno + 1
         row = text[pos:pos + 1] not in " \t#\r\n"  # not blank, not a comment: taken uncopied
         line = "" if row else text[pos:stop - 1].removesuffix("\r").strip(" \t")
-        header = _ORDER.fullmatch(line)
+        header = not row and _ORDER.fullmatch(line)  # only a non-row line can be '# n'
         if header and m is None:
             # a file of order n holds at least 2 n**2 characters: refuse a
             # header the text cannot fill before allocating for it, and an

@@ -19,44 +19,54 @@ def reconstruct_path(p: PrecedenceMatrix, g0: Graph, i: int, j: int) -> list[int
     """Vertex sequence of the shortest i -> j path, as plain ints, built back
     to front from row i of P, which is read once.
 
-    An unset entry means the last hop is the direct edge from i.  The walk
-    is iterative and stops on a repeated vertex or a non-edge, so a corrupt
-    matrix raises instead of looping.  An id outside 1..n is refused before
-    the walk.
+    An unset entry means the last hop is the direct edge from i.  Each hop
+    costs one probe of g0.adj and one test of the edge.  A simple path has
+    at most n - 1 hops, so the walk stops after n: n + 1 walked vertices
+    must repeat, and a corrupt matrix raises instead of looping.  On failure
+    it reports the first repeated vertex (a predecessor cycle) or non-edge
+    in walk order, the repeat first when one step is both.  An id outside
+    1..n is refused before the walk.
     """
     if i == j:
         raise PathError("reconstruct_path requires i != j")
     if not (1 <= i <= p.order and 1 <= j <= p.order):
         raise PathError(f"pair ({i},{j}) has an id outside 1..{p.order}")
     row = memoryview(p.cells[i])  # items read as Python ints
+    adj = g0.adj
     path = [j]
-    seen = {j}
+    append = path.append
     cur = j
-    while cur != i:
-        q = row[cur]
-        pred = q if q != UNSET else i
-        if pred in seen:
-            raise PathError(f"predecessor cycle at vertex {pred} for pair ({i},{j})")
-        if pred not in g0.adj or cur not in g0.adj[pred]:
-            raise PathError(f"consecutive pair ({pred},{cur}) not adjacent for pair ({i},{j})")
-        path.append(pred)
-        seen.add(pred)
+    for _ in range(g0.n_original):
+        pred = row[cur] or i  # UNSET is 0
+        nbrs = adj.get(pred)
+        append(pred)
+        if nbrs is None or cur not in nbrs:
+            break
+        if pred == i:
+            path.reverse()
+            return path
         cur = pred
-    path.reverse()
-    return path
+    # the walk failed: name its first repeat, which n hops without a
+    # non-edge always hold, else the non-edge of its last step
+    seen = set()
+    for v in path:
+        if v in seen:
+            raise PathError(f"predecessor cycle at vertex {v} for pair ({i},{j})")
+        seen.add(v)
+    raise PathError(f"consecutive pair ({path[-1]},{path[-2]}) not adjacent for pair ({i},{j})")
 
 
 def path_weight(g0: Graph, path: list[int]):
-    """Sum of edge weights along the sequence; INF on a non-adjacent pair."""
+    """Sum of edge weights along the sequence, 0 for a single vertex; INF
+    when a consecutive pair is not an edge of g0, as when a vertex is not in
+    g0."""
     if not path:
         raise PathError("empty path")
-    total = 0
-    for a, b in zip(path, path[1:]):
-        w = g0.adj[a].get(b) if a in g0.adj else None
-        if w is None:
-            return INF
-        total += w
-    return total
+    adj = g0.adj
+    try:
+        return sum(map(dict.__getitem__, map(adj.__getitem__, path[:-1]), path[1:]))
+    except KeyError:  # a vertex not in g0, or a non-edge
+        return INF
 
 
 def first_bad_precedence(g0: Graph, d: DistanceMatrix,

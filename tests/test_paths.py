@@ -80,11 +80,13 @@ def test_path_weight_sums_edges():
 def test_path_weight_non_adjacent_is_inf():
     g = path_graph([1, 1, 1])
     assert path_weight(g, [1, 3]) == INF
+    g = removed_tail_path_graph()  # 5 removed before the solve
+    assert path_weight(g, [4, 5]) == path_weight(g, [5, 4]) == INF
 
 
 def test_path_weight_empty_rejected():
     g = path_graph([1])
-    with pytest.raises(PathError):
+    with pytest.raises(PathError, match="^empty path$"):
         path_weight(g, [])
 
 
@@ -179,8 +181,23 @@ def test_walk_matches_the_reference_on_every_pair(g, params):
      "consecutive pair (1,5) not adjacent for pair (1,5)"),
     (removed_tail_path_graph(), (5, 1), [],
      "consecutive pair (5,1) not adjacent for pair (5,1)"),
+    # 3's last hop is 3 itself: a repeat and no edge at once, and the repeat wins
+    (path_graph([1, 1, 1]), (1, 4), [(1, 3, 3)],
+     "predecessor cycle at vertex 3 for pair (1,4)"),
+    # 8 -> 7 -> 6 -> 5 -> 4 -> 7: 7 repeats four hops after it was walked,
+    # at the step that is also the non-edge (7, 4)
+    (path_graph([1] * 7), (1, 8), [(1, 4, 7)],
+     "predecessor cycle at vertex 7 for pair (1,8)"),
+    # grid edges 20 -> 14 -> 8 -> 9 -> 15 -> 14 that never reach 1: the walk
+    # runs to its n-hop bound and names the first repeat, 14
+    (grid_graph(6), (1, 20), [(1, 20, 14), (1, 14, 8), (1, 8, 9), (1, 9, 15), (1, 15, 14)],
+     "predecessor cycle at vertex 14 for pair (1,20)"),
+    # grid edges 8 -> 9 -> 15 -> 14 -> 8, back to j
+    (grid_graph(6), (1, 8), [(1, 8, 9), (1, 9, 15), (1, 15, 14), (1, 14, 8)],
+     "predecessor cycle at vertex 8 for pair (1,8)"),
 ], ids=["cycle", "non-adjacent", "beyond-n", "negative", "unset", "removed-target",
-        "removed-source"])
+        "removed-source", "repeat-and-non-edge", "repeat-hops-back-and-non-edge",
+        "edge-cycle-to-bound", "edge-cycle-to-j"])
 def test_walk_refuses_a_corrupt_cell_as_the_reference_does(g, pair, cells, message):
     p = solve(g).precedence
     for i, j, q in cells:
@@ -189,6 +206,49 @@ def test_walk_refuses_a_corrupt_cell_as_the_reference_does(g, pair, cells, messa
         with pytest.raises(PathError) as exc:
             walk(p, g, *pair)
         assert str(exc.value) == message
+
+
+def test_walk_matches_the_reference_on_random_corruptions_of_the_walked_row():
+    g = grid_graph(6)
+    n = g.n_original
+    p = solve(g).precedence
+    rng = random.Random(28)
+    kinds = set()
+    for _ in range(2000):
+        i, j = rng.sample(range(1, n + 1), 2)
+        walked = reconstruct_path(p, g, i, j)[1:]  # the vertices whose cells the walk reads
+        saved = p.cells[i].copy()
+        for cur in rng.sample(walked, rng.randint(1, min(3, len(walked)))):
+            # a neighbor (an edge, perhaps closing a cycle), any id, unset or out of range
+            p.cells[i, cur] = rng.choice([rng.choice(list(g.adj[cur])), rng.randint(1, n),
+                                          UNSET, -1, n + 1])
+        got = walk_outcome(reconstruct_path, p, g, i, j)
+        assert got == walk_outcome(reference_reconstruct_path, p, g, i, j), (i, j, p.cells[i])
+        kinds.add(got.split(" at ")[0].split(" (")[0] if isinstance(got, str) else "path")
+        p.cells[i] = saved
+    assert kinds == {"path", "PathError: predecessor cycle", "PathError: consecutive pair"}
+
+
+# -- path_weight against a plain loop ---------------------------------------
+
+def loop_path_weight(g, path):
+    total = 0
+    for a, b in zip(path, path[1:]):
+        if a not in g.adj or b not in g.adj[a]:
+            return INF
+        total += g.adj[a][b]
+    return total
+
+
+def test_path_weight_matches_a_loop_on_every_pair():
+    g = grid_graph(8)
+    result = solve(g)
+    n = g.n_original
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            path = reconstruct_path(result.precedence, g, i, j) if i != j else [i]
+            w = path_weight(g, path)
+            assert w == loop_path_weight(g, path) == result.distances.get(i, j), (i, j)
 
 
 # -- first_bad_precedence: every cell's last hop against the graph ----------
