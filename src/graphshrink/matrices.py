@@ -7,10 +7,14 @@ int64 integers; a pair with no path holds UNREACHED.
 A matrix file (README "Matrix files") has '#' header lines, then one line
 per row of space-separated cells: decimal digits, or INF for the missing
 value (an infinite distance or an UNSET predecessor).  Both directions run
-numpy over blocks of rows, never Python per cell.  The writer splits each
-cell into base-10**4 chunks and gathers one 4-byte ASCII word per chunk
-from a table, NUL-padding the leading chunk, INF and the separators; one
-bytes.translate then drops every NUL.  It refuses negative cells.
+numpy over blocks of rows, never Python per cell.  The writer refuses a
+negative cell before its first byte.  It splits each cell into as many
+base-10**4 chunks as the block's widest cell needs, a missing cell
+counting as one, and gathers each chunk as four ASCII bytes from a table,
+NUL-padding the leading chunk and INF.  A cell is one record of
+4 * chunks + 1 bytes: its chunk words, gathered straight into their
+fields, and one byte for the blank behind it, "\\n" at a row's end.  One
+bytes.translate then drops every NUL.
 
 The reader finds each line end with str.find.  A line that starts with
 anything but a blank, '#' or '\\r' is a row, taken without a copy; any
@@ -96,7 +100,7 @@ class PrecedenceMatrix:
 
 _BLOCK_CELLS = 1 << 16  # cells in the block of rows held at a time
 _CHUNK = 10_000  # cells are written in base-10**4 chunks, one 4-byte word each
-_NUL, _INF, _SP, _NL = range(2 * _CHUNK, 2 * _CHUNK + 4)  # word indices past the chunks
+_NUL, _INF = range(2 * _CHUNK, 2 * _CHUNK + 2)  # word indices past the chunks
 _PAD = 20  # blanks ahead of a block's rows: the separator before its first token, and
 # room for the gather of each of 19 digit columns back from a token's last byte
 _ORDER = re.compile(r"#\s*n\s+0*([0-9]+)")  # the order's digits past its leading zeros
@@ -109,13 +113,14 @@ def _words() -> np.ndarray:
     Word k < C (C = 10**4) is chunk k zero-padded ("0042"), for a chunk
     behind its cell's leading one; word C + k is chunk k NUL-padded
     ("\\0\\042"), for the leading chunk, 0 as "\\0\\0\\0" "0".  Then come the
-    all-NUL word, INF, " " and "\\n", NUL-padded too.  Built on the first
-    write, not at import.
+    all-NUL word and INF, NUL-padded too.  The blank or newline behind a
+    cell is not a word: it is the byte that ends the cell's record.  Built
+    on the first write, not at import.
     """
     k = np.arange(_CHUNK)[:, None]
     digits = (k // [1000, 100, 10, 1] % 10 + ord("0")).astype(np.uint8)
     lead = digits * (k >= [1000, 100, 10, 0])  # a digit before the first nonzero one is NUL
-    extra = np.frombuffer(b"\0\0\0\0\0INF\0\0\0 \0\0\0\n", np.uint8).reshape(4, 4)
+    extra = np.frombuffer(b"\0\0\0\0\0INF", np.uint8).reshape(2, 4)
     words = np.concatenate([digits, lead, extra]).view(np.uint32).ravel()
     words.flags.writeable = False
     return words
@@ -132,27 +137,36 @@ def _write_cells(cells: np.ndarray, order: int, kind: str, out: IO[str],
     out.write(f"# graphshrink {kind} matrix\n# n {order}\n# ids {ids}\n")
     step = _BLOCK_CELLS // (order + 1) + 1
     for lo in range(1, order + 1, step):
-        unset = cells[lo:lo + step, 1:] == missing
-        values = np.where(unset, 0, cells[lo:lo + step, 1:])
-        width = (len(str(values.max())) + 3) // 4  # 4-digit chunks in the widest cell
-        # each cell is `width` chunk words and a separator word; chunk j
-        # from the right is high % C for high = value // C**j, leading when
-        # high < C and all NUL when high is 0 (j > 0)
-        chunks = np.empty(values.shape + (width + 1,), np.uint32)
-        high = values
+        block = cells[lo:lo + step, 1:]
+        unset = block == missing
+        holes = unset.any()
+        top = block.max()
+        if top == missing:  # D's UNREACHED tops every cell; P's UNSET, 0, widens none
+            top = np.max(block, where=~unset, initial=0)
+        width = (len(str(top)) + 3) // 4  # 4-digit chunks in the widest cell
+        # each cell is a (4 * width + 1)-byte record: its chunk words, the
+        # last in "lo", then its separator.  Chunk j from the right is
+        # high % C for high = value // C**j, leading when high < C and all
+        # NUL when high is 0 (j > 0); a missing cell is NUL words and INF
+        chunks = np.empty(block.shape, [("hi", np.uint32, (width - 1,)), ("lo", np.uint32),
+                                        ("sep", np.uint8)])
+        high = block
         for j in range(width):
             if j:
                 high = high // _CHUNK
-            if j == width - 1:  # every high < C: a leading chunk, or NUL
+            if j == width - 1:  # high < C but in a missing cell: a leading chunk, or NUL
                 index = high + _CHUNK
             else:
                 index = np.where(high < _CHUNK, high + _CHUNK, high % _CHUNK)
-            if j == 0:
-                index[unset] = _INF
-            else:
+            if j:
                 index[high == 0] = _NUL
-            chunks[..., width - 1 - j] = words[index]
-        chunks[..., width], chunks[:, -1, width] = words[_SP], words[_NL]
+            if holes:
+                np.copyto(index, _NUL if j else _INF, where=unset)
+            # "clip" leaves out unbuffered: every index is already in range
+            np.take(words, index, out=chunks["hi"][..., width - 1 - j] if j else chunks["lo"],
+                    mode="clip")
+        chunks["sep"] = ord(" ")
+        chunks["sep"][:, -1] = ord("\n")
         # one C pass drops every NUL byte of padding
         out.write(chunks.tobytes().translate(None, b"\0").decode("ascii"))
 

@@ -201,19 +201,66 @@ def test_writer_chunk_boundaries_match_reference_and_read_back(matrix):
     assert_writes_like_reference_and_reads_back(matrix)
 
 
+def block_widths(monkeypatch, matrix) -> list[int]:
+    """The chunks per cell of each block the writer allocates for `matrix`,
+    read from the itemsize of its cell records (4 * chunks + 1 bytes), after
+    checking the bytes against reference_write_cells."""
+    widths, empty = [], np.empty
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "empty", lambda shape, dtype: widths.append(
+            (np.dtype(dtype).itemsize - 1) // 4) or empty(shape, dtype))
+        assert_like_reference(matrix)
+    return widths
+
+
 def test_each_block_takes_the_chunks_its_own_cells_need(monkeypatch):
     # order 4 with 8 cells per block holds 2 rows per block: rows 1-2 stay
     # below 10**4 (one chunk per cell), rows 3-4 reach 2**63 - 2 (five)
     monkeypatch.setattr(matrices, "_BLOCK_CELLS", 8)
     m = with_row(DistanceMatrix(4), 1, [0, 9999, 10, UNREACHED])
     with_row(m, 3, [2**63 - 2, 7, 0, 10**16])
-    widths, empty = [], np.empty
-    with monkeypatch.context() as patch:
-        patch.setattr(np, "empty",
-                      lambda shape, dtype: widths.append(shape[-1] - 1) or empty(shape, dtype))
-        assert_like_reference(m)
-    assert widths == [1, 5]
+    assert block_widths(monkeypatch, m) == [1, 5]
     assert_writes_like_reference_and_reads_back(m)
+    # UNREACHED is a block's largest cell, yet INF takes one chunk
+    assert block_widths(monkeypatch, with_row(DistanceMatrix(2), 1, [UNREACHED, 7])) == [1]
+
+
+def fuzz_matrix(rng: random.Random, make, order: int):
+    """A matrix of `order` whose blocks of rows (as the writer cuts them)
+    each draw their cells' digit counts, with zero chunks among them, and
+    hold missing cells nowhere, beside the block's widest cell, or in every
+    cell."""
+    matrix = make(order)
+    limit, missing = (2**63 - 1, UNREACHED) if make is DistanceMatrix else (2**31 - 1, UNSET)
+    step = matrices._BLOCK_CELLS // (order + 1) + 1
+    for lo in range(1, order + 1, step):
+        block = matrix.cells[lo:lo + step, 1:]
+        top = rng.randint(1, len(str(limit)))  # the block's most digits
+        zero_chunks = [v for v in (10**8, 10**8 + 10**4, 10**16 + 1) if v < 10**top]
+        for k in range(block.size):
+            digits = rng.randint(1, top)
+            v = rng.randrange(10 ** (digits - 1) if digits > 1 else 0, 10**digits)
+            if zero_chunks and rng.random() < 0.2:
+                v = rng.choice(zero_chunks)
+            block.flat[k] = min(v, limit - 1) if v != missing else 1
+        place = rng.choice(["nowhere", "beside", "all"])
+        if place == "beside":
+            widest = int(np.argmax(block))
+            for k in (widest - 1, widest + 1):
+                if 0 <= k < block.size:
+                    block.flat[k] = missing
+        elif place == "all":
+            block[...] = missing
+    return matrix
+
+
+@pytest.mark.parametrize("block_cells", [8, 64, 1 << 16])
+def test_writer_fuzz_matches_reference_bytes_and_reads_back(monkeypatch, block_cells):
+    monkeypatch.setattr(matrices, "_BLOCK_CELLS", block_cells)
+    rng = random.Random(29)
+    for order in list(range(1, 41)) * 3:
+        for make in (DistanceMatrix, PrecedenceMatrix):
+            assert_writes_like_reference_and_reads_back(fuzz_matrix(rng, make, order))
 
 
 @pytest.mark.parametrize("make", [DistanceMatrix, PrecedenceMatrix])
