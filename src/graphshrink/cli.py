@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import random
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -54,6 +56,48 @@ def _check_output_dirs(*paths) -> None:
             raise CliError(f"output path is a directory: {out}")
 
 
+def _same_file(a: str, b: str) -> bool:
+    """Whether a and b name one file: one path once resolved, or two
+    existing names of one file, such as hard links."""
+    if Path(a).resolve() == Path(b).resolve():
+        return True
+    return os.path.exists(a) and os.path.exists(b) and os.path.samefile(a, b)
+
+
+def _write(path: str, writer, matrix) -> None:
+    with open(path, "w") as fh:
+        writer(matrix, fh)
+
+
+def _write_matrices(result, out: str | None, pred: str | None) -> None:
+    """Write D to `out` and P to `pred`, each when given.  With both, P is
+    written on a second thread while this one writes D: the two writes
+    share nothing, and most of each is numpy work and file writes, which
+    release the GIL.  When both fail, D's error is the one raised."""
+    if not (out and pred):
+        if out:
+            _write(out, write_distance_matrix, result.distances)
+        if pred:
+            _write(pred, write_precedence_matrix, result.precedence)
+        return
+    failed = []
+
+    def write_pred():
+        try:
+            _write(pred, write_precedence_matrix, result.precedence)
+        except Exception as exc:  # raised on the main thread unless D's write failed
+            failed.append(exc)
+
+    thread = threading.Thread(target=write_pred, name="graphshrink-pred")
+    thread.start()
+    try:
+        _write(out, write_distance_matrix, result.distances)
+    finally:
+        thread.join()
+    if failed:
+        raise failed[0]
+
+
 def _first_mismatch(a: np.ndarray, b: np.ndarray):
     diff = np.argwhere(a[1:, 1:] != b[1:, 1:])
     if diff.size == 0:
@@ -67,18 +111,13 @@ def _first_mismatch(a: np.ndarray, b: np.ndarray):
 
 def cmd_solve(args) -> int:
     _check_output_dirs(args.out, args.pred)
-    if args.out and args.pred and Path(args.out).resolve() == Path(args.pred).resolve():
+    if args.out and args.pred and _same_file(args.out, args.pred):
         raise CliError(f"--out and --pred name the same file: {args.out}")
     g = _load_graph(args)
     t0 = time.perf_counter()
     result = solve(g, args.params)
     t1 = time.perf_counter()
-    if args.out:
-        with open(args.out, "w") as fh:
-            write_distance_matrix(result.distances, fh)
-    if args.pred:
-        with open(args.pred, "w") as fh:
-            write_precedence_matrix(result.precedence, fh)
+    _write_matrices(result, args.out, args.pred)
     t2 = time.perf_counter()
     st = g.stats()
     print(f"n={st.n} m={st.m} removals={result.removals} "

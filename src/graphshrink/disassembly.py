@@ -13,9 +13,11 @@ Two deciders give the same mutations in the same order, each pair
 decided against the pre-removal graph; disassemble's i_max gate hands its
 decision on to the removal.
 
-- Over the adjacency dicts, pair by pair (best_alternative_two_hop).  It
-  is exact on any int.  remove_and_preserve and edge_delta always take it,
-  and so does every removal below _BLOCK_DEGREE.
+- Over the adjacency dicts, pair by pair: with s = w(v, a) + w(v, b),
+  the scan over common neighbors stops at the first witness h != v with
+  w(a, h) + w(h, b) <= s.  It is exact on any int.  remove_and_preserve
+  and edge_delta always take it, and so does every removal below
+  _BLOCK_DEGREE.
 - On a dense mirror, for disassemble's removals of degree _BLOCK_DEGREE
   and up.  At the first of them, disassemble builds an R0 x R0 uint64
   matrix over the R0 vertices present then: w[i, j] = w(ids[i], ids[j]),
@@ -137,31 +139,27 @@ class ShrinkSequence:
         return sum(1 for r in self.records for m in r.mutations if m[2] == INF)
 
 
-def best_alternative_two_hop(g: Graph, a: int, b: int, excluded: int):
-    """Cheapest two-hop a-h-b over common neighbors h != excluded, or INF."""
-    na, nb = g.adj[a], g.adj[b]
-    if len(nb) < len(na):
-        na, nb = nb, na
-    best = INF
-    for h, wa in na.items():
-        if h == excluded:
-            continue
-        wb = nb.get(h)
-        if wb is not None and wa + wb < best:
-            best = wa + wb
-    return best
-
-
 def _decide_dicts(g: Graph, v: int, nbrs: list[int]) -> list[Mutation]:
-    wv = g.adj[v]
+    adj = g.adj
+    wv = adj[v]
     mutations = []
     for idx, a in enumerate(nbrs):
-        na = g.adj[a]
+        na = adj[a]
         for b in nbrs[idx + 1:]:
             s = wv[a] + wv[b]
             cur = na.get(b, INF)
-            if s < cur and s < best_alternative_two_hop(g, a, b, v):
-                mutations.append((a, b, cur, s))
+            if s < cur:
+                # the first witness h != v with w(a, h) + w(h, b) <= s settles
+                # the pair; scan the smaller of the two neighborhoods
+                nb = adj[b]
+                near, far = (na, nb) if len(na) <= len(nb) else (nb, na)
+                for h, wh in near.items():
+                    if h != v:
+                        wf = far.get(h)
+                        if wf is not None and wh + wf <= s:
+                            break
+                else:
+                    mutations.append((a, b, cur, s))
     return mutations
 
 

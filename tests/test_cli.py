@@ -1,4 +1,7 @@
 import io
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -104,6 +107,61 @@ def test_solve_without_outputs_reports_zero_write_time(triangle_file, capsys):
     assert capsys.readouterr().out.rstrip().endswith("write_seconds=0.000")
 
 
+WRITERS = {"D": "write_distance_matrix", "P": "write_precedence_matrix"}
+
+
+@pytest.fixture
+def grid32_file(tmp_path):
+    path = tmp_path / "grid32.gr"
+    path.write_text(write_dimacs(grid_graph(32, 0.05, 1)))
+    return path
+
+
+@pytest.mark.parametrize("flag", ["--out", "--pred"])
+def test_solve_one_output_writes_the_bytes_of_both_on_the_main_thread(tmp_path, grid32_file,
+                                                                      monkeypatch, flag):
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # the two writers of `both` swap the lock often
+    try:
+        both = dict(zip(["--out", "--pred"], _solve_files(tmp_path, grid32_file, "both")))
+    finally:
+        sys.setswitchinterval(interval)
+    writer = WRITERS["D" if flag == "--out" else "P"]
+    original, threads = getattr(cli, writer), []
+
+    def recording(m, fh):
+        threads.append(threading.current_thread())
+        original(m, fh)
+
+    monkeypatch.setattr(cli, writer, recording)
+    alone = tmp_path / "alone.txt"
+    assert main(["solve", "--input", str(grid32_file), flag, str(alone)]) == 0
+    assert alone.read_bytes() == both[flag]
+    assert threads == [threading.main_thread()]
+
+
+@pytest.mark.parametrize("failing", ["D", "P", "DP"])
+def test_solve_reports_a_failed_write_once_and_closes_both_files(tmp_path, triangle_file,
+                                                                 monkeypatch, capsys, failing):
+    for name in failing:
+        def writer(m, fh, name=name):
+            raise OSError(f"{name} failed")
+        monkeypatch.setattr(cli, WRITERS[name], writer)
+    opened = []
+
+    def recording_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(cli, "open", recording_open, raising=False)
+    before = threading.active_count()
+    assert main(["solve", "--input", str(triangle_file), "--out", str(tmp_path / "d.txt"),
+                 "--pred", str(tmp_path / "p.txt")]) == 1
+    assert capsys.readouterr().err == f"error: {failing[0]} failed\n"  # D's first
+    assert threading.active_count() == before
+    assert len(opened) == 2 and all(fh.closed for fh in opened)
+
+
 @pytest.mark.parametrize("command", ["solve", "verify", "bench", "subgraph --size 2"])
 def test_solve_disconnected_names_vertices(tmp_path, capsys, command):
     path = tmp_path / "disc.gr"
@@ -140,6 +198,17 @@ def test_solve_refuses_one_file_for_both_matrices_before_parsing(tmp_path, trian
     assert main(["solve", "--input", str(triangle_file), "--out", "d.txt", "--pred", pred]) == 1
     assert capsys.readouterr().err == "error: --out and --pred name the same file: d.txt\n"
     assert not (tmp_path / "d.txt").exists()
+
+
+def test_solve_refuses_two_hard_links_to_one_file_before_parsing(tmp_path, triangle_file,
+                                                               monkeypatch, capsys):
+    monkeypatch.setattr(cli, "parse_dimacs", lambda *a: pytest.fail("parsed before checking"))
+    d, p = tmp_path / "d.txt", tmp_path / "p.txt"
+    d.write_text("kept\n")
+    os.link(d, p)
+    assert main(["solve", "--input", str(triangle_file), "--out", str(d), "--pred", str(p)]) == 1
+    assert capsys.readouterr().err == f"error: --out and --pred name the same file: {d}\n"
+    assert d.read_text() == "kept\n"
 
 
 def test_bench_refuses_a_missing_report_directory_before_parsing(tmp_path, triangle_file,

@@ -17,7 +17,6 @@ from graphshrink import (
     edge_delta,
     remove_and_preserve,
 )
-from graphshrink.disassembly import best_alternative_two_hop
 from graphshrink.graph import MAX_WEIGHT
 from graphshrink.matrices import UNREACHED
 
@@ -29,28 +28,49 @@ def star_graph(leaves=3, w=1):
     return g
 
 
-# -- best_alternative_two_hop ---------------------------------------------
+# -- the witness search of a decision -------------------------------------
 
-def test_alternative_sole_common_neighbor_excluded():
+def test_sole_common_neighbor_is_the_removed_vertex_writes_the_shortcut():
     g = path_graph([1, 1])
-    assert best_alternative_two_hop(g, 1, 3, excluded=2) == INF
+    assert edge_delta(g, 2) == -1
+    assert remove_and_preserve(g, 2).mutations == [(1, 3, INF, 2)]
 
 
-def test_alternative_picks_cheapest_remaining():
+def test_witness_behind_a_costlier_common_neighbor_settles_the_pair():
     g = Graph(5)
-    # a=1, b=2; common neighbors 3 (sums 5), 4 (sums 3), 5 (excluded)
+    # a=1, b=2 through v=5 (s = 4); common neighbors 3 (sums 5, no witness)
+    # and 4 (sums 3, a witness)
     g.set_edge(1, 3, 2)
     g.set_edge(3, 2, 3)
     g.set_edge(1, 4, 1)
     g.set_edge(4, 2, 2)
-    g.set_edge(1, 5, 1)
-    g.set_edge(5, 2, 1)
-    assert best_alternative_two_hop(g, 1, 2, excluded=5) == 3
+    g.set_edge(1, 5, 2)
+    g.set_edge(5, 2, 2)
+    assert edge_delta(g, 5) == -2
+    assert remove_and_preserve(g, 5).mutations == []
 
 
-def test_alternative_no_common_neighbors():
-    g = path_graph([1, 1, 1])
-    assert best_alternative_two_hop(g, 1, 4, excluded=2) == INF
+def test_neighbors_with_no_other_common_neighbor_get_the_shortcut():
+    g = Graph(5)
+    g.set_edge(1, 2, 1)
+    g.set_edge(2, 3, 1)
+    g.set_edge(1, 4, 1)
+    g.set_edge(3, 5, 1)
+    assert edge_delta(g, 2) == -1
+    assert remove_and_preserve(g, 2).mutations == [(1, 3, INF, 2)]
+
+
+@pytest.mark.parametrize("alt, mutations", [(2, []), (3, [(1, 3, INF, 2)])],
+                         ids=["equal", "one_more"])
+def test_sole_witness_of_exactly_s_writes_nothing(alt, mutations):
+    # 1 - 2 - 3 (s = 2) beside 1 - 4 - 3 (weight alt)
+    g = Graph(4)
+    g.set_edge(1, 2, 1)
+    g.set_edge(2, 3, 1)
+    g.set_edge(1, 4, 1)
+    g.set_edge(4, 3, alt - 1)
+    assert edge_delta(g, 2) == len(mutations) - 2
+    assert remove_and_preserve(g, 2).mutations == mutations
 
 
 # -- edge_delta ------------------------------------------------------------
