@@ -9,9 +9,12 @@ vertices, or where every vertex left has more than _CORE_DEGREE
 neighbors.  Past that point each removal costs about its degree squared
 and fills the rest of the core, so a dense min-plus Floyd-Warshall
 (close_core, which shares no code with baseline.floyd_warshall, the
-tests' oracle) closes the core's [1, c] corner in place.  The D-only
-``assemble`` then replays the inner removals into the rest of the
-corner.  Distances are unique, so any exact method gives the same D.
+tests' oracle) closes the core's [1, c] corner: on a contiguous c x c
+copy, one triangle a pivot, then mirrored into the corner.  That is the
+elimination-then-closure structure of Planken, de Weerdt and van der
+Krogt (2012, P3C).  The D-only ``assemble`` then replays the inner
+removals into the rest of the corner.  Distances are unique, so any
+exact method gives the same D.
 
 close_core, the replay and the predecessor rule add on uint64 views of
 the corner, with UNREACHED as the one no-path value (see
@@ -25,17 +28,17 @@ its predecessor of v from s is the *tight* neighbor u (``d[s,u] + w(u,v)
 == d[s,v]``) popped first, the one with the least ``(d[s,u], u)``.  As
 ``d[s,u] = d[s,v] - w(u,v)`` for a tight u, that is the first tight slot
 of v's neighbors in (weight desc, id) order.  D is symmetric, so d[s,u]
-is also d[u,s]: the rule runs one target v at a time, gathers the slices
-of v's neighbors' rows for a block of sources, adds the weights, compares
-them with v's own row, and picks the first tight slot as the one of
-largest rank, ranks falling from the first slot, as ``assemble`` picks
-its first tight neighbor (``argmax`` over the slots gives the same slot
-but took 12.6 of the 30 us a target cost at r = 921).  Each target's
-slots are sorted once, as flat arrays that each target slices, with each
-slot's value, P[q][v] when set, else q, read from P before any write.
-The rule then writes P's column v; a last hop from the source itself
-keeps its stored entry, and so does the diagonal, where no slot is
-tight.  ``_RULE_CELLS`` bounds the slots x sources cells of one block,
+is also d[u,s]: the rule runs _RULE_BATCH targets of consecutive
+positions at a time.  For each block of sources it gathers the slices of
+the batch's neighbors' rows, adds the weights, compares them with the
+targets' own rows, and takes each target's first tight slot as the
+tight one of largest flat index, the slots laid out last to first (see
+_batch_rows), as ``assemble`` picks its first tight neighbor by rank.
+Each slot's value, P[q][v] when set, else q, is read from P before any
+write.  The rule then writes the block's rows of the batch's columns of
+P as one 2-D block; a last hop from the source itself keeps its stored
+entry, and so does the diagonal, where only a pad is tight.
+``_RULE_CELLS`` bounds the targets x slots x sources cells of one block,
 one source at least.  A zero weight breaks the argument (a tight
 neighbor may be popped after v), so residuals with one are refused, and
 so are disconnected ones, which contract_core refuses.
@@ -43,7 +46,7 @@ so are disconnected ones, which contract_core refuses.
 
 from __future__ import annotations
 
-from itertools import accumulate, chain
+from itertools import chain
 
 import numpy as np
 
@@ -53,15 +56,17 @@ from .disassembly import ShrinkSequence, SolveParams, disassemble
 from .graph import Graph
 from .matrices import UNREACHED, UNSET, PrecedenceMatrix, fill_weights
 
-#: Cells (a target's slots x sources) of one block of the predecessor
-#: rule; a target with more slots than that runs one source a block.
-#: solve_residual under d_max=3, i_max=0, medians with 2**12 / 2**13 /
-#: 2**14 / 2**15: grid_graph(32, 0.05, 1), the benchmark's grid-bounded
-#: instance, 0.098 / 0.097 / 0.095 / 0.095 s (9 alternating runs, spread
-#: 0.065-0.106 s), alike: there every target fits one block from 2**13 on.
-#: grid_graph(64) 1.10 / 0.91 / 0.80 / 0.81 s (5 runs).  At 2**13 a
-#: block's uint64 sums stay within 64 KiB.
-_RULE_CELLS = 1 << 13
+#: The predecessor rule runs _RULE_BATCH consecutive targets at a time,
+#: over blocks of sources of at most _RULE_CELLS cells (targets x slots x
+#: sources), one source at least.  The rule alone under d_max=3, i_max=0,
+#: medians of 15 interleaved runs, batch 16 at 2**15 / 2**16 cells:
+#: grid_graph(32, 0.05, 1) 17.4 / 16.2 ms (28 ms one target at a time),
+#: random_connected_graph(1024, 11) 12.9 / 12.3 ms, grid_graph(48, 0.05, 7)
+#: 98.5 / 95.4 ms; batches of 8 and 32 were no faster.  2**15 keeps the
+#: block's sums at 256 KiB: at 2**16 the tracemalloc peak of the bounded
+#: random (1024, 11) solve came within 0.1% of test_solver's 1.35 bound.
+_RULE_BATCH = 16
+_RULE_CELLS = 1 << 15
 
 #: The inner contraction stops at _CORE_ORDER vertices, or where every
 #: vertex left has more than _CORE_DEGREE neighbors.  Measured under
@@ -77,9 +82,12 @@ _CORE_ORDER = 128
 _CORE_DEGREE = 64
 
 #: Cells of the block of rows one Floyd-Warshall pivot updates at once.
-#: On a dense c = 1000 core, 2**15 to 2**17 cut close_core from 2.4 s with
-#: one c x c temporary to 2.1-2.3 s, 2**16 the fastest, where 2**12 took
-#: 3.5 s.  grid_graph(32)'s core of 128 fits in one block.
+#: On the c = 1014 core of random_connected_graph(4096, 3) under d_max=3,
+#: i_max=0, in a corner of its D (3 runs each), close_core took 2.08-2.17 s
+#: in place on the corner; on the packed copy, one triangle a pivot,
+#: 1.26-1.32 s at 2**14, 1.14-1.15 s at 2**15, 1.09-1.18 s at 2**16 and
+#: 1.07-1.14 s at 2**17.  grid_graph(32, 0.05, 1)'s core of 128 fits in
+#: one block: 4.9 -> 3.4 ms (medians of 21).
 _PIVOT_CELLS = 1 << 16
 
 
@@ -87,23 +95,29 @@ def close_core(core: Graph, dc: np.ndarray) -> None:
     """Fill the square int64 `dc`, which holds UNREACHED with a zero
     diagonal, with the distances of the connected `core`, its ids
     ascending at indices 0, 1, ...: min-plus Floyd-Warshall from its edges
-    (matrices.fill_weights) on a uint64 view of `dc`, UNREACHED standing
-    for a pair not joined yet.  A distance of UNREACHED or more is left at
-    UNREACHED; an edge weight past int64 raises OverflowError."""
+    (matrices.fill_weights) on a contiguous uint64 copy of `dc`, written
+    back at the end, UNREACHED standing for a pair not joined yet.  A
+    distance of UNREACHED or more is left at UNREACHED; an edge weight past
+    int64 raises OverflowError before any write."""
     fill_weights(core, dc)
-    # pivot k leaves row k and column k as they are (du[k, k] == 0), so
-    # each pivot updates du in place, one block of rows at a time, through
-    # a temporary that stays in cache
-    du = dc.view(np.uint64)
+    # upper triangle only: pivot k changes neither row k nor column k
+    # (du[k, k] == 0), so its true row, gathered from the upper triangle,
+    # updates each block of rows in place from column lo on, which covers
+    # the block's cells i <= j.  A cell below the diagonal only ever takes
+    # a path length, so it stays at or above its distance, and the minimum
+    # with the transpose at the end is exact
+    du = dc.view(np.uint64).copy()
     c = len(du)
     step = max(1, _PIVOT_CELLS // c)
-    via = np.empty((min(step, c), c), du.dtype)
+    via = np.empty(min(step, c) * c, du.dtype)
     for k in range(c):
+        row = np.concatenate((du[:k, k], du[k, k:]))
         for lo in range(0, c, step):
-            rows = du[lo:lo + step]
-            tmp = via[:len(rows)]
-            np.add(rows[:, k, None], du[k], out=tmp)
+            rows = du[lo:lo + step, lo:]
+            tmp = via[:rows.size].reshape(rows.shape)
+            np.add(row[lo:lo + step, None], row[lo:], out=tmp)
             np.minimum(rows, tmp, out=rows)
+    np.minimum(du, du.T, out=dc.view(np.uint64))
 
 
 def contract_core(g_r: Graph) -> ShrinkSequence:
@@ -142,24 +156,9 @@ def solve_residual(g_r: Graph, core: ShrinkSequence, d: np.ndarray, p: Precedenc
     """
     if len(g_r.adj) <= 1:
         return
-    weights = [w for nbrs in g_r.adj.values() for w in nbrs.values()]
-    if 0 in weights:
-        raise ValueError("residual has a zero-weight edge: predecessors need positive weights")
-    if max(weights, default=0) > UNREACHED:
-        raise ValueError(f"residual edge weight {max(weights)} > 2**63 - 1 does not fit int64")
     r = len(g_r.adj)
-    positions = np.arange(r)
-    # every target's slots, (weight desc, id), as flat arrays that each
-    # target slices: the neighbor q's corner index, the weight, and what
-    # P[s][v] becomes when q is the first tight slot of v from a source s
-    # other than q: the stored P[q][v] when set, q's id otherwise
-    rows = [sorted((-w, u) for u, w in nbrs.items()) for nbrs in g_r.adj.values()]
-    bounds = list(accumulate(map(len, rows), initial=0))
-    slots = np.fromiter(chain.from_iterable(chain.from_iterable(rows)), np.int64).reshape(-1, 2)
-    nbr, wt, at = pos[slots[:, 1]] - 1, (-slots[:, :1]).view(np.uint64), pos[list(g_r.adj)] - 1
     dc, pc = d[1:r + 1, 1:r + 1], p.cells[1:r + 1, 1:r + 1]
-    stored = pc[nbr, np.repeat(at, np.diff(bounds))]
-    value = np.where(stored != UNSET, stored, slots[:, 1].astype(stored.dtype))
+    nb, wb, vb, widths, bounds = _batch_rows(g_r, pos, pc)
 
     c = core.residual.n_present
     try:
@@ -172,19 +171,76 @@ def solve_residual(g_r: Graph, core: ShrinkSequence, d: np.ndarray, p: Precedenc
         np.fill_diagonal(dc, 0)
         raise ValueError(f"residual distances overflow int64: {err}") from err
 
-    # k, k - 1, ..., 1 for a target's k < r slots, in the narrowest dtype:
-    # the first tight slot has the largest tight rank
-    rank = np.arange(r - 1, 0, -1, dtype=np.min_scalar_type(r))[:, None]
+    # a cell's flat index in its batch, in the narrowest dtype
+    largest = int(np.diff(bounds).max())
+    flat = np.arange(largest, dtype=np.min_scalar_type(largest - 1))
+    positions = np.arange(r)
     du = dc.view(np.uint64)
-    for k, a, b in zip(at.tolist(), bounds, bounds[1:]):
-        nbr_k, wt_k, value_k, rank_k = nbr[a:b], wt[a:b], value[a:b], rank[a - b:]
+    batches = zip(range(0, r, _RULE_BATCH), widths.tolist(), bounds.tolist(), bounds[1:].tolist())
+    for k0, s, a, b in batches:
+        k1 = k0 + _RULE_BATCH
+        nb_k, vb_k, rows = nb[a:b], vb[a:b], nb[a:b].reshape(-1, s)
+        wb_k, flat_k = wb[a:b].reshape(-1, s, 1), flat[:b - a].reshape(-1, s, 1)
         step = max(1, _RULE_CELLS // (b - a))
         for lo in range(0, r, step):
-            # D is symmetric: row q's slice stands for column q's
-            tight = du[nbr_k, lo:lo + step] + wt_k == du[k, lo:lo + step]
-            # on the diagonal no slot is tight: first is then b - a, which the takes clip
-            first = b - a - (tight * rank_k).max(axis=0)
-            # a last hop from the source, and the diagonal, keep their stored entry
-            src = positions[lo:lo + step]
-            np.copyto(pc[lo:lo + step, k], value_k.take(first, mode="clip"),
-                      where=(nbr_k.take(first, mode="clip") != src) & (src != k))
+            first = _first_tight(du, rows, wb_k, flat_k, k0, k1, slice(lo, lo + step))
+            np.copyto(pc[lo:lo + step, k0:k1], vb_k.take(first).T,
+                      where=(nb_k.take(first) != positions[lo:lo + step]).T)
+
+
+def _batch_rows(g_r: Graph, pos: np.ndarray, pc: np.ndarray):
+    """The predecessor rule's slots, laid out in batches of _RULE_BATCH
+    targets, for solve_residual, which describes the arguments and the
+    refusals: (neighbor, weight, value) as flat arrays over the batches'
+    rows, each batch's row width, and the flat bounds of the batches.
+
+    A slot of a target v is a neighbor q of v, with q's corner index, the
+    weight, and what P[s][v] becomes when q is the first tight slot of v
+    from a source s other than q: the stored P[q][v] when set, q's id
+    otherwise.  The targets run in position order, and a batch lays each
+    target's slots out as one row as wide as the batch's largest count
+    plus one: pads first, then the slots from the last in (weight desc,
+    id) order back to the first.  A pad is the target itself at weight
+    0, so it is always tight, and the first tight slot is the tight cell
+    of the largest flat index in the target's row.  Only on the diagonal
+    is no slot tight: there a pad's neighbor is the source, so the
+    diagonal keeps its stored entry, as a last hop from the source does.
+    """
+    weights = [w for nbrs in g_r.adj.values() for w in nbrs.values()]
+    if 0 in weights:
+        raise ValueError("residual has a zero-weight edge: predecessors need positive weights")
+    if max(weights, default=0) > UNREACHED:
+        raise ValueError(f"residual edge weight {max(weights)} > 2**63 - 1 does not fit int64")
+    r = len(g_r.adj)
+    target = np.repeat(pos[np.fromiter(g_r.adj, np.intp, r)] - 1,
+                       np.fromiter(map(len, g_r.adj.values()), np.intp, r))
+    ident = np.fromiter(chain.from_iterable(g_r.adj.values()), np.intp, len(weights))
+    weight = np.array(weights, np.int64)
+    order = np.lexsort((ident, -weight, target))
+    target, ident, weight = target[order], ident[order], weight[order].view(np.uint64)
+    stored = pc[pos[ident] - 1, target]
+    value = np.where(stored != UNSET, stored, ident.astype(stored.dtype))
+
+    counts = np.bincount(target, minlength=r)
+    batch = np.arange(0, r, _RULE_BATCH)
+    widths = np.maximum.reduceat(counts, batch) + 1
+    width = np.repeat(widths, _RULE_BATCH)[:r]
+    ends = np.cumsum(width)
+    slot = np.repeat(ends - 1, width) - np.arange(ends[-1])
+    pad = slot >= np.repeat(counts, width)
+    at = np.repeat(np.cumsum(counts) - counts, width) + slot
+    nb = np.where(pad, np.repeat(np.arange(r), width), pos[ident.take(at, mode="clip")] - 1)
+    wb = np.where(pad, np.uint64(0), weight.take(at, mode="clip"))
+    return nb, wb, value.take(at, mode="clip"), widths, np.append(0, ends)[np.append(batch, r)]
+
+
+def _first_tight(du: np.ndarray, rows: np.ndarray, wb: np.ndarray, flat: np.ndarray,
+                 k0: int, k1: int, sources: slice) -> np.ndarray:
+    """The flat index of the first tight slot of each target k0..k1 - 1 of
+    one batch, its slots' neighbors `rows`, weights `wb` and flat indices
+    `flat`, for each source of the block `sources`.  D is symmetric: row
+    q's slice stands for column q's.  The block's sums die on return,
+    before the next block's."""
+    sums = du[rows, sources]
+    sums += wb
+    return ((sums == du[k0:k1, None, sources]) * flat).max(axis=1)

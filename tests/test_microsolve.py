@@ -32,7 +32,7 @@ from graphshrink import (
 )
 from graphshrink import microsolve
 from graphshrink.assembly import restore_order
-from graphshrink.microsolve import UNREACHED, contract_core, solve_residual
+from graphshrink.microsolve import UNREACHED, close_core, contract_core, solve_residual
 
 
 def new_d(n):
@@ -403,23 +403,50 @@ def test_solve_residual_leaves_the_corner_in_the_cores_restore_order(side, monke
             assert np.array_equal(d_pos[1:r + 1, 1:r + 1], expected[np.ix_(order, order)])
 
 
+def rule_batches(g_r):
+    """The slot counts of the predecessor rule's batches on g_r at the
+    current _CORE_ORDER: _RULE_BATCH targets at a time, in the core's
+    restore order, which is solve_residual's position order."""
+    counts = [len(g_r.adj[v]) for v in restore_order(contract_core(g_r))]
+    size = microsolve._RULE_BATCH
+    return [counts[i:i + size] for i in range(0, len(counts), size)]
+
+
+def block_step(batch):
+    """Sources a block of the rule holds for one batch: a row a target, as
+    wide as the batch's largest slot count plus one."""
+    return max(1, microsolve._RULE_CELLS // (len(batch) * (max(batch) + 1)))
+
+
 def test_solve_residual_by_contraction_across_source_blocks(monkeypatch):
-    g_r, p, scale = contracted(grid_graph(12), SolveParams(d_max=3, i_max=0), encode=True)
+    g_r, p, _ = contracted(grid_graph(10), SolveParams(d_max=3, i_max=0), encode=True)
     r = g_r.n_present
-    monkeypatch.setattr(microsolve, "_RULE_CELLS", 35)
-    # a target with d slots runs 35 // d sources a block: at least 3 blocks
-    # for every target, the last one short
-    steps = {35 // len(nbrs) for nbrs in g_r.adj.values()}
-    assert steps == {5, 7, 8} and all(r > 2 * step and r % step for step in steps)
-    assert_matches_seed(g_r, p, scale)
+    # 17 batches of 4 targets and a last one of one; rows of 5 to 7 slots
+    monkeypatch.setattr(microsolve, "_RULE_BATCH", 4)
+    monkeypatch.setattr(microsolve, "_RULE_CELLS", 150)
+    assert r % 4 == 1
+    for cap in core_caps(r):
+        monkeypatch.setattr(microsolve, "_CORE_ORDER", cap)
+        batches = rule_batches(g_r)
+        assert len(batches[-1]) == 1
+        # targets of different slot counts share a batch: the shorter rows hold pads
+        assert any(len(set(batch)) > 1 for batch in batches)
+        # at least 3 blocks of sources for every batch, the last one short
+        assert all(r > 2 * step and r % step for step in map(block_step, batches)), cap
+    core_orders_against_reference(g_r, p, monkeypatch)
 
 
 def test_solve_residual_runs_one_source_a_block_for_a_hub(monkeypatch):
-    # every clique vertex has more slots than _RULE_CELLS allows cells
+    # the clique's vertices have k - 1 slots or more, the trees' a few: the
+    # batches mix them, so most rows are mostly pads, and every block holds
+    # one source
     k = microsolve._CORE_DEGREE + 2
-    monkeypatch.setattr(microsolve, "_RULE_CELLS", k - 2)
+    monkeypatch.setattr(microsolve, "_RULE_CELLS", 1)
     g = clique_with_trees(k)
     assert min(len(g.adj[v]) for v in range(1, k + 1)) == k - 1
+    batches = rule_batches(g)
+    assert any(min(batch) < 4 and max(batch) >= k - 1 for batch in batches)
+    assert set(map(block_step, batches)) == {1}
     core_orders_against_reference(g, PrecedenceMatrix(g.n_original), monkeypatch)
 
 
@@ -546,3 +573,47 @@ def test_solve_residual_closes_a_core_whatever_the_weight_sum(heavy, total, monk
     g = path_graph([2**61, heavy, 1, 1])
     assert sum(w for _, _, w in g.edges()) == total
     assert core_orders_against_reference(g, PrecedenceMatrix(5), monkeypatch) == [1, 2, 5]
+
+
+# -- close_core: the packed one-triangle Floyd-Warshall ----------------------
+
+def closed_in_a_corner(core, at):
+    """close_core on the corner [at, at + c) of a larger UNREACHED matrix
+    with a zero diagonal, as solve_residual hands it the [1, c] corner of
+    D; returns the corner and checks every cell outside it is unchanged."""
+    c = core.n_present
+    big = new_d(c + at + 5)
+    before = big.copy()
+    corner = big[at:at + c, at:at + c]
+    close_core(core, corner)
+    outside = np.ones(big.shape, bool)
+    outside[at:at + c, at:at + c] = False
+    assert np.array_equal(big[outside], before[outside])
+    return corner
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("cells", [None, 120])
+def test_close_core_on_a_corner_equals_floyd_warshall(seed, cells, monkeypatch):
+    # 120 cells run the 30-vertex core 4 rows a block, the last block
+    # short, so each pivot updates the triangle block by block
+    if cells is not None:
+        monkeypatch.setattr(microsolve, "_PIVOT_CELLS", cells)
+    g = random_connected_graph(30, seed)
+    corner = closed_in_a_corner(g, 1 + seed)
+    assert np.array_equal(corner, floyd_warshall(g).cells[1:, 1:])
+
+
+@pytest.mark.parametrize("cells", [None, 2])
+def test_close_core_keeps_unreached_where_a_path_passes_int64(cells, monkeypatch):
+    # 1 - 2 - 3 - 4 at weights near 2**62: d(1, 3) fits below UNREACHED,
+    # d(2, 4) is UNREACHED itself and d(1, 4) passes int64; both stay
+    # UNREACHED, the pair not joined.  2 cells run one row a block
+    if cells is not None:
+        monkeypatch.setattr(microsolve, "_PIVOT_CELLS", cells)
+    h = 2**62
+    corner = closed_in_a_corner(path_graph([h, h - 2, h + 1]), 2)
+    assert corner.tolist() == [[0, h, 2 * h - 2, UNREACHED],
+                               [h, 0, h - 2, UNREACHED],
+                               [2 * h - 2, h - 2, 0, h + 1],
+                               [UNREACHED, UNREACHED, h + 1, 0]]

@@ -279,13 +279,16 @@ def test_shortcuts_counts_only_new_edges():
     assert result.shortcuts == 1
 
 
-@pytest.mark.parametrize("side, params", [(32, SolveParams()), (32, SolveParams(d_max=3, i_max=0)),
-                                          (48, SolveParams())],
-                         ids=["grid32-full", "grid32-bounded", "grid48-full"])
-def test_solve_peaks_near_its_two_matrices(side, params):
+@pytest.mark.parametrize("graph, params", [
+    (lambda: grid_graph(32), SolveParams()), (lambda: grid_graph(32), SolveParams(d_max=3, i_max=0)),
+    (lambda: grid_graph(48), SolveParams()),
+    (lambda: random_connected_graph(1024, 11), SolveParams(d_max=3, i_max=0))],
+    ids=["grid32-full", "grid32-bounded", "grid48-full", "random1024-bounded"])
+def test_solve_peaks_near_its_two_matrices(graph, params):
     # the layout is put back in id order in place: a copy of either matrix
-    # would take the peak past 1.7 times the two of them
-    g = grid_graph(side)
+    # would take the peak past 1.7 times the two of them.  A bounded solve
+    # also holds close_core's packed copy of its core, c x c uint64
+    g = graph()
     tracemalloc.start()
     try:
         result = solve(g, params)
