@@ -13,7 +13,7 @@ from .disassembly import (
 from .dimacs import DimacsError, parse_dimacs, write_dimacs
 from .graph import INF, Graph, GraphError, GraphStats, extract_connected_subgraph
 from .matrices import UNSET, DistanceMatrix, PrecedenceMatrix
-from .paths import PathError, first_bad_precedence, path_weight, reconstruct_path
+from .paths import PathError, first_bad_cell, path_weight, reconstruct_path
 from .solver import SolveResult, solve
 
 __all__ = [
@@ -36,7 +36,7 @@ __all__ = [
     "disassemble",
     "edge_delta",
     "extract_connected_subgraph",
-    "first_bad_precedence",
+    "first_bad_cell",
     "floyd_warshall",
     "parse_dimacs",
     "path_weight",

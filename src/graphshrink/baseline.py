@@ -23,6 +23,11 @@ ORACLE_CAP = 512
 _NO_PATH = 2**62 - 1
 
 
+def _weight_sum(g: Graph) -> int:
+    """Sum of the edge weights, each edge once."""
+    return sum(w for nbrs in g.adj.values() for w in nbrs.values()) // 2
+
+
 def _sssp(adj: dict[int, dict[int, int]], source: int, n: int):
     # array-backed binary heap with lazy deletion; no decrease-key needed
     dist = [UNREACHED] * (n + 1)
@@ -51,7 +56,7 @@ def dijkstra(g: Graph, source: int) -> tuple[dict[int, float], dict[int, int | N
     ValueError.
     """
     g._require(source)
-    total = sum(w for nbrs in g.adj.values() for w in nbrs.values()) // 2
+    total = _weight_sum(g)
     if total >= UNREACHED:
         raise ValueError(f"edge weights sum to {total} >= 2**63 - 1")
     dist, pred = _sssp(g.adj, source, g.n_original)
@@ -67,7 +72,7 @@ def apsp_dijkstra(g: Graph) -> tuple[DistanceMatrix, PrecedenceMatrix]:
     start from UNREACHED, so a graph whose edge weights sum to UNREACHED or
     more is refused with ValueError before anything is allocated.
     """
-    total = sum(w for nbrs in g.adj.values() for w in nbrs.values()) // 2
+    total = _weight_sum(g)
     if total >= UNREACHED:
         raise ValueError(f"edge weights sum to {total} >= 2**63 - 1: "
                          f"apsp_dijkstra's distances could reach UNREACHED")
@@ -98,7 +103,7 @@ def floyd_warshall(g: Graph) -> DistanceMatrix:
     n_p = len(present)
     if n_p > ORACLE_CAP:
         raise GraphError(f"floyd_warshall capped at {ORACLE_CAP} vertices, got {n_p}")
-    total = sum(w for nbrs in g.adj.values() for w in nbrs.values()) // 2
+    total = _weight_sum(g)
     if total >= _NO_PATH:
         raise ValueError(f"edge weights sum to {total} >= 2**62 - 1: "
                          f"floyd_warshall's int64 sums could wrap")

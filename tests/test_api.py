@@ -33,7 +33,7 @@ ROOT_NAMES = [
     "disassemble",
     "edge_delta",
     "extract_connected_subgraph",
-    "first_bad_precedence",
+    "first_bad_cell",
     "floyd_warshall",
     "parse_dimacs",
     "path_weight",

@@ -1,5 +1,5 @@
 """Seeded fuzz.  Differential: solve against floyd_warshall on many graph
-shapes and the whole knob grid, with every precedence cell checked, and
+shapes and the whole knob grid, with D and P certified cell by cell, and
 every residual's solve checked against a reference built on apsp_dijkstra,
 with the residual's inner core at three orders; graphs whose weights sit
 at solve's int64 guard against apsp_dijkstra.  Byte mutations of small
@@ -20,7 +20,7 @@ from graphshrink import (
     Graph,
     SolveParams,
     apsp_dijkstra,
-    first_bad_precedence,
+    first_bad_cell,
     floyd_warshall,
     parse_dimacs,
     solve,
@@ -114,7 +114,7 @@ def test_solve_matches_floyd_warshall_and_every_precedence_cell_is_tight(
         g = FAMILIES[family](seed)
         result = solve(g, params)
         assert np.array_equal(result.distances.cells, floyd_warshall(g).cells)
-        assert first_bad_precedence(g, result.distances, result.precedence) is None
+        assert first_bad_cell(g, result.distances, result.precedence) is None
         r = result.residual_order
         if r > 1:
             # the residual solved by the baseline's Dijkstra gives the same
@@ -175,7 +175,7 @@ def test_solve_matches_apsp_dijkstra_with_weights_at_the_int64_guard(params, mon
         assert 2**63 - 2**40 < 2 * encoded < 2**63
         result = solve(g, params)
         assert np.array_equal(result.distances.cells, apsp_dijkstra(g)[0].cells)
-        assert first_bad_precedence(g, result.distances, result.precedence) is None
+        assert first_bad_cell(g, result.distances, result.precedence) is None
         for cap in core_caps(result.residual_order) if result.residual_order > 1 else ():
             with monkeypatch.context() as m:
                 m.setattr(microsolve, "_CORE_ORDER", cap)

@@ -1,18 +1,21 @@
 import random
+import tracemalloc
 
 import pytest
 from conftest import grid_graph, path_graph, random_connected_graph, triangle_graph
+from test_fuzz import FAMILIES
 
 from graphshrink import (
     INF,
     UNSET,
+    Graph,
     PathError,
     PrecedenceMatrix,
     path_weight,
     reconstruct_path,
     SolveParams,
     apsp_dijkstra,
-    first_bad_precedence,
+    first_bad_cell,
     solve,
 )
 from graphshrink import paths
@@ -251,35 +254,110 @@ def test_path_weight_matches_a_loop_on_every_pair():
             assert w == loop_path_weight(g, path) == result.distances.get(i, j), (i, j)
 
 
-# -- first_bad_precedence: every cell's last hop against the graph ----------
+# -- first_bad_cell: D and P certified against the graph alone -------------
+
+def row_walks_check_out(g, d, p, i):
+    """Whether every walk of row i of P is a path of weight D[i][j], and
+    every pair with no path has P unset."""
+    for j in range(1, g.n_original + 1):
+        if j == i:
+            continue
+        if d.get(i, j) == INF:
+            if p.cells[i, j] != UNSET:
+                return False
+            continue
+        try:
+            path = reconstruct_path(p, g, i, j)
+        except PathError:
+            return False
+        if path_weight(g, path) != d.get(i, j):
+            return False
+    return True
+
 
 @pytest.mark.parametrize("g, params", [(triangle_graph(), SolveParams()),
                                        (grid_graph(8), SolveParams(d_max=3, i_max=0)),
-                                       (random_connected_graph(60, 4, wmax=2), SolveParams())])
-def test_first_bad_precedence_passes_every_solve(g, params):
+                                       (random_connected_graph(60, 4, wmax=2), SolveParams()),
+                                       (removed_tail_path_graph(), SolveParams())])
+def test_first_bad_cell_passes_every_solve(g, params):
     result = solve(g, params)
-    assert first_bad_precedence(g, result.distances, result.precedence) is None
+    assert first_bad_cell(g, result.distances, result.precedence) is None
 
 
-def test_first_bad_precedence_names_each_kind_of_bad_cell():
+@pytest.mark.parametrize("family", FAMILIES)
+def test_first_bad_cell_passes_apsp_dijkstra(family):
+    # the oracle breaks ties its own way, so the check is not tuned to the
+    # pipeline's choice of last hops
+    for seed in range(5):
+        g = FAMILIES[family](seed)
+        d, p = apsp_dijkstra(g)
+        assert first_bad_cell(g, d, p) is None
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_first_bad_cell_refuses_single_cell_corruptions(family):
+    # D: a pair one more or one less, kept symmetric, is always refused.
+    # P: another last hop (a neighbor, perhaps tied or closing a cycle of
+    # weight 0, any vertex, unset or out of range) is refused exactly when
+    # some walk of its row no longer checks out
+    g = FAMILIES[family](0)
+    n = g.n_original
+    result = solve(g)
+    d, p = result.distances, result.precedence
+    rng = random.Random(32)
+    refused = 0
+    for _ in range(100):
+        i, j = rng.sample(range(1, n + 1), 2)
+        delta = rng.choice([-1, 1])
+        d.cells[i, j] += delta
+        d.cells[j, i] += delta
+        assert first_bad_cell(g, d, p) is not None, (i, j, delta)
+        d.cells[i, j] -= delta
+        d.cells[j, i] -= delta
+    for _ in range(100):
+        i, j = rng.sample(range(1, n + 1), 2)
+        saved = p.cells[i, j]
+        p.cells[i, j] = rng.choice([rng.choice(list(g.adj[j])), rng.randint(1, n), UNSET, n + 1])
+        sound = row_walks_check_out(g, d, p, i)
+        assert (first_bad_cell(g, d, p) is None) == sound, (i, j, p.cells[i, j])
+        refused += not sound
+        p.cells[i, j] = saved
+    assert first_bad_cell(g, d, p) is None
+    assert refused
+
+
+def test_first_bad_cell_names_each_kind_of_bad_cell():
     g = path_graph([1, 1, 1])
     result = solve(g)
     d, p = result.distances, result.precedence
     assert int(p.cells[4, 1]) == 2
     p.cells[4, 1] = 3  # (3, 1) is not an edge
-    assert first_bad_precedence(g, d, p) == (4, 1, 3)
+    assert first_bad_cell(g, d, p) == (
+        4, 1, "precedence cell (4,1): last hop from 3: (3,1) is not an edge")
     p.cells[4, 1] = 2
     p.cells[1, 3] = 9  # no such vertex
-    assert first_bad_precedence(g, d, p) == (1, 3, 9)
+    assert first_bad_cell(g, d, p) == (
+        1, 3, "precedence cell (1,3): last hop from 9: (9,3) is not an edge")
     p.cells[1, 3] = 2
+    d.cells[3, 3] = 1
+    assert first_bad_cell(g, d, p) == (3, 3, "distance cell (3,3): D[3][3] = 1 != 0")
+    d.cells[3, 3] = 0
+    d.cells[4, 2] = 7
+    assert first_bad_cell(g, d, p) == (2, 4, "distance cell (2,4): D[2][4] = 2 != D[4][2] = 7")
+    d.cells[2, 4] = 7
+    assert first_bad_cell(g, d, p) == (
+        2, 4, "distance cell (2,4): D[2][4] = 7 != min over q in N(4) of D[2][q] + w(q,4) = 2")
+    d.cells[2, 4] = d.cells[4, 2] = 2
+    assert first_bad_cell(g, d, p) is None
     tri = triangle_graph()
     result = solve(tri)
     result.precedence.cells[1, 3] = 0  # unset: the direct edge (1, 3), 5 > 2
-    assert first_bad_precedence(tri, result.distances, result.precedence) == (1, 3, 1)
+    assert first_bad_cell(tri, result.distances, result.precedence) == (
+        1, 3, "precedence cell (1,3): last hop from 1: D[1][1] + w(1,3) = 5 != D[1][3] = 2")
 
 
 @pytest.mark.parametrize("source", ["solve", "apsp_dijkstra"])
-def test_first_bad_precedence_passes_a_vertex_removed_before_the_solve(source):
+def test_first_bad_cell_passes_a_vertex_removed_before_the_solve(source):
     # 5's pairs have no path and no last hop, so they pass while P stays unset
     g = removed_tail_path_graph()
     if source == "solve":
@@ -287,19 +365,90 @@ def test_first_bad_precedence_passes_a_vertex_removed_before_the_solve(source):
         d, p = result.distances, result.precedence
     else:
         d, p = apsp_dijkstra(g)
-    assert first_bad_precedence(g, d, p) is None
+    assert first_bad_cell(g, d, p) is None
     p.cells[1, 5] = 2  # a last hop for a pair with no path
-    assert first_bad_precedence(g, d, p) == (1, 5, 2)
+    assert first_bad_cell(g, d, p) == (
+        1, 5, "precedence cell (1,5): no path, but P[1][5] = 2 is set")
     p.cells[1, 5] = 0
     p.cells[5, 3] = 4  # (4, 3) is an edge of g, but 5 reaches nothing
-    assert first_bad_precedence(g, d, p) == (5, 3, 4)
+    assert first_bad_cell(g, d, p)[:2] == (5, 3)
+    p.cells[5, 3] = 0
+    d.cells[1, 5] = d.cells[5, 1] = 12  # 5 reaches nothing
+    assert first_bad_cell(g, d, p) == (
+        1, 5, "distance cell (1,5): D[1][5] = 12 != min over q in N(5) of D[1][q] + w(q,5) = inf")
 
 
-def test_first_bad_precedence_reports_the_first_cell_across_row_blocks(monkeypatch):
-    g = grid_graph(6)
+def test_first_bad_cell_reports_the_first_cell_across_source_blocks(monkeypatch):
+    # a star: hub 1 has 39 neighbors, so 4 * 40 cells take 4 sources a
+    # block in the hub's column.  Column 1's first bad row is 33, in its
+    # ninth block, and column 7's is 30, which comes first in row-major order
+    g = Graph(40)
+    for leaf in range(2, 41):
+        g.set_edge(1, leaf, leaf % 5 + 1)
     result = solve(g)
-    monkeypatch.setattr(paths, "_CHECK_CELLS", 4 * 36)  # 4 rows a block
     d, p = result.distances, result.precedence
-    p.cells[30, 7] = 31
-    p.cells[33, 2] = 1
-    assert first_bad_precedence(g, d, p)[:2] == (30, 7)
+    p.cells[33, 1] = 31
+    p.cells[35, 1] = 32
+    p.cells[30, 7] = UNSET
+    by_default = first_bad_cell(g, d, p)
+    monkeypatch.setattr(paths, "_CHECK_CELLS", 4 * 40)
+    assert first_bad_cell(g, d, p) == by_default
+    assert by_default[:2] == (30, 7)
+
+
+def test_first_bad_cell_holds_a_bounded_block_on_a_hub(monkeypatch):
+    # the hub's 599 neighbor rows would gather 600 x 600 sums at once, and
+    # the leaves of weight 0 give stage 3 a block of 86 columns; with
+    # blocks of 4096 cells the peak stays within 16 blocks of 8-byte cells
+    g = Graph(600)
+    for leaf in range(2, 601):
+        g.set_edge(1, leaf, leaf % 7)
+    result = solve(g)
+    monkeypatch.setattr(paths, "_CHECK_CELLS", 4096)
+    tracemalloc.start()
+    try:
+        assert first_bad_cell(g, result.distances, result.precedence) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 4096 * 8
+
+
+def zero_hop_path():
+    # 1 -(10)- 2 -(0)- 3
+    g = Graph(3)
+    g.set_edge(1, 2, 10)
+    g.set_edge(2, 3, 0)
+    return g
+
+
+def test_first_bad_cell_refuses_a_cycle_of_zero_weight_last_hops():
+    # every hop is tight, so a test of each cell alone passes them; the
+    # walks from 2 and 3 never reach 1
+    g = zero_hop_path()
+    result = solve(g)
+    d, p = result.distances, result.precedence
+    assert first_bad_cell(g, d, p) is None
+    p.cells[1, 2] = 3
+    p.cells[1, 3] = 2
+    assert first_bad_cell(g, d, p) == (
+        1, 2, "precedence cell (1,2): its last hops cycle at weight 0 short of 1")
+
+
+@pytest.mark.parametrize("symmetric, cell", [(True, (2, 1)), (False, (1, 2))])
+def test_first_bad_cell_refuses_a_false_distance_shared_across_a_zero_weight_edge(symmetric,
+                                                                                  cell):
+    # i - a of weight 10 and a - b of weight 0, with D[i][a] = D[i][b] = 5
+    # and the last hops of a and b pointing at each other: the cells of
+    # source i satisfy their equations, but D[a][i] = 5 does not (or D is
+    # not symmetric)
+    g = zero_hop_path()
+    result = solve(g)
+    d, p = result.distances, result.precedence
+    d.cells[1, 2] = d.cells[1, 3] = 5
+    if symmetric:
+        d.cells[2, 1] = d.cells[3, 1] = 5
+    p.cells[1, 2] = 3
+    p.cells[1, 3] = 2
+    bad = first_bad_cell(g, d, p)
+    assert bad is not None and bad[:2] == cell and bad[2].startswith("distance cell")

@@ -12,7 +12,7 @@ from graphshrink import (
     SolveParams,
     UNSET,
     apsp_dijkstra,
-    first_bad_precedence,
+    first_bad_cell,
     floyd_warshall,
     solve,
 )
@@ -159,7 +159,7 @@ def test_solve_contracts_a_residual_whose_doubled_weight_sum_passes_2_63():
     residual_sum = sum(weight for _, _, weight in result.sequence.residual.edges())
     assert result.residual_order == 7 and 2 * residual_sum >= 2**63
     assert np.array_equal(result.distances.cells, apsp_dijkstra(g)[0].cells)
-    assert first_bad_precedence(g, result.distances, result.precedence) is None
+    assert first_bad_cell(g, result.distances, result.precedence) is None
     d_bytes = result.distances.cells.astype("<i8").tobytes()
     p_bytes = result.precedence.cells.astype("<i4").tobytes()
     assert (hashlib.sha256(d_bytes).hexdigest()
@@ -186,7 +186,7 @@ def test_solve_bounded_solves_a_residual_whose_weight_sum_passes_unreached():
     assert result.removals == 1 and residual_sum >= UNREACHED
     assert np.array_equal(result.distances.cells, apsp_dijkstra(g)[0].cells)
     assert result.distances.get(2, 3) == 69175290276410824
-    assert first_bad_precedence(g, result.distances, result.precedence) is None
+    assert first_bad_cell(g, result.distances, result.precedence) is None
 
 
 def test_solve_decides_a_degree_16_removal_on_the_mirror_for_a_large_encoded_weight(monkeypatch):
@@ -213,7 +213,7 @@ def test_solve_decides_a_degree_16_removal_on_the_mirror_for_a_large_encoded_wei
     result = solve(g)
     assert len(built) == 1 and built[0] is not None and degrees[0] == 16
     assert np.array_equal(result.distances.cells, apsp_dijkstra(g)[0].cells)
-    assert first_bad_precedence(g, result.distances, result.precedence) is None
+    assert first_bad_cell(g, result.distances, result.precedence) is None
 
 
 def test_solve_contracts_the_core_before_allocating_and_reorders_twice(monkeypatch):
