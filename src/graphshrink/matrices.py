@@ -23,13 +23,19 @@ Rows are parsed a block at a time: the block's runs of consecutive row
 lines are sliced from the text, joined behind a fixed pad of blanks and
 encoded once, so a comment or blank line between rows does not cut the
 block.  The block is refused when a byte other than a digit, I, N, F, a
-blank, a newline or a '\\r' right before the newline is left.  Tokens start
-and end where the bytes change between separator (<= 32) and not; each
-line must hold `order` of them.  A cell is summed from one gather per
-digit column k, at its token's last byte in a view of the bytes that
-starts k earlier, inside the pad, and a token holding a letter must be
-exactly INF, the missing value.  The same parse function, given one row at
-a time, names the first bad line of a refused block.
+blank, a newline or a '\\r' right before the newline is left.  The parse
+keeps one index per token, its last byte: a byte above 32 right before a
+separator (<= 32).  Each line must hold `order` of them.  Digit column k
+of every token is gathered at that index in a view of the bytes that
+starts k earlier, inside the pad.  A running mask keeps the tokens that
+still have a byte in column k, so no token start or length is needed, and
+the first column that no token reaches ends the loop.  The columns pair
+up into uint8 values 0..99, widened into the narrowest unsigned type that
+holds the block's widest token.  Only a block with a token of 20 bytes or
+more finds its tokens' starts, to check that every byte before a token's
+last 19 is a 0.  A token holding a letter must be exactly INF, the missing
+value: an F behind I, N and a separator.  The same parse function, given
+one row at a time, names the first bad line of a refused block.
 """
 
 from __future__ import annotations
@@ -102,7 +108,7 @@ _BLOCK_CELLS = 1 << 16  # cells in the block of rows held at a time
 _CHUNK = 10_000  # cells are written in base-10**4 chunks, one 4-byte word each
 _NUL, _INF = range(2 * _CHUNK, 2 * _CHUNK + 2)  # word indices past the chunks
 _PAD = 20  # blanks ahead of a block's rows: the separator before its first token, and
-# room for the gather of each of 19 digit columns back from a token's last byte
+# room for the gather of each of 19 columns back from a token's last byte
 _ORDER = re.compile(r"#\s*n\s+0*([0-9]+)")  # the order's digits past its leading zeros
 
 
@@ -185,43 +191,58 @@ def _parse(text: str, rows: list[tuple[int, int, int]], dest: np.ndarray, missin
     into the cells `dest`, INF as `missing`.  False when a line does not
     hold dest.shape[1] cells that are each INF or digits below dest's dtype
     maximum; dest may then hold part of the block."""
-    # rows on consecutive lines are sliced from the text as one run
+    # rows on consecutive lines are sliced from the text as one run, which
+    # lives only until the join
     cuts = [k for k in range(1, len(rows)) if rows[k][1] != rows[k - 1][2]]
-    pieces = [text[rows[i][1]:rows[j - 1][2]] for i, j in zip([0, *cuts], [*cuts, len(rows)])]
+    pieces = (text[rows[i][1]:rows[j - 1][2]] for i, j in zip([0, *cuts], [*cuts, len(rows)]))
     data = "".join([" " * _PAD, *pieces, "\n"]).encode("ascii", "replace")  # non-ASCII: "?"
     raw = np.frombuffer(data, np.uint8)
-    newlines = np.cumsum([stop - start for _, start, stop in rows]) + (_PAD - 1)
+    newlines = np.cumsum([stop - start for _, start, stop in rows]) - 1  # in raw[_PAD:]
     letters = data.translate(None, b"0123456789 \t\n")  # "\r" must end a line, before "\n"
-    # data opens and closes with a separator (<= 32), so the edges between
-    # separators and the rest alternate: the byte before a token, then its
-    # last byte
-    before, last = np.flatnonzero(np.diff(raw <= 32)).reshape(-1, 2).T
+    # one index per token, its last byte in raw[_PAD:]: a byte above 32 right
+    # before a separator (<= 32); data ends with "\n", so every token ends
+    sep = raw <= 32
+    at = np.flatnonzero(sep[_PAD + 1:] > sep[_PAD:-1])
     if (letters.translate(None, b"INF\r")
-            or np.count_nonzero(raw[newlines - 1] == ord("\r")) != letters.count(b"\r")
-            or (np.diff(np.searchsorted(last, newlines), prepend=0) != dest.shape[1]).any()):
+            or np.count_nonzero(raw[_PAD - 1:][newlines] == ord("\r")) != letters.count(b"\r")
+            or (np.diff(np.searchsorted(at, newlines), prepend=0) != dest.shape[1]).any()):
         return False
-    lengths = last - before
-    width = int(lengths.max())
-    if width > 19:  # a digit before a token's last 19 must be a leading zero
+    # digit column k of every token is gathered at that index in a view of
+    # the bytes that starts k earlier, inside the pad.  `inside` keeps the
+    # tokens that still have a byte in column k, so no token length is
+    # needed, and the first column that no token reaches ends the loop.
+    # Each even column and the next make one uint8 pair, 0..99
+    zero, inside, pairs = np.uint8(ord("0")), np.ones(len(at), bool), []
+    for k in range(20):
+        digit = raw[_PAD - k:][at]
+        inside &= digit > 32
+        if k == 19 or not inside.any():
+            break
+        digit -= zero
+        digit *= inside
+        if k % 2:
+            pairs[-1] += digit * np.uint8(10)
+        else:
+            pairs.append(digit)
+    if inside.any():
+        # a byte in column 19 marks a token of 20 bytes or more: only then
+        # are the starts found, to check each byte before its last 19 is a 0
         nonzero = np.cumsum(raw != ord("0"))
-        if (nonzero[np.maximum(last - 19, before)] != nonzero[before]).any():
+        before = np.flatnonzero(sep[:-1] > sep[1:])
+        if (nonzero[np.maximum(at + (_PAD - 19), before)] != nonzero[before]).any():
             return False
-    # one gather per digit column k, at each token's last byte in a view of
-    # the bytes that starts k earlier, inside the pad, summed in the
-    # narrowest unsigned type that holds the widest cell
-    kind = np.min_scalar_type(10 ** min(width, 19) - 1).type
-    zero, at, short = np.uint8(ord("0")), last - _PAD, np.minimum(lengths, 20).astype(np.uint8)
-    values = (raw[last] - zero).astype(kind)
-    for k in range(1, min(width, 19)):
-        digit = raw[_PAD - k:][at] - zero
-        digit *= short > k
-        values += np.multiply(digit, kind(10 ** k), dtype=kind)  # not uint8 under NumPy 1
+    # the pairs summed in the narrowest unsigned type that holds k digits
+    kind = np.min_scalar_type(10 ** k - 1).type
+    values = pairs[0].astype(kind)
+    for j, pair in enumerate(pairs[1:], 1):
+        values += np.multiply(pair, kind(100 ** j), dtype=kind)  # not uint8 under NumPy 1
     if int(values.max()) >= np.iinfo(dest.dtype).max:
         return False
     dest[...] = values.reshape(dest.shape)
-    if letters:  # every token holding a letter must be exactly INF
-        inf = np.flatnonzero(raw[last] == ord("F"))
-        inf = inf[(lengths[inf] == 3) & (raw[last[inf, None] - [2, 1]] == list(b"IN")).all(1)]
+    if letters:  # a token holding a letter must be exactly INF: an F behind I, N, a separator
+        inf = np.flatnonzero(raw[_PAD:][at] == ord("F"))
+        end = at[inf] + _PAD
+        inf = inf[(raw[end - 3] <= 32) & (raw[end - 2] == ord("I")) & (raw[end - 1] == ord("N"))]
         dest.flat[inf] = missing
         return 3 * len(inf) + letters.count(b"\r") == len(letters)
     return True

@@ -1,6 +1,7 @@
 import io
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -316,6 +317,10 @@ EDGE_CHARS = "\x85\xa0\u3000\u2028\x0b\x0c\x1c\x1d\x1e\x1f"
     (GOOD_BODY.replace("2 3 0", "2 NIF 0"), 6),
     (GOOD_BODY.replace("2 3 0", "2 3INF 0"), 6),
     (GOOD_BODY.replace("2 3 0", "2 INF3 0"), 6),
+    (GOOD_BODY.replace("2 3 0", "2 IINF 0"), 6),
+    (GOOD_BODY.replace("2 3 0", "2 NF 0"), 6),
+    (GOOD_BODY.replace("2 3 0", "2 INFF 0"), 6),
+    (GOOD_BODY.replace("2 3 0", "I NF 0"), 6),
     # 2**63, in a row that is not the last of its block
     (GOOD_BODY.replace("1 0 3", "1 0 9223372036854775808"), 5),
     (GOOD_BODY.replace("1 0 3", "1 0 9223372036854775807"), 5),  # UNREACHED's digits
@@ -329,7 +334,8 @@ EDGE_CHARS = "\x85\xa0\u3000\u2028\x0b\x0c\x1c\x1d\x1e\x1f"
       for edge in (char + "1 0 3", "1 0 3" + char)],
     (GOOD_BODY.replace("1 0 3", "\r1 0 3"), 5),
 ], ids=["no-header", "short-row", "long-row", "extra-row", "missing-row", "huge-order",
-        "order-past-int-digits", "inf", "nan", "1.5", "1e3", "-3", "+3", "NIF", "3INF", "INF3", "2**63", "2**63-1",
+        "order-past-int-digits", "inf", "nan", "1.5", "1e3", "-3", "+3", "NIF", "3INF", "INF3",
+        "IINF", "NF", "INFF", "I-NF", "2**63", "2**63-1",
         "arabic-indic-3", "e-acute", "nul", "inner-cr", "unflushed-bad-row",
         *[f"{where}-{ord(char):#x}" for char in EDGE_CHARS for where in ("leading", "trailing")],
         "leading-cr"])
@@ -356,6 +362,55 @@ def test_reader_accepts_leading_zeros_and_crlf_but_not_the_maximum_behind_them()
         read_distance_matrix("# n 2\n0 0009223372036854775807\n1 0\n")
     # leading zeros in the header's order, past the 4300 digits int() takes
     assert read_distance_matrix("# n " + "0" * 5000 + "2\n0 1\n1 0\n").get(1, 2) == 1
+
+
+#: 2**31 - 2 zero-padded to 19, 20 and 21 bytes: only the last two reach
+#: column 19, so only their blocks find their tokens' starts
+LONG_CELLS = [str(2**31 - 2).zfill(size) for size in (19, 20, 21)]
+
+
+@pytest.mark.parametrize("block_cells", [4, 1 << 16])
+def test_reader_takes_long_cells_and_inf_at_a_blocks_start_after_a_tab_and_before_crlf(
+        monkeypatch, block_cells):
+    # with blocks of 4 cells each row of 4 is a block of its own, so its
+    # first cell sits right behind the pad
+    monkeypatch.setattr(matrices, "_BLOCK_CELLS", block_cells)
+    text = "# n 4\r\n" + "".join(f"{cell}\t{cell} 7 {cell}\r\n" for cell in [*LONG_CELLS, "INF"])
+    for read, missing in [(read_distance_matrix, UNREACHED), (read_precedence_matrix, UNSET)]:
+        long, inf = [2**31 - 2, 2**31 - 2, 7, 2**31 - 2], [missing, missing, 7, missing]
+        assert read(text).cells[1:, 1:].tolist() == [long] * 3 + [inf]
+
+
+@pytest.mark.parametrize("place", [0, 1, 3], ids=["block-start", "after-tab", "before-crlf"])
+@pytest.mark.parametrize("nonzero_at", [0, 1])
+def test_reader_refuses_a_nonzero_byte_before_a_cells_last_19(monkeypatch, place, nonzero_at):
+    monkeypatch.setattr(matrices, "_BLOCK_CELLS", 4)
+    cells = ["5", "5", "7", "5"]
+    cells[place] = "0" * nonzero_at + "1" + "0" * (18 - nonzero_at) + "42"  # 21 bytes
+    rows = ["5 5 7 5"] * 2 + ["{}\t{} {} {}".format(*cells), "5 5 7 5"]
+    text = "# n 4\r\n" + "".join(row + "\r\n" for row in rows)
+    for read in (read_distance_matrix, read_precedence_matrix):
+        with pytest.raises(ValueError, match="^line 4: "):
+            read(text)
+
+
+def test_one_block_parse_keeps_one_index_per_cell():
+    # one block of 2**16 cells of 4 digits: beside the matrix, the parse
+    # holds the block's bytes, a separator mask, its edges and one intp
+    # index per cell, about 27 bytes a cell.  Two indices a cell, and the
+    # token lengths built from them, took it past 50
+    order = 256
+    assert order * order == matrices._BLOCK_CELLS
+    text = f"# n {order}\n" + (" ".join(["1234"] * order) + "\n") * order
+    for read in (read_distance_matrix, read_precedence_matrix):
+        tracemalloc.start()
+        try:
+            m = read(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (m.cells[1:, 1:] == 1234).all()
+        assert peak - m.cells.nbytes < 40 * order * order
 
 
 #: cells at the int32 and int64 guards and past them, beside leading zeros
