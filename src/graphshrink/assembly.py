@@ -28,10 +28,15 @@ reused buffer, reads P[x(l)][l] with one flat take from P's cells, which
 must be C-contiguous, and spreads P[x][i] over the column by the
 first-neighbor index.
 
-`to_id_order` puts a laid-out matrix back in id order in place.  It
-gathers the columns of one block of rows at a time into one reused
-buffer, then walks the row permutation's cycles through a one-row buffer,
-so its extra memory is one block plus one row.
+`to_id_order` puts a laid-out matrix back in id order in place, in one
+pass over the cells.  It walks the row permutation's cycles once, then
+takes the rows block by block in walk order: it gathers a block's source
+rows, permutes their columns into one reused buffer (decoding D on the
+way) and scatters them to their final rows.  A row's source is the next
+row of its cycle, written later, except at the cycle's last row, whose
+source, the cycle's first row, a one-row buffer keeps when the cycle
+crosses a block's end.  So its extra memory is two blocks plus one row,
+and the walk's few arrays of one index a row.
 
 Distances are plain integers in the int64 matrix D, and a restore forms
 its candidates on a uint64 view of it, with UNREACHED as the one no-path
@@ -49,10 +54,14 @@ import numpy as np
 from .disassembly import ShrinkSequence
 from .matrices import UNREACHED, UNSET, PrecedenceMatrix
 
-#: Cells of the block of rows whose columns to_id_order gathers at once.
-#: On grid_graph(48) 2**14 to 2**16 timed alike within noise, but over
-#: the 25 s grid-full benchmark loop of solves, CLI runs and reads, 2**15
-#: left the peak RSS 4 MB higher than 2**12 and 2**14 did.
+#: Cells of the block of rows to_id_order moves at once; it holds two
+#: blocks, the gathered rows and the permuted ones.  D and P put in id
+#: order, medians of 40 alternating in-process runs at 2**14 / 2**15
+#: on a 2-vCPU VM: grid_graph(48, 0.05, 1) full 42.4 / 40.6 ms,
+#: grid_graph(32, 0.05, 1) under d_max=3, i_max=0 9.1 / 8.4 ms and
+#: random_connected_graph(1024, 11) full 8.8 / 8.1 ms.  That is under 1%
+#: of each solve, and the earlier two-pass walk left the grid-full
+#: benchmark's peak RSS 4 MB higher at 2**15 than at 2**14, so 2**14 stays.
 _BLOCK_CELLS = 1 << 14
 
 
@@ -74,29 +83,39 @@ def to_id_order(cells: np.ndarray, pos, scale: int = 1) -> None:
     if len(pos) != n or not np.bincount(np.where((pos >= 0) & (pos < n), pos, n),
                                         minlength=n + 1)[:n].all():
         raise ValueError(f"to_id_order needs a permutation of 0..{n - 1}")
+    # the rows in walk order, cycle by cycle: row dst[t] takes row src[t],
+    # which is dst[t + 1] of its own cycle, so not yet written, except at
+    # the cycle's last row, which takes its first; ends[t] is that last t
+    walk, dst, ends = pos.tolist(), [], []
+    for start in range(n):
+        i = start
+        while walk[i] >= 0:
+            dst.append(i)
+            walk[i], i = -1, walk[i]
+        ends += [len(dst) - 1] * (len(dst) - len(ends))
+    dst = np.array(dst, np.intp)
+    src = pos[dst]
     step = max(1, _BLOCK_CELLS // n)
-    buf = np.empty((step, n), cells.dtype)
+    buf, mask = np.empty((step, n), cells.dtype), np.empty((step, n), bool)
+    # a block reads all its rows before it writes them, so only a cycle
+    # still open at a block's end needs its first row kept, permuted,
+    # before the block writes it
+    first, end = np.empty(n, cells.dtype), -1
     for lo in range(0, n, step):
-        rows = cells[lo:lo + step]
+        hi = min(lo + step, n)
         # pos is a permutation, so no index clips; mode "raise" would
         # gather into a temporary and copy that into buf
-        block = np.take(rows, pos, axis=1, out=buf[:len(rows)], mode="clip")
-        if scale != 1:
-            np.floor_divide(block, scale, out=block, where=block != UNREACHED)
-        rows[...] = block
-    walk = pos.tolist()
-    for start in range(n):
-        if walk[start] in (start, -1):  # in place, or its cycle already walked
-            continue
-        row = cells[start].copy()
-        i = start
-        while walk[i] != start:
-            j = walk[i]
-            cells[i] = cells[j]
-            walk[i] = -1
-            i = j
-        cells[i] = row
-        walk[i] = -1
+        block = np.take(cells[src[lo:hi]], pos, axis=1, out=buf[:hi - lo], mode="clip")
+        if lo <= end < hi:
+            block[end - lo] = first
+        if ends[hi - 1] >= hi and ends[hi - 1] != end:
+            end = ends[hi - 1]
+            np.take(cells[src[end]], pos, out=first, mode="clip")
+        if scale != 1:  # a plain floor_divide: with where= it took twice as long
+            unreached = np.equal(block, UNREACHED, out=mask[:hi - lo])
+            np.floor_divide(block, scale, out=block)
+            np.copyto(block, UNREACHED, where=unreached)
+        cells[dst[lo:hi]] = block
 
 
 def precede_shortcuts(seq: ShrinkSequence, p: PrecedenceMatrix, pos: np.ndarray) -> None:

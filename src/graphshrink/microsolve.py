@@ -34,14 +34,20 @@ the batch's neighbors' rows, adds the weights, compares them with the
 targets' own rows, and takes each target's first tight slot as the
 tight one of largest flat index, the slots laid out last to first (see
 _batch_rows), as ``assemble`` picks its first tight neighbor by rank.
-Each slot's value, P[q][v] when set, else q, is read from P before any
-write.  The rule then writes the block's rows of the batch's columns of
-P as one 2-D block; a last hop from the source itself keeps its stored
-entry, and so does the diagonal, where only a pad is tight.
-``_RULE_CELLS`` bounds the targets x slots x sources cells of one block,
-one source at least.  A zero weight breaks the argument (a tight
-neighbor may be popped after v), so residuals with one are refused, and
-so are disconnected ones, which contract_core refuses.
+Each slot's value, P[q][v] when set, else q, and each pad's, the
+target's diagonal entry, is read from P before any write.  The rule then
+assigns the block's rows of the batch's columns of P as one 2-D block,
+which leaves the diagonal, where only a pad is tight, at its entry.  From
+a source q the rule picks q's own slot of v exactly where the direct
+edge is tight (d[q][v] == w(q, v)): any other tight slot y has d[q][y] >
+0, so w(y, v) < w(q, v).  A last hop from the source keeps its stored
+entry, which the slot's value already is where P[q][v] was set; after
+the batches, one gather, compare and scatter puts UNSET back on the
+unset edges with a tight direct edge.  ``_RULE_CELLS`` bounds the
+targets x slots x sources cells of one block, one source at least.  A
+zero weight breaks the argument (a tight neighbor may be popped after
+v), so residuals with one are refused, and so are disconnected ones,
+which contract_core refuses.
 """
 
 from __future__ import annotations
@@ -142,9 +148,11 @@ def solve_residual(g_r: Graph, core: ShrinkSequence, d: np.ndarray, p: Precedenc
     is the direct residual edge and the stored entry already applies, and
     P[i][i] keeps its stored entry too.
 
-    The merge reads stored P only on residual edges, all before its first
-    write, so it reads the values P held on entry; a cell it keeps it does
-    not write.  The inner replay writes no P.  `g_r` is left as it was.
+    The merge reads stored P only on residual edges and the diagonal, all
+    before its first write, so it reads the values P held on entry.  It
+    assigns every cell of the corner, a cell it keeps its entry, then puts
+    UNSET back on the unset residual edges whose direct edge is tight.
+    The inner replay writes no P.  `g_r` is left as it was.
 
     Refused before any cell of `d` or P is written: a zero-weight edge or
     one past UNREACHED (ValueError).  Refused with ValueError once the
@@ -158,7 +166,7 @@ def solve_residual(g_r: Graph, core: ShrinkSequence, d: np.ndarray, p: Precedenc
         return
     r = len(g_r.adj)
     dc, pc = d[1:r + 1, 1:r + 1], p.cells[1:r + 1, 1:r + 1]
-    nb, wb, vb, widths, bounds = _batch_rows(g_r, pos, pc)
+    nb, wb, vb, widths, bounds, (eq, ev, ew) = _batch_rows(g_r, pos, pc)
 
     c = core.residual.n_present
     try:
@@ -174,37 +182,43 @@ def solve_residual(g_r: Graph, core: ShrinkSequence, d: np.ndarray, p: Precedenc
     # a cell's flat index in its batch, in the narrowest dtype
     largest = int(np.diff(bounds).max())
     flat = np.arange(largest, dtype=np.min_scalar_type(largest - 1))
-    positions = np.arange(r)
     du = dc.view(np.uint64)
     batches = zip(range(0, r, _RULE_BATCH), widths.tolist(), bounds.tolist(), bounds[1:].tolist())
     for k0, s, a, b in batches:
         k1 = k0 + _RULE_BATCH
-        nb_k, vb_k, rows = nb[a:b], vb[a:b], nb[a:b].reshape(-1, s)
+        vb_k, rows = vb[a:b], nb[a:b].reshape(-1, s)
         wb_k, flat_k = wb[a:b].reshape(-1, s, 1), flat[:b - a].reshape(-1, s, 1)
         step = max(1, _RULE_CELLS // (b - a))
         for lo in range(0, r, step):
             first = _first_tight(du, rows, wb_k, flat_k, k0, k1, slice(lo, lo + step))
-            np.copyto(pc[lo:lo + step, k0:k1], vb_k.take(first).T,
-                      where=(nb_k.take(first) != positions[lo:lo + step]).T)
+            pc[lo:lo + step, k0:k1] = vb_k.take(first).T
+    # where the direct edge (q, v) is tight, the rule took q's own slot
+    # from source q, and P[q][v] keeps its entry
+    tight = du[eq, ev] == ew
+    pc[eq[tight], ev[tight]] = UNSET
 
 
 def _batch_rows(g_r: Graph, pos: np.ndarray, pc: np.ndarray):
     """The predecessor rule's slots, laid out in batches of _RULE_BATCH
     targets, for solve_residual, which describes the arguments and the
     refusals: (neighbor, weight, value) as flat arrays over the batches'
-    rows, each batch's row width, and the flat bounds of the batches.
+    rows, each batch's row width, the flat bounds of the batches, and the
+    unset edges.
 
     A slot of a target v is a neighbor q of v, with q's corner index, the
-    weight, and what P[s][v] becomes when q is the first tight slot of v
-    from a source s other than q: the stored P[q][v] when set, q's id
-    otherwise.  The targets run in position order, and a batch lays each
-    target's slots out as one row as wide as the batch's largest count
-    plus one: pads first, then the slots from the last in (weight desc,
-    id) order back to the first.  A pad is the target itself at weight
-    0, so it is always tight, and the first tight slot is the tight cell
-    of the largest flat index in the target's row.  Only on the diagonal
-    is no slot tight: there a pad's neighbor is the source, so the
-    diagonal keeps its stored entry, as a last hop from the source does.
+    weight, and what P[s][v] becomes when q is the first tight slot of v:
+    the stored P[q][v] when set, q's id otherwise.  The targets run in
+    position order, and a batch lays each target's slots out as one row
+    as wide as the batch's largest count plus one: pads first, then the
+    slots from the last in (weight desc, id) order back to the first.  A
+    pad is the target itself at weight 0 with the stored P[v][v] as its
+    value, so it is always tight, and the first tight slot is the tight
+    cell of the largest flat index in the target's row.  Only on the
+    diagonal is no slot tight, so the diagonal keeps its entry.
+
+    Last, the unset residual edges (q, v), as q's and v's corner indices
+    and the weight: where one is tight from q, the rule's value q stands
+    for the stored UNSET.
     """
     weights = [w for nbrs in g_r.adj.values() for w in nbrs.values()]
     if 0 in weights:
@@ -219,7 +233,8 @@ def _batch_rows(g_r: Graph, pos: np.ndarray, pc: np.ndarray):
     order = np.lexsort((ident, -weight, target))
     target, ident, weight = target[order], ident[order], weight[order].view(np.uint64)
     stored = pc[pos[ident] - 1, target]
-    value = np.where(stored != UNSET, stored, ident.astype(stored.dtype))
+    unset = stored == UNSET
+    value = np.where(unset, ident.astype(stored.dtype), stored)
 
     counts = np.bincount(target, minlength=r)
     batch = np.arange(0, r, _RULE_BATCH)
@@ -231,7 +246,9 @@ def _batch_rows(g_r: Graph, pos: np.ndarray, pc: np.ndarray):
     at = np.repeat(np.cumsum(counts) - counts, width) + slot
     nb = np.where(pad, np.repeat(np.arange(r), width), pos[ident.take(at, mode="clip")] - 1)
     wb = np.where(pad, np.uint64(0), weight.take(at, mode="clip"))
-    return nb, wb, value.take(at, mode="clip"), widths, np.append(0, ends)[np.append(batch, r)]
+    vb = np.where(pad, np.repeat(pc.diagonal(), width), value.take(at, mode="clip"))
+    edges = pos[ident[unset]] - 1, target[unset], weight[unset]
+    return nb, wb, vb, widths, np.append(0, ends)[np.append(batch, r)], edges
 
 
 def _first_tight(du: np.ndarray, rows: np.ndarray, wb: np.ndarray, flat: np.ndarray,

@@ -63,11 +63,13 @@ def solve(g: Graph, params: SolveParams = SolveParams()) -> SolveResult:
     residual fills the [1, r] corner.  One id -> position array `pos`
     serves every stage: precede_shortcuts writes the shortcuts' P
     entries, solve_residual fills the corner (its rule reads P only on
-    residual edges) and assemble replays the outer removals, on the
-    DistanceMatrix's int64 cells holding encoded distances.  Then one
-    in-place pass per matrix (assembly.to_id_order, one block of rows and
-    one row of extra memory) puts the cells in id order, decoding D on the
-    way; it skips UNREACHED cells, which only the removed ids hold.
+    residual edges and the diagonal) and assemble replays the outer
+    removals, on the DistanceMatrix's int64 cells holding encoded
+    distances.  Then one
+    in-place pass per matrix (assembly.to_id_order, two blocks of rows,
+    one row and an index a row of extra memory) puts the cells in id
+    order, decoding D on the way; it skips UNREACHED cells, which only
+    the removed ids hold.
     """
     work = g.copy()
     n = g.n_original

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import (
@@ -429,26 +431,54 @@ def test_assemble_matches_seed_on_raw_tied_weights(seed, params):
 
 def permutations(n):
     """Permutations of 0..n that fix 0: the identity, one n-cycle over
-    1..n, and n // 2 swaps of neighbors."""
+    1..n, n // 2 swaps of neighbors, a seeded random one, and one cycle
+    over 1..8, a row longer than the 7-row blocks of the test below."""
     swaps = np.arange(n + 1)
     swaps[1:n // 2 * 2 + 1] = swaps[1:n // 2 * 2 + 1].reshape(-1, 2)[:, ::-1].ravel()
-    return {"identity": np.arange(n + 1), "one_cycle": np.r_[0, 2:n + 1, 1], "swaps": swaps}
+    k = min(8, n)
+    return {"identity": np.arange(n + 1), "one_cycle": np.r_[0, 2:n + 1, 1], "swaps": swaps,
+            "random": np.r_[0, 1 + np.random.default_rng(n).permutation(n)],
+            "block_and_one": np.r_[0, 2:k + 1, 1, k + 1:n + 1]}
 
 
-@pytest.mark.parametrize("shape", ["identity", "one_cycle", "swaps"])
+@pytest.mark.parametrize("corner", [False, True])
+@pytest.mark.parametrize("rows_a_block", [7, 1])
+@pytest.mark.parametrize("shape", list(permutations(1)))
 @pytest.mark.parametrize("n", [1, 6, 301])
-def test_to_id_order_matches_a_fancy_index(shape, n, monkeypatch):
-    monkeypatch.setattr(assembly, "_BLOCK_CELLS", 7 * (n + 1))  # several blocks, the last short
+def test_to_id_order_matches_a_fancy_index(shape, n, rows_a_block, corner, monkeypatch):
+    # 7 rows: several blocks, the last short; 1 row: every cycle crosses
+    # a block's end.  A corner of a larger matrix is not contiguous
+    monkeypatch.setattr(assembly, "_BLOCK_CELLS", rows_a_block * (n + 1))
     pos = permutations(n)[shape]
     rng = np.random.default_rng(n)
     d = rng.integers(0, 2**62, (n + 1, n + 1))
     d[rng.random(d.shape) < 0.1] = UNREACHED
     p = rng.integers(0, n + 1, (n + 1, n + 1), dtype=np.int32)
-    for cells, scale in [(d.copy(), 1), (d.copy(), n + 1), (p.copy(), 1)]:
+    for cells, scale in [(d, 1), (d, n + 1), (p, 1)]:
         expected = cells[np.ix_(pos, pos)]
         expected[expected != UNREACHED] //= scale
-        to_id_order(cells, pos, scale)
-        assert np.array_equal(cells, expected)
+        whole = np.pad(cells, (0, 3), constant_values=-5) if corner else cells.copy()
+        to_id_order(whole[:n + 1, :n + 1], pos, scale)
+        assert np.array_equal(whole[:n + 1, :n + 1], expected)
+        assert (whole[n + 1:] == -5).all() and (whole[:, n + 1:] == -5).all()
+
+
+def test_to_id_order_on_a_corner_view_holds_two_blocks_and_a_row():
+    # a copy of the whole corner (2.9 MB) would pass the bound many times
+    n = 601
+    rng = np.random.default_rng(3)
+    whole = rng.integers(0, 2**62, (n + 40, n + 30))
+    pos = np.r_[0, 1 + rng.permutation(n - 1)]
+    block = assembly._BLOCK_CELLS // n * n * whole.itemsize
+    for scale in (1, n):
+        tracemalloc.start()
+        try:
+            to_id_order(whole[:n, :n], pos, scale)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the walk's own lists and arrays take about 9 words a row
+        assert peak <= 2 * block + whole.itemsize * n + 16 * 8 * n, scale
 
 
 def test_to_id_order_on_a_corner_leaves_the_rest():

@@ -166,6 +166,29 @@ def test_solve_residual_overrides_long_direct_edge():
     assert int(p.cells[1, 2]) == UNSET
 
 
+def test_solve_residual_keeps_tight_direct_edges_and_the_diagonal():
+    # w(1, 2) = w(1, 3) + w(3, 2): from 1 the direct edge ties with the
+    # path through 3 and, heavier, comes first, so P[1][2] keeps its
+    # sentinel and the unset P[2][1] stays unset.  The edge (1, 4) is
+    # longer than the path through 2, so the rule writes P[1][4] and P[4][1]
+    g = Graph(4)
+    for a, b, w in [(1, 2, 5), (1, 3, 2), (3, 2, 3), (2, 4, 1), (1, 4, 10)]:
+        g.set_edge(a, b, w)
+    p = PrecedenceMatrix(4)
+    np.fill_diagonal(p.cells, 90 + np.arange(5))
+    p.cells[1, 2] = 99
+    entry = p.cells.copy()
+    expected = PrecedenceMatrix(4)
+    expected.cells[...] = entry
+    solve_residual_by_id(g, new_d(4), p)
+    solve_residual_by_id(g, new_d(4), expected, reference_solve_residual)
+    assert np.array_equal(p.cells, expected.cells)
+    assert np.array_equal(np.diagonal(p.cells), np.diagonal(entry))
+    tight = [(1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2), (2, 4), (4, 2)]
+    assert [int(p.cells[q, v]) for q, v in tight] == [99] + [UNSET] * 7
+    assert int(p.cells[1, 4]) == int(p.cells[4, 1]) == 2
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_solve_residual_distances_match_original(seed):
     # after a partial contraction, residual distances must equal the

@@ -131,6 +131,12 @@ SOLVE_DIGESTS = {
         lambda: random_connected_graph(1024, 11), SolveParams(d_max=3, i_max=0),
         "6287af3a10da24293984af3f1b36d4b77643386fe67371532eb92eccf7ae03ae",
         "61a80404129a4eecb73fee61d156732ae093d9a2669c8b63aed92d25ff5b86af"),
+    # perfbench's grid-bounded instance: a residual of 921, so the
+    # predecessor rule writes most of P
+    "grid32-1-bounded": (
+        lambda: grid_graph(32, 0.05, 1), SolveParams(d_max=3, i_max=0),
+        "0032284d8d316558fcb347ae4bd553764fd06e876f9ea75e62d8732b9d4c173b",
+        "d281daed49a99ce2efe04a23ff630fe04d2c9cb448ab208f08f41ca7bacbb692"),
 }
 
 
