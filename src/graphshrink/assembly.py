@@ -6,7 +6,10 @@ Both stages work on solve's restore-order layout (see solver.solve),
 addressing cells through its id -> position array `pos`.  The vertices
 present at each restore are a prefix of the positions, and the restored
 vertex sits right behind it.  So a restore gathers row slices and writes
-one contiguous row, and the matching column.
+one contiguous row, and the matching column.  In that layout P[i][j] is
+the true last hop into j on the i -> j path, i itself where that is the
+direct edge, so every stage copies stored entries as they are; UNSET is
+the id-order encoding of "i itself", which only to_id_order writes.
 
 Each restore writes each cell of its row and column once.  Its distance
 to every present vertex l is the minimum of (recorded edge weight + known
@@ -31,8 +34,8 @@ first-neighbor index.
 `to_id_order` puts a laid-out matrix back in id order in place, in one
 pass over the cells.  It walks the row permutation's cycles once, then
 takes the rows block by block in walk order: it gathers a block's source
-rows, permutes their columns into one reused buffer (decoding D on the
-way) and scatters them to their final rows.  A row's source is the next
+rows, permutes their columns into one reused buffer (decoding D or P on
+the way) and scatters them to their final rows.  A row's source is the next
 row of its cycle, written later, except at the cycle's last row, whose
 source, the cycle's first row, a one-row buffer keeps when the cycle
 crosses a block's end.  So its extra memory is two blocks plus one row,
@@ -71,11 +74,13 @@ def restore_order(seq: ShrinkSequence) -> list[int]:
     return sorted(seq.residual.adj) + [rec.vertex for rec in reversed(seq.records)]
 
 
-def to_id_order(cells: np.ndarray, pos, scale: int = 1) -> None:
+def to_id_order(cells: np.ndarray, pos, scale: int = 1, precedence: bool = False) -> None:
     """Permute the square matrix `cells` in place so that cells[i, j]
     becomes cells[pos[i], pos[j]]; `pos` is a permutation of its indices,
     and anything else is refused with ValueError before any write.  Every
-    cell other than UNREACHED is floor-divided by `scale` on the way.
+    cell other than UNREACHED is floor-divided by `scale` on the way.  With
+    `precedence`, every cell equal to its new row's index i becomes UNSET:
+    a last hop from i itself is the direct edge.
     """
     n, pos = len(cells), np.asarray(pos)
     # a permutation puts one index in each of bins 0..n-1; bin n takes the
@@ -97,6 +102,10 @@ def to_id_order(cells: np.ndarray, pos, scale: int = 1) -> None:
     src = pos[dst]
     step = max(1, _BLOCK_CELLS // n)
     buf, mask = np.empty((step, n), cells.dtype), np.empty((step, n), bool)
+    # the new rows' ids in the cells' own dtype: against intp ids the
+    # compare promotes, and P's decode after grid_graph(48, 0.05, 1)'s full
+    # solve took 5.8-7.9 ms in place of 3.2-4.4 ms (2-vCPU VM)
+    own = dst.astype(cells.dtype)[:, None] if precedence else None
     # a block reads all its rows before it writes them, so only a cycle
     # still open at a block's end needs its first row kept, permuted,
     # before the block writes it
@@ -115,30 +124,29 @@ def to_id_order(cells: np.ndarray, pos, scale: int = 1) -> None:
             unreached = np.equal(block, UNREACHED, out=mask[:hi - lo])
             np.floor_divide(block, scale, out=block)
             np.copyto(block, UNREACHED, where=unreached)
+        if precedence:
+            np.copyto(block, UNSET, where=np.equal(block, own[lo:hi], out=mask[:hi - lo]))
         cells[dst[lo:hi]] = block
 
 
 def precede_shortcuts(seq: ShrinkSequence, p: PrecedenceMatrix, pos: np.ndarray) -> None:
     """Write P for every shortcut the contraction logged, in removal order.
 
-    For each mutation (a, b) of removed vertex v, P[a][b] becomes P[v][b],
-    or v when that is unset, and P[b][a] likewise: the a->b path now runs
-    through v, or through whatever v's own contracted edge to b expands
-    to.  P is laid out by `pos`, and its cells must be C-contiguous: any
-    other P is refused with ValueError before any write.
+    For each mutation (a, b) of removed vertex v, P[a][b] becomes P[v][b]
+    and P[b][a] becomes P[v][a]: the a->b path now runs through v, so its
+    last hop is that of v's own edge to b, v itself for an original edge.
+    P is laid out by `pos`, and its cells must be C-contiguous: any other P
+    is refused with ValueError before any write.
     """
     stride = len(p.cells)
     flat = memoryview(_flat(p))  # items read and written as Python ints
     pos = pos.tolist()  # a list: reading a numpy array per mutation is slower
     for rec in seq.records:
-        v = rec.vertex
-        row_v = pos[v] * stride
+        row_v = pos[rec.vertex] * stride
         for a, b, _, _ in rec.mutations:
             at_a, at_b = pos[a], pos[b]
-            pvb = flat[row_v + at_b]
-            flat[at_a * stride + at_b] = pvb if pvb != UNSET else v
-            pva = flat[row_v + at_a]
-            flat[at_b * stride + at_a] = pva if pva != UNSET else v
+            flat[at_a * stride + at_b] = flat[row_v + at_b]
+            flat[at_b * stride + at_a] = flat[row_v + at_a]
 
 
 def _flat(p: PrecedenceMatrix) -> np.ndarray:
@@ -155,9 +163,9 @@ def assemble(seq: ShrinkSequence, d: np.ndarray, pos: np.ndarray,
     restore_order(seq) at positions 1, 2, ...
 
     D must hold every residual pair's distance.  Each restored pair takes P
-    from its first tight neighbor x: P[x][l] (or x when unset) for the row,
-    P[x][i] (or x) for the column, except where the direct edge is tight,
-    which keeps P's entry.  Before any row is written, the replay refuses
+    from its first tight neighbor x: P[x][l] for the row, P[x][i] for the
+    column, except where the direct edge is tight, which keeps P's entry
+    for that edge.  Before any row is written, the replay refuses
     with ValueError a record with no incident edges, a record naming a
     neighbor that is neither in the residual nor restored before it (the
     first such record in replay order, naming its lowest such id), and P
@@ -200,8 +208,6 @@ def assemble(seq: ShrinkSequence, d: np.ndarray, pos: np.ndarray,
         # still hold what the stages before the replay wrote
         all_xi = flat[all_base + at]
         all_ix = flat[(at + 1) * stride + 1 + all_pos]
-        all_nbr = all_ids.astype(p.cells.dtype)
-        all_xi_or_x = np.where(all_xi != UNSET, all_xi, all_nbr)
         # k, k - 1, ..., 1 for a record's k neighbors, in the narrowest
         # dtype: the first tight one has the largest tight rank
         most = seq.max_removed_degree
@@ -226,10 +232,10 @@ def assemble(seq: ShrinkSequence, d: np.ndarray, pos: np.ndarray,
             at_xl = all_base[lo:hi].take(first)
             at_xl += columns[:count]
             row_val = flat.take(at_xl)
-            np.copyto(row_val, all_nbr[lo:hi].take(first), where=row_val == UNSET)
-            col_val = all_xi_or_x[lo:hi].take(first)
+            col_val = all_xi[lo:hi].take(first)
             # pairs whose recorded direct edge attains the minimum keep whatever P
-            # holds: unset for an original edge, the intermediate for a shortcut
+            # holds: the row's own id for an original edge, the intermediate for
+            # a shortcut
             tight_edge = all_enc[lo:hi, 0] == dist[nbr_pos]
             keep = nbr_pos[tight_edge]
             row_val[keep] = all_ix[lo:hi][tight_edge]

@@ -57,7 +57,9 @@ def solve(g: Graph, params: SolveParams = SolveParams()) -> SolveResult:
     ids ascending, then the core's removals in reverse, then the outer
     removals in reverse (restore_order of the joined records), and last
     the ids removed before the solve; row and column 0 stay unused.
-    Cells are addressed by position, but P's values stay ids.  The
+    Cells are addressed by position, but P's values stay ids, each the
+    true last hop into the column's vertex: every row starts as its own
+    id, the last hop of a direct edge, and no stage writes UNSET.  The
     vertices present at each restore, inner or outer, are then a prefix of
     the positions, and the restored vertex sits right behind it; the
     residual fills the [1, r] corner.  One id -> position array `pos`
@@ -65,11 +67,11 @@ def solve(g: Graph, params: SolveParams = SolveParams()) -> SolveResult:
     entries, solve_residual fills the corner (its rule reads P only on
     residual edges and the diagonal) and assemble replays the outer
     removals, on the DistanceMatrix's int64 cells holding encoded
-    distances.  Then one
-    in-place pass per matrix (assembly.to_id_order, two blocks of rows,
-    one row and an index a row of extra memory) puts the cells in id
-    order, decoding D on the way; it skips UNREACHED cells, which only
-    the removed ids hold.
+    distances.  Then one in-place pass per matrix (assembly.to_id_order,
+    two blocks of rows, one row and an index a row of extra memory) puts
+    the cells in id order, decoding on the way: D's cells other than
+    UNREACHED, which only the removed ids hold, lose the hop count, and
+    P's cells equal to their row's id become UNSET.
     """
     work = g.copy()
     n = g.n_original
@@ -87,14 +89,16 @@ def solve(g: Graph, params: SolveParams = SolveParams()) -> SolveResult:
     m = DistanceMatrix(n)
     p = PrecedenceMatrix(n)
     removed = [v for v in range(1, n + 1) if v not in g.adj]
-    pos = np.empty(n + 1, dtype=np.intp)  # id -> position in the layout
     joined = ShrinkSequence(seq.records + core.records, core.residual)
-    pos[[0, *restore_order(joined), *removed]] = np.arange(n + 1)
+    ids = np.array([0, *restore_order(joined), *removed], p.cells.dtype)  # position -> id
+    pos = np.empty(n + 1, dtype=np.intp)  # id -> position in the layout
+    pos[ids] = np.arange(n + 1)
+    p.cells[...] = ids[:, None]
     precede_shortcuts(seq, p, pos)
     solve_residual(seq.residual, core, m.cells, p, pos)
     assemble(seq, m.cells, pos, p)
     to_id_order(m.cells, pos, scale)
-    to_id_order(p.cells, pos)
+    to_id_order(p.cells, pos, precedence=True)
     return SolveResult(
         distances=m,
         precedence=p,

@@ -13,25 +13,27 @@ def laid_out(order, d=None, p=None):
     """Yield copies of the id-order `d` and `p` (either may be None) laid
     out as solve lays out its matrices, and the layout's id -> position
     array: the ids of `order` at positions 1, 2, ..., every other id after
-    them, ascending.  On leaving, also by an exception, every cell of the
-    copies goes back to its id in d and p."""
+    them, ascending.  As in solve, the copy of P holds each row's own id
+    where p holds UNSET.  On leaving, also by an exception, every cell of
+    the copies goes back to its id in d and p, a row's own id as UNSET."""
     n = len(d if d is not None else p.cells) - 1
     ids = [0, *order, *sorted(set(range(1, n + 1)) - set(order))]  # position -> id
     pos = np.empty(n + 1, dtype=np.intp)
     pos[ids] = np.arange(n + 1)
     block = np.ix_(ids, ids)
+    own = np.array(ids, np.int32)[:, None]
     d_pos = None if d is None else d[block]
     p_pos = None
     if p is not None:
         p_pos = PrecedenceMatrix(n)
-        p_pos.cells[...] = p.cells[block]
+        p_pos.cells[...] = np.where(p.cells[block] == UNSET, own, p.cells[block])
     try:
         yield d_pos, p_pos, pos
     finally:
         if d is not None:
             d[block] = d_pos
         if p is not None:
-            p.cells[block] = p_pos.cells
+            p.cells[block] = np.where(p_pos.cells == own, UNSET, p_pos.cells)
 
 
 def precede_shortcuts_by_id(seq, p: PrecedenceMatrix) -> None:
@@ -70,16 +72,14 @@ def reference_solve_residual(g_r: Graph, core, d: np.ndarray, p: PrecedenceMatri
     """solve_residual's output from the independent baseline, on the same
     layout (`pos`; `core` goes unused): apsp_dijkstra's distances, and its
     predecessor q of each (i, j) merged into P as P held it on entry: the
-    stored P[i][j] when q == i, else P[q][j], or q when that is unset."""
+    stored P[q][j], which is the entry itself when q == i."""
     ids = sorted(g_r.adj)
     m, pred = apsp_dijkstra(g_r)
     block, at = np.ix_(ids, ids), np.ix_(pos[ids], pos[ids])
     d[at] = m.cells[block]
     source = np.array(ids)[:, None]
     q = np.where(pred.cells[block] == UNSET, source, pred.cells[block])
-    entry = p.cells.copy()
-    stored = entry[pos[q], pos[source.T]]
-    p.cells[at] = np.where(q == source, entry[at], np.where(stored != UNSET, stored, q))
+    p.cells[at] = p.cells[pos[q], pos[source.T]]
 
 
 def core_caps(r: int) -> tuple[int, int, int]:

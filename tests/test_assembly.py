@@ -454,11 +454,17 @@ def test_to_id_order_matches_a_fancy_index(shape, n, rows_a_block, corner, monke
     d = rng.integers(0, 2**62, (n + 1, n + 1))
     d[rng.random(d.shape) < 0.1] = UNREACHED
     p = rng.integers(0, n + 1, (n + 1, n + 1), dtype=np.int32)
-    for cells, scale in [(d, 1), (d, n + 1), (p, 1)]:
+    # every row i, also a cycle's kept first row, gets a cell holding i
+    p[pos, rng.integers(0, n + 1, n + 1)] = np.arange(n + 1)
+    row_ids = np.arange(n + 1)[:, None]
+    for cells, scale, precedence in [(d, 1, False), (d, n + 1, False), (p, 1, False),
+                                     (p, 1, True)]:
         expected = cells[np.ix_(pos, pos)]
         expected[expected != UNREACHED] //= scale
+        if precedence:
+            expected = np.where(expected == row_ids, UNSET, expected)
         whole = np.pad(cells, (0, 3), constant_values=-5) if corner else cells.copy()
-        to_id_order(whole[:n + 1, :n + 1], pos, scale)
+        to_id_order(whole[:n + 1, :n + 1], pos, scale, precedence)
         assert np.array_equal(whole[:n + 1, :n + 1], expected)
         assert (whole[n + 1:] == -5).all() and (whole[:, n + 1:] == -5).all()
 
@@ -470,15 +476,16 @@ def test_to_id_order_on_a_corner_view_holds_two_blocks_and_a_row():
     whole = rng.integers(0, 2**62, (n + 40, n + 30))
     pos = np.r_[0, 1 + rng.permutation(n - 1)]
     block = assembly._BLOCK_CELLS // n * n * whole.itemsize
-    for scale in (1, n):
+    for scale, precedence in [(1, False), (n, False), (1, True)]:
         tracemalloc.start()
         try:
-            to_id_order(whole[:n, :n], pos, scale)
+            to_id_order(whole[:n, :n], pos, scale, precedence)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the walk's own lists and arrays take about 9 words a row
-        assert peak <= 2 * block + whole.itemsize * n + 16 * 8 * n, scale
+        # the walk's own lists and arrays take about 9 words a row, and
+        # P's decode one more, its rows' ids
+        assert peak <= 2 * block + whole.itemsize * n + 16 * 8 * n, (scale, precedence)
 
 
 def test_to_id_order_on_a_corner_leaves_the_rest():

@@ -245,6 +245,32 @@ def test_solve_contracts_the_core_before_allocating_and_reorders_twice(monkeypat
     assert np.array_equal(result.distances.cells, apsp_dijkstra(g)[0].cells)
 
 
+@pytest.mark.parametrize("graph, params", [
+    (lambda: grid_graph(32, 0.05, 1), SolveParams()),
+    (lambda: grid_graph(32, 0.05, 1), SolveParams(d_max=3, i_max=0)),
+    (lambda: random_connected_graph(300, 4, wmax=3), SolveParams()),
+    (lambda: random_connected_graph(300, 4, wmax=3), SolveParams(d_max=3, i_max=0))],
+    ids=["grid32-full", "grid32-bounded", "random300-zeros-full", "random300-zeros-bounded"])
+def test_solve_keeps_true_last_hops_in_p_until_the_pass_to_id_order(graph, params, monkeypatch):
+    # inside solve P[i][j] is the last hop into j, i itself for the
+    # direct edge: UNSET is only written on the way back to id order.
+    # wmax=3 gives the random graph zero weights, so ties at zero
+    handed = []
+
+    def watched(cells, pos, *args, **kwargs):
+        handed.append((cells, cells.copy(), pos.copy()))
+        assembly.to_id_order(cells, pos, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "to_id_order", watched)
+    g = graph()
+    result = solve(g, params)
+    [(cells, pos)] = [(c, p) for cells, c, p in handed if cells is result.precedence.cells]
+    at = pos[sorted(g.adj)]
+    assert (cells[np.ix_(at, at)] != UNSET).all()
+    assert np.array_equal(cells.diagonal()[pos], np.arange(len(pos)))
+    assert first_bad_cell(g, result.distances, result.precedence) is None
+
+
 @pytest.mark.parametrize("params", [SolveParams(), SolveParams(n_min=20)])
 def test_solve_max_weight_path_is_exact(params):
     g = path_graph([MAX_WEIGHT] * 40)
